@@ -89,11 +89,13 @@ class CpCoefficients:
         Entry [p, q] is the coefficient at the multi-indices whose
         first-index-fastest linearizations are p and q, so unfolding the
         response model along the observation mode gives Y1 = X1 @ matricize.
-        Requires at least one outcome mode.
+        With no outcome modes (scalar response) Q = 1 and the result is the
+        P x 1 column of the vectorized array.
         """
+        kr = khatri_rao(self._pred)
         if not self._out:
-            raise ValueError("matricize needs at least one outcome mode")
-        return khatri_rao(self._pred) @ khatri_rao(self._out).T
+            return kr.sum(axis=1, keepdims=True)
+        return kr @ khatri_rao(self._out).T
 
     def gram_hadamard(self, skip: int) -> np.ndarray:
         """Entrywise product of the factor Gram matrices, one mode skipped.

@@ -5,7 +5,10 @@ K, the K dims, then the values in first-index-fastest order, printed with
 17 significant digits so every finite double round-trips bit-exactly.
 CSV files are accepted for order-2 tensors (rows are mode 1).  Model and
 draw files are JSON; Python's float repr is shortest-round-trip, so these
-round-trip bit-exactly as well.
+round-trip bit-exactly as well.  A model file's fit and a draws file's
+"mode" block hold the same fit record.  A file that parses but lacks a key
+or holds a value of the wrong type or shape is rejected with a ValueError
+naming the file.
 """
 
 from __future__ import annotations
@@ -119,104 +122,93 @@ def _coeff_from(d: dict) -> CpCoefficients:
     )
 
 
-def _offsets_dict(result: FitResult) -> dict:
-    if result.x_offsets is None:
-        return {"x_offsets": None, "y_offsets": None}
+def _fit_dict(result: FitResult) -> dict:
+    """Fit record shared by model files and the "mode" block of draws files."""
+    centered = result.x_offsets is not None
     return {
-        "x_offsets": result.x_offsets.ravel(order="F").tolist(),
-        "y_offsets": result.y_offsets.ravel(order="F").tolist(),
-    }
-
-
-def _offsets_from(d: dict, in_dims, out_dims):
-    if d.get("x_offsets") is None:
-        return None, None
-    x_off = np.asarray(d["x_offsets"], dtype=float).reshape(in_dims, order="F")
-    y_off = np.asarray(d["y_offsets"], dtype=float).reshape(out_dims, order="F")
-    return x_off, y_off
-
-
-def write_model(path: str, result: FitResult, lam: float, seed: int) -> None:
-    """Serialize a fit: factors, centering offsets, and fit metadata."""
-    payload = {
-        "format": "mwreg-model",
-        "version": 1,
-        "lam": float(lam),
-        "seed": int(seed),
         "coefficients": _coeff_dict(result.coefficients),
-        **_offsets_dict(result),
+        "x_offsets": result.x_offsets.ravel(order="F").tolist() if centered else None,
+        "y_offsets": result.y_offsets.ravel(order="F").tolist() if centered else None,
         "objective": float(result.objective_trace[-1]),
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
     }
+
+
+def _fit_from(d: dict) -> FitResult:
+    b = _coeff_from(d["coefficients"])
+    x_off = y_off = None
+    if d.get("x_offsets") is not None:
+        x_off = np.asarray(d["x_offsets"], dtype=float).reshape(b.in_dims, order="F")
+        y_off = np.asarray(d["y_offsets"], dtype=float).reshape(b.out_dims, order="F")
+    return FitResult(
+        coefficients=b,
+        objective_trace=[float(d["objective"])],
+        substep_trace=[],
+        converged=bool(d["converged"]),
+        iterations=int(d["iterations"]),
+        x_offsets=x_off,
+        y_offsets=y_off,
+    )
+
+
+def _draws_from(d: dict) -> PosteriorDraws:
+    samples = [_coeff_from(c) for c in d["samples"]]
+    sigma2s = np.asarray(d["sigma2"], dtype=float)
+    if sigma2s.shape != (len(samples),):
+        raise ValueError(f"sigma2 holds {sigma2s.size} values for {len(samples)} samples")
+    if not np.all(np.isfinite(sigma2s) & (sigma2s > 0.0)):
+        raise ValueError("sigma2 values must be finite and positive")
+    return PosteriorDraws(coefficients=samples, sigma2s=sigma2s, mode=_fit_from(d["mode"]))
+
+
+def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None:
+    payload = {"format": f"mwreg-{kind}", "version": 1, "lam": float(lam), "seed": int(seed), **body}
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+def _read_json(path: str, kind: str, parse) -> tuple:
+    """(parse(payload), lam, seed) of a JSON file of the given kind.
+
+    A structural fault (bad JSON, a missing key, a value of the wrong type
+    or shape) is reported as a ValueError naming the file.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise TypeError(f"top level is a JSON {type(payload).__name__}, not an object")
+        if payload.get("format") == f"mwreg-{kind}":
+            return parse(payload), float(payload["lam"]), int(payload["seed"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed {kind} file: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed {kind} file: {exc}") from None
+    raise ValueError(f"{path}: not a {kind} file")
+
+
+def write_model(path: str, result: FitResult, lam: float, seed: int) -> None:
+    """Serialize a fit: factors, centering offsets, and fit metadata."""
+    _write_json(path, "model", lam, seed, _fit_dict(result))
 
 
 def read_model(path: str) -> tuple:
     """Load a model file; returns (FitResult, lam, seed)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "mwreg-model":
-        raise ValueError(f"{path}: not a model file")
-    b = _coeff_from(payload["coefficients"])
-    x_off, y_off = _offsets_from(payload, b.in_dims, b.out_dims)
-    result = FitResult(
-        coefficients=b,
-        objective_trace=[float(payload["objective"])],
-        substep_trace=[],
-        converged=bool(payload["converged"]),
-        iterations=int(payload["iterations"]),
-        x_offsets=x_off,
-        y_offsets=y_off,
-    )
-    return result, float(payload["lam"]), int(payload["seed"])
+    return _read_json(path, "model", _fit_from)
 
 
 def write_draws(path: str, draws: PosteriorDraws, lam: float, seed: int) -> None:
     """Serialize a chain: every retained factor set, sigma2s, and the mode."""
-    payload = {
-        "format": "mwreg-draws",
-        "version": 1,
-        "lam": float(lam),
-        "seed": int(seed),
+    _write_json(path, "draws", lam, seed, {
         "sigma2": [float(v) for v in draws.sigma2s],
         "samples": [_coeff_dict(b) for b in draws.coefficients],
-        "mode": {
-            "coefficients": _coeff_dict(draws.mode.coefficients),
-            **_offsets_dict(draws.mode),
-            "objective": float(draws.mode.objective_trace[-1]),
-            "iterations": int(draws.mode.iterations),
-            "converged": bool(draws.mode.converged),
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        "mode": _fit_dict(draws.mode),
+    })
 
 
 def read_draws(path: str) -> tuple:
     """Load a draws file; returns (PosteriorDraws, lam, seed)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "mwreg-draws":
-        raise ValueError(f"{path}: not a draws file")
-    md = payload["mode"]
-    b = _coeff_from(md["coefficients"])
-    x_off, y_off = _offsets_from(md, b.in_dims, b.out_dims)
-    mode = FitResult(
-        coefficients=b,
-        objective_trace=[float(md["objective"])],
-        substep_trace=[],
-        converged=bool(md["converged"]),
-        iterations=int(md["iterations"]),
-        x_offsets=x_off,
-        y_offsets=y_off,
-    )
-    draws = PosteriorDraws(
-        coefficients=[_coeff_from(d) for d in payload["samples"]],
-        sigma2s=np.asarray(payload["sigma2"], dtype=float),
-        mode=mode,
-    )
-    return draws, float(payload["lam"]), int(payload["seed"])
+    return _read_json(path, "draws", _draws_from)

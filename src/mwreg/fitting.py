@@ -6,19 +6,21 @@ solves its ridge subproblem exactly, so at fixed lambda a full sweep never
 increases the penalized objective.  The penalty is annealed down from a
 large start value over the first sweeps, which keeps early iterations away
 from degenerate configurations, then held at its target until the
-objective stabilizes.
+objective stabilizes.  `fit` and the augmented-data reference
+`fit_augmented_oracle` share one best-of-starts driver, and `predict` and
+the posterior's point predictions share one prediction function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import prod
 
 import numpy as np
 import scipy.linalg
 
-from .coefficients import CpCoefficients
+from .coefficients import CpCoefficients, _gram_product
 from .tensors import DenseTensor, khatri_rao
 
 __all__ = [
@@ -90,13 +92,14 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Output of `fit`.
+    """Output of `fit` and `fit_augmented_oracle`.
 
     objective_trace holds the penalized objective at the target lambda
     after each sweep; substep_trace holds the same quantity after every
     individual factor update once annealing has finished (it is
-    non-increasing up to round-off).  Offsets are None when the data were
-    not centered.
+    non-increasing up to round-off).  converged tells whether the
+    relative-drop test passed before max_iters, and iterations counts the
+    sweeps run.  Offsets are None when the data were not centered.
     """
 
     coefficients: CpCoefficients
@@ -173,13 +176,6 @@ def _kr_or_ones(factors, rank: int) -> np.ndarray:
     return np.ones((1, rank))
 
 
-def _gram_product(factors, rank: int) -> np.ndarray:
-    g = np.ones((rank, rank))
-    for f in factors:
-        g = g * (f.T @ f)
-    return g
-
-
 def _squared_norm(factors) -> float:
     """||B||_F^2 from the factors via the all-mode Gram entrywise product."""
     rank = factors[0].shape[1]
@@ -246,16 +242,18 @@ def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
     return scipy.linalg.cho_solve((low, True), rhs, check_finite=False), low
 
 
+# The mode updates return (new factor, Cholesky factor of the system); the
+# sampler's full conditionals reuse both.
 def _update_predictor(ws, pred, out, l, lam):
     s, rhs = _predictor_system(ws, pred, out, l, lam)
-    sol, _ = _spd_solve(s, rhs, lam)
-    return sol.reshape(ws.in_dims[l], pred[0].shape[1], order="F")
+    sol, low = _spd_solve(s, rhs, lam)
+    return sol.reshape(ws.in_dims[l], pred[0].shape[1], order="F"), low
 
 
 def _update_outcome(ws, pred, out, m, lam):
     a, rhs = _outcome_system(ws, pred, out, m, lam)
-    sol, _ = _spd_solve(a, rhs, lam)
-    return sol.T
+    sol, low = _spd_solve(a, rhs, lam)
+    return sol.T, low
 
 
 def _prediction_matrix(x1, pred, out, rank):
@@ -276,22 +274,23 @@ def _objective_arrays(ws, pred, out, lam) -> float:
 # =====================================================================
 
 
-def _check_pair(x: DenseTensor, y: DenseTensor, b: CpCoefficients) -> None:
+def _checked_workspace(x: DenseTensor, y: DenseTensor, b: CpCoefficients):
+    """(workspace, predictor factors, outcome factors) once x and y fit b's dims."""
     if x.dims[0] != y.dims[0]:
         raise ValueError(f"x has {x.dims[0]} observations but y has {y.dims[0]}")
     if x.dims[1:] != b.in_dims:
         raise ValueError(f"x trailing dims {x.dims[1:]} do not match coefficients {b.in_dims}")
     if y.dims[1:] != b.out_dims:
         raise ValueError(f"y trailing dims {y.dims[1:]} do not match coefficients {b.out_dims}")
+    return _Workspace(x.array, y.array), list(b.predictor_factors), list(b.outcome_factors)
 
 
 def objective(x: DenseTensor, y: DenseTensor, b: CpCoefficients, lam: float = 0.0) -> float:
     """Penalized residual sum of squares ||Y - <X,B>||_F^2 + lam * ||B||_F^2."""
-    _check_pair(x, y, b)
+    ws, pred, out = _checked_workspace(x, y, b)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be finite and non-negative")
-    ws = _Workspace(x.array, y.array)
-    return _objective_arrays(ws, list(b.predictor_factors), list(b.outcome_factors), lam)
+    return _objective_arrays(ws, pred, out, lam)
 
 
 def build_design_predictor(x: DenseTensor, b: CpCoefficients, mode: int) -> np.ndarray:
@@ -352,22 +351,20 @@ def update_predictor_factor(
     x: DenseTensor, y: DenseTensor, b: CpCoefficients, mode: int, lam: float = 0.0
 ) -> np.ndarray:
     """Exact ridge update of one predictor factor, all others held fixed."""
-    _check_pair(x, y, b)
-    if not 0 <= mode < len(b.predictor_factors):
+    ws, pred, out = _checked_workspace(x, y, b)
+    if not 0 <= mode < len(pred):
         raise ValueError(f"predictor mode {mode} out of range")
-    ws = _Workspace(x.array, y.array)
-    return _update_predictor(ws, list(b.predictor_factors), list(b.outcome_factors), mode, lam)
+    return _update_predictor(ws, pred, out, mode, lam)[0]
 
 
 def update_outcome_factor(
     x: DenseTensor, y: DenseTensor, b: CpCoefficients, mode: int, lam: float = 0.0
 ) -> np.ndarray:
     """Exact ridge update of one outcome factor, all others held fixed."""
-    _check_pair(x, y, b)
-    if not 0 <= mode < len(b.outcome_factors):
+    ws, pred, out = _checked_workspace(x, y, b)
+    if not 0 <= mode < len(out):
         raise ValueError(f"outcome mode {mode} out of range")
-    ws = _Workspace(x.array, y.array)
-    return _update_outcome(ws, list(b.predictor_factors), list(b.outcome_factors), mode, lam)
+    return _update_outcome(ws, pred, out, mode, lam)[0]
 
 
 # =====================================================================
@@ -406,19 +403,8 @@ def _init_factors(cfg: FitConfig, in_dims, out_dims, start: int):
     return pred, out
 
 
-class _AlsState:
-    __slots__ = ("pred", "out", "trace", "subtrace", "converged", "iterations")
-
-    def __init__(self, pred, out, trace, subtrace, converged, iterations):
-        self.pred = pred
-        self.out = out
-        self.trace = trace
-        self.subtrace = subtrace
-        self.converged = converged
-        self.iterations = iterations
-
-
-def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> _AlsState:
+def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult:
+    """One seeded run of annealed sweeps; the result carries no offsets."""
     pred, out = _init_factors(cfg, ws.in_dims, ws.out_dims, start)
     schedule = _lambda_schedule(cfg)
     trace, subtrace = [], []
@@ -442,11 +428,11 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> _AlsState
         else:
             uws, ulam = ws, lam_t
         for l in range(len(pred)):
-            pred[l] = _update_predictor(uws, pred, out, l, ulam)
+            pred[l] = _update_predictor(uws, pred, out, l, ulam)[0]
             if not annealing:
                 subtrace.append(_objective_arrays(ws, pred, out, cfg.lam))
         for m in range(len(out)):
-            out[m] = _update_outcome(uws, pred, out, m, ulam)
+            out[m] = _update_outcome(uws, pred, out, m, ulam)[0]
             if not annealing:
                 subtrace.append(_objective_arrays(ws, pred, out, cfg.lam))
         obj = _objective_arrays(ws, pred, out, cfg.lam)
@@ -457,15 +443,24 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> _AlsState
                 converged = True
                 break
             prev = obj
-    return _AlsState(pred, out, trace, subtrace, converged, sweeps)
+    return FitResult(coefficients=CpCoefficients(pred, out), objective_trace=trace,
+                     substep_trace=subtrace, converged=converged, iterations=sweeps,
+                     x_offsets=None, y_offsets=None)
 
 
-def _prepare(x: DenseTensor, y: DenseTensor, cfg: FitConfig):
+def _fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig, augment: bool) -> FitResult:
+    """Best of cfg.n_starts runs by final objective; the first start wins a tie."""
     _validate_data(x, y)
+    x_off = y_off = None
     if cfg.center_data:
-        xc, yc, (x_off, y_off) = center(x, y)
-        return _Workspace(xc.array, yc.array), x_off, y_off
-    return _Workspace(x.array, y.array), None, None
+        x, y, (x_off, y_off) = center(x, y)
+    ws = _Workspace(x.array, y.array)
+    best = None
+    for start in range(cfg.n_starts):
+        result = _als(ws, cfg, start, augment)
+        if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
+            best = result
+    return replace(best, x_offsets=x_off, y_offsets=y_off)
 
 
 def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
@@ -475,21 +470,7 @@ def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
     SingularSystemError when a lambda=0 subproblem is rank deficient
     instead of silently pseudo-inverting.
     """
-    ws, x_off, y_off = _prepare(x, y, cfg)
-    best = None
-    for start in range(cfg.n_starts):
-        state = _als(ws, cfg, start, augment=False)
-        if best is None or state.trace[-1] < best.trace[-1]:
-            best = state
-    return FitResult(
-        coefficients=CpCoefficients(best.pred, best.out),
-        objective_trace=best.trace,
-        substep_trace=best.subtrace,
-        converged=best.converged,
-        iterations=best.iterations,
-        x_offsets=x_off,
-        y_offsets=y_off,
-    )
+    return _fit(x, y, cfg, augment=False)
 
 
 def _augment_arrays(xarr: np.ndarray, yarr: np.ndarray, lam: float):
@@ -509,45 +490,46 @@ def fit_augmented_oracle(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitR
 
     Appends sqrt(lambda) times identity slices to X and zero slices to Y
     and runs plain least-squares sweeps on the augmented data, which is
-    algebraically the same update as `fit`; initialization, annealing and
-    the reported objective trace mirror `fit` exactly, so paired runs agree
-    sweep by sweep.  With lam=0 the augmentation is skipped and the run is
-    identical to `fit`.  Small instances only.
+    algebraically the same update as `fit`.  Both run through one
+    best-of-starts driver, so initialization, annealing and the reported
+    objective trace match and paired runs agree sweep by sweep.  With
+    lam=0 the augmentation is skipped and the run is identical to `fit`.
+    Small instances only.
     """
-    ws, x_off, y_off = _prepare(x, y, cfg)
-    if (ws.n + ws.p) * max(ws.p, ws.q) > _ORACLE_LIMIT:
+    p, q = prod(x.dims[1:]), prod(y.dims[1:])
+    if (x.dims[0] + p) * max(p, q) > _ORACLE_LIMIT:
         raise ValueError("augmented oracle is limited to small instances")
-    best = None
     # lam=0 slices are all zero, so the plain path is the same problem
-    for start in range(cfg.n_starts):
-        state = _als(ws, cfg, start, augment=cfg.lam > 0.0)
-        if best is None or state.trace[-1] < best.trace[-1]:
-            best = state
-    return FitResult(
-        coefficients=CpCoefficients(best.pred, best.out),
-        objective_trace=best.trace,
-        substep_trace=best.subtrace,
-        converged=best.converged,
-        iterations=best.iterations,
-        x_offsets=x_off,
-        y_offsets=y_off,
-    )
+    return _fit(x, y, cfg, augment=cfg.lam > 0.0)
+
+
+def _predictions(x_new: DenseTensor, coefficient_sets, x_offsets, y_offsets) -> np.ndarray:
+    """Noiseless predictions of each coefficient set, shape (sets, N, *out_dims).
+
+    The sets share dims.  Centering offsets, when not None, are removed
+    from x_new once and added back to every set's prediction.
+    """
+    b0 = coefficient_sets[0]
+    if x_new.dims[1:] != b0.in_dims:
+        raise ValueError(
+            f"x trailing dims {x_new.dims[1:]} do not match coefficients {b0.in_dims}"
+        )
+    xa = x_new.array
+    if x_offsets is not None:
+        xa = xa - x_offsets
+    n = x_new.dims[0]
+    x1 = xa.reshape(n, -1, order="F")
+    stack = np.empty((len(coefficient_sets), n) + b0.out_dims)
+    for t, b in enumerate(coefficient_sets):
+        pm = _prediction_matrix(x1, b.predictor_factors, b.outcome_factors, b.rank)
+        arr = pm.reshape((n,) + b0.out_dims, order="F")
+        if y_offsets is not None:
+            arr = arr + y_offsets
+        stack[t] = arr
+    return stack
 
 
 def predict(x_new: DenseTensor, result: FitResult) -> DenseTensor:
     """Predicted response <X_new, B> with the fit's centering offsets reapplied."""
-    b = result.coefficients
-    if x_new.dims[1:] != b.in_dims:
-        raise ValueError(
-            f"x trailing dims {x_new.dims[1:]} do not match coefficients {b.in_dims}"
-        )
-    xa = x_new.array
-    if result.x_offsets is not None:
-        xa = xa - result.x_offsets
-    n = x_new.dims[0]
-    x1 = xa.reshape(n, -1, order="F")
-    pred = _prediction_matrix(x1, b.predictor_factors, b.outcome_factors, b.rank)
-    arr = pred.reshape((n,) + b.out_dims, order="F")
-    if result.y_offsets is not None:
-        arr = arr + result.y_offsets
-    return DenseTensor(arr)
+    stack = _predictions(x_new, [result.coefficients], result.x_offsets, result.y_offsets)
+    return DenseTensor(stack[0])

@@ -8,7 +8,8 @@ multivariate normal with mean equal to the corresponding penalized
 least-squares update, so the sampler reuses the exact system builders of
 the fitting module; sigma^2 given everything else is inverse gamma.  The
 chain starts at the penalized least-squares solution, which is the
-posterior mode, so no burn-in is needed by default.
+posterior mode, so no burn-in is needed by default.  Predictions from the
+draws go through the same function as `fitting.predict`.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .coefficients import CpCoefficients, normalize
 from .fitting import (
     FitConfig,
     FitResult,
+    _checked_workspace,
     _objective_arrays,
-    _outcome_system,
-    _prediction_matrix,
-    _predictor_system,
-    _spd_solve,
+    _predictions,
+    _update_outcome,
+    _update_predictor,
     _Workspace,
     fit,
 )
@@ -153,9 +154,8 @@ def draw_sigma2(x: DenseTensor, y: DenseTensor, b: CpCoefficients, rng) -> float
     The full conditional under the 1/sigma^2 scale prior is inverse gamma
     with shape N*Q/2 and rate ||Y - <X,B>||_F^2 / 2.
     """
-    ws = _Workspace(x.array, y.array)
-    rss = _objective_arrays(ws, list(b.predictor_factors), list(b.outcome_factors), 0.0)
-    return _draw_sigma2_rss(rss, ws.n * ws.q, rng)
+    ws, pred, out = _checked_workspace(x, y, b)
+    return _draw_sigma2_rss(_objective_arrays(ws, pred, out, 0.0), ws.n * ws.q, rng)
 
 
 def _draw_sigma2_rss(rss: float, nq: int, rng: np.random.Generator) -> float:
@@ -181,25 +181,20 @@ def conditional_factor_params(
     covariance is sigma2 times the inverse of the update's system matrix
     (Kronecker-expanded over rows for outcome modes).
     """
+    ws, pred, out = _checked_workspace(x, y, b)
     if not 0 <= mode < b.order:
         raise ValueError(f"mode {mode} out of range for order {b.order}")
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError("sigma2 must be finite and non-negative")
-    ws = _Workspace(x.array, y.array)
-    pred, out = list(b.predictor_factors), list(b.outcome_factors)
     return _conditional_ws(ws, pred, out, mode, lam, sigma2)
 
 
 def _conditional_ws(ws, pred, out, mode, lam, sigma2) -> FactorConditional:
     if mode < len(pred):
-        s, rhs = _predictor_system(ws, pred, out, mode, lam)
-        sol, low = _spd_solve(s, rhs, lam)
-        mean = sol.reshape(ws.in_dims[mode], pred[0].shape[1], order="F")
+        mean, low = _update_predictor(ws, pred, out, mode, lam)
         return FactorConditional(mean, low, float(sigma2), False)
-    m = mode - len(pred)
-    a, rhs = _outcome_system(ws, pred, out, m, lam)
-    sol, low = _spd_solve(a, rhs, lam)
-    return FactorConditional(sol.T, low, float(sigma2), True)
+    mean, low = _update_outcome(ws, pred, out, mode - len(pred), lam)
+    return FactorConditional(mean, low, float(sigma2), True)
 
 
 def gibbs(
@@ -221,13 +216,14 @@ def gibbs(
     b0 = mode_fit.coefficients
     if b0.rank != cfg.rank:
         raise ValueError(f"mode fit has rank {b0.rank} but cfg.rank is {cfg.rank}")
+    # checked before the offsets are removed, which would broadcast a size-1 mode
+    if x.dims[1:] != b0.in_dims or y.dims[1:] != b0.out_dims:
+        raise ValueError("data dims do not match the mode fit's coefficients")
     xa, ya = x.array, y.array
     if mode_fit.x_offsets is not None:
         xa = xa - mode_fit.x_offsets
         ya = ya - mode_fit.y_offsets
     ws = _Workspace(xa, ya)
-    if ws.in_dims != b0.in_dims or ws.out_dims != b0.out_dims:
-        raise ValueError("data dims do not match the mode fit's coefficients")
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CHAIN_STREAM)))
     pred = [f.copy() for f in b0.predictor_factors]
     out = [f.copy() for f in b0.outcome_factors]
@@ -255,27 +251,12 @@ def gibbs(
 
 
 def _point_predictions(x_new: DenseTensor, draws: PosteriorDraws) -> np.ndarray:
-    """Stack of noiseless predictions, shape (draws, N, *out_dims)."""
-    b0 = draws.coefficients[0]
-    if x_new.dims[1:] != b0.in_dims:
-        raise ValueError(
-            f"x trailing dims {x_new.dims[1:]} do not match coefficients {b0.in_dims}"
-        )
-    xa = x_new.array
+    """Stack of noiseless predictions, shape (draws, N, *out_dims).
+
+    The same path as `fitting.predict`, with the mode fit's offsets.
+    """
     mode = draws.mode
-    if mode.x_offsets is not None:
-        xa = xa - mode.x_offsets
-    n = xa.shape[0]
-    x1 = xa.reshape(n, -1, order="F")
-    out_dims = b0.out_dims
-    stack = np.empty((len(draws.coefficients), n) + out_dims)
-    for t, b in enumerate(draws.coefficients):
-        pm = _prediction_matrix(x1, b.predictor_factors, b.outcome_factors, b.rank)
-        arr = pm.reshape((n,) + out_dims, order="F")
-        if mode.y_offsets is not None:
-            arr = arr + mode.y_offsets
-        stack[t] = arr
-    return stack
+    return _predictions(x_new, draws.coefficients, mode.x_offsets, mode.y_offsets)
 
 
 def posterior_predictive(

@@ -187,7 +187,7 @@ def simulate(spec: SimSpec):
         pred = [rng.standard_normal((d, spec.rank)) for d in spec.in_dims]
         out = [rng.standard_normal((d, spec.rank)) for d in spec.out_dims]
         b = CpCoefficients(pred, out)
-        signal1 = x1 @ (b.matricize() if out else _scalar_response_matrix(b))
+        signal1 = x1 @ b.matricize()
         sig_ss = float(np.sum(signal1 * signal1))
         if sig_ss > 0.0:
             break
@@ -202,13 +202,6 @@ def simulate(spec: SimSpec):
     return x, DenseTensor(yarr), true_b
 
 
-def _scalar_response_matrix(b: CpCoefficients) -> np.ndarray:
-    # P x 1 stand-in for matricize when there are no outcome modes
-    from .tensors import khatri_rao
-
-    return khatri_rao(list(b.predictor_factors)).sum(axis=1, keepdims=True)
-
-
 def _test_set(spec: SimSpec, true_b, n: int, rng: np.random.Generator):
     """Fresh (x, y) from the same coefficients, per the study design."""
     xarr = _draw_slices(n, spec.in_dims, rng, spec.correlation == "corr_x", spec.rho)
@@ -216,9 +209,7 @@ def _test_set(spec: SimSpec, true_b, n: int, rng: np.random.Generator):
     if true_b is None:
         return DenseTensor(xarr), DenseTensor(earr)
     x1 = xarr.reshape(n, -1, order="F")
-    signal1 = x1 @ (
-        true_b.matricize() if true_b.outcome_factors else _scalar_response_matrix(true_b)
-    )
+    signal1 = x1 @ true_b.matricize()
     yarr = signal1.reshape((n,) + spec.out_dims, order="F") + earr
     return DenseTensor(xarr), DenseTensor(yarr)
 

@@ -172,6 +172,15 @@ class TestPredict:
         assert main(["predict", "--model", "nope.json", "--x", TINY_X,
                      "--out", pred]) == 2
 
+    def test_malformed_model_file(self, tmp_path, capsys):
+        model = os.path.join(tmp_path, "m.json")
+        pred = os.path.join(tmp_path, "p.mwt")
+        for text in ('{"format":"mwreg-model"}', "[]"):
+            with open(model, "w") as fh:
+                fh.write(text)
+            assert main(["predict", "--model", model, "--x", TINY_X, "--out", pred]) == 2
+            assert "malformed model file" in capsys.readouterr().err
+
     def test_dim_mismatch(self, tmp_path):
         model = os.path.join(tmp_path, "m.json")
         assert _fit_tiny(tmp_path)[0] == 0

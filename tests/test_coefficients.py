@@ -111,10 +111,15 @@ class TestMatricize:
         back = b.matricize().reshape((2, 2, 3), order="F")
         assert np.allclose(back, b.materialize().array, atol=1e-12)
 
-    def test_scalar_response_rejected(self):
-        b = CpCoefficients([np.ones((3, 1))], [])
-        with pytest.raises(ValueError):
-            b.matricize()
+    def test_scalar_response_is_vectorized_column(self):
+        rng = np.random.default_rng(8)
+        b = _random_b(rng, (3, 2), (), 2)
+        m = b.matricize()
+        assert m.shape == (6, 1)
+        assert np.allclose(m, b.materialize().array.reshape(-1, 1, order="F"), atol=1e-12)
+        x = DenseTensor(rng.standard_normal((5, 3, 2)))
+        lhs = unfold(contract(x, b.materialize(), 2), 0)
+        assert np.allclose(unfold(x, 0) @ m, lhs, atol=1e-12)
 
     def test_predicts_like_contract(self):
         rng = np.random.default_rng(6)

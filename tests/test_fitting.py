@@ -388,11 +388,13 @@ class TestAugmentedOracle:
     def test_lambda_zero_identical_to_fit(self):
         rng = np.random.default_rng(30)
         x, y, _ = _random_instance(rng, 12, (3, 2), (2,), 2)
-        cfg = FitConfig(rank=2, lam=0.0, seed=10)
-        a, b = fit(x, y, cfg), fit_augmented_oracle(x, y, cfg)
-        assert a.objective_trace == b.objective_trace
-        for f1, f2 in zip(a.coefficients.factors, b.coefficients.factors):
-            assert np.array_equal(f1, f2)
+        for n_starts in (1, 3):
+            cfg = FitConfig(rank=2, lam=0.0, seed=10, n_starts=n_starts)
+            a, b = fit(x, y, cfg), fit_augmented_oracle(x, y, cfg)
+            assert a.objective_trace == b.objective_trace
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            for f1, f2 in zip(a.coefficients.factors, b.coefficients.factors):
+                assert np.array_equal(f1, f2)
 
     def test_trace_matches_fit_per_sweep(self):
         rng = np.random.default_rng(31)

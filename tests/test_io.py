@@ -1,7 +1,9 @@
 """File format tests: bit-exact round trips and malformed-input errors."""
 
 import hashlib
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +105,19 @@ class TestTensorFormat:
             read_tensor(os.path.join(tmp_path, "nope.mwt"))
 
 
+def _rewrite(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _edited(path, edit):
+    """The JSON text of the file at path after edit(payload)."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    return json.dumps(payload)
+
+
 def _fit_pair(rng, center=True):
     x = DenseTensor(rng.standard_normal((12, 3, 2)))
     y = DenseTensor(rng.standard_normal((12, 2, 2)))
@@ -150,6 +165,18 @@ class TestModelFormat:
         with pytest.raises(ValueError, match="model"):
             read_model(path)
 
+    def test_malformed_content_rejected(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = os.path.join(tmp_path, "m.json")
+        write_model(path, _fit_pair(rng)[2], lam=0.5, seed=3)
+        short_factor = _edited(
+            path, lambda p: p["coefficients"]["predictor_factors"][0].update(values=[1.0])
+        )
+        for text in ('{"format":"mwreg-model"}', "[]", '{"format":', short_factor):
+            _rewrite(path, text)
+            with pytest.raises(ValueError, match=re.escape(path) + ": malformed model file"):
+                read_model(path)
+
 
 class TestDrawsFormat:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -178,3 +205,35 @@ class TestDrawsFormat:
             fh.write('{"format":"mwreg-model"}\n')
         with pytest.raises(ValueError, match="draws"):
             read_draws(path)
+
+    def _draws_file(self, tmp_path):
+        x = DenseTensor(np.random.default_rng(7).standard_normal((10, 3)))
+        y = DenseTensor(np.random.default_rng(8).standard_normal((10, 2)))
+        draws = gibbs(x, y, GibbsConfig(rank=1, n_samples=4, lam=0.7, seed=6))
+        path = os.path.join(tmp_path, "draws.json")
+        write_draws(path, draws, lam=0.7, seed=6)
+        return path
+
+    def _rejects(self, path, text, match):
+        _rewrite(path, text)
+        with pytest.raises(ValueError, match=re.escape(path) + ": malformed draws file: " + match):
+            read_draws(path)
+
+    def test_malformed_content_rejected(self, tmp_path):
+        path = self._draws_file(tmp_path)
+        no_mode = _edited(path, lambda p: p.pop("mode"))
+        for text in ('{"format":"mwreg-draws"}', "[]", "{", no_mode):
+            self._rejects(path, text, "")
+
+    def test_sigma2_length_must_match_samples(self, tmp_path):
+        path = self._draws_file(tmp_path)
+        self._rejects(path, _edited(path, lambda p: p["sigma2"].pop()), "sigma2 holds 3 values")
+
+    def test_sigma2_entries_must_be_finite_and_positive(self, tmp_path):
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            path = self._draws_file(tmp_path)
+
+            def set_bad(payload):
+                payload["sigma2"][1] = bad
+
+            self._rejects(path, _edited(path, set_bad), "sigma2 values")

@@ -25,10 +25,13 @@ from mwreg import (
     draw_sigma2,
     fit,
     gibbs,
+    objective,
     posterior_predictive,
+    predict,
     update_outcome_factor,
     update_predictor_factor,
 )
+from mwreg.posterior import _point_predictions
 
 
 def _random_instance(rng, n, in_dims, out_dims, rank, noise=0.5):
@@ -183,6 +186,19 @@ class TestConditionalFactorParams:
             conditional_factor_params(x, y, b, 2, 0.5, 1.0)
         with pytest.raises(ValueError):
             conditional_factor_params(x, y, b, 0, 0.5, -1.0)
+        # y with its outcome modes permuted against the coefficients
+        x, y, b = _random_instance(rng, 10, (3,), (3, 2), 1)
+        yt = DenseTensor(np.transpose(y.array, (0, 2, 1)))
+        steps = [
+            lambda: objective(x, yt, b),
+            lambda: update_predictor_factor(x, yt, b, 0),
+            lambda: update_outcome_factor(x, yt, b, 0),
+            lambda: draw_sigma2(x, yt, b, np.random.default_rng(0)),
+            lambda: conditional_factor_params(x, yt, b, 0, 0.5, 1.0),
+        ]
+        for step in steps:
+            with pytest.raises(ValueError, match="y trailing dims"):
+                step()
 
 
 def _cov_at_unit(x, y, b):
@@ -243,15 +259,18 @@ class TestGibbs:
         mode = fit(other, y, FitConfig(rank=1, lam=0.5, seed=0))
         with pytest.raises(ValueError):
             gibbs(x, y, GibbsConfig(rank=1, n_samples=2, lam=0.5), mode_fit=mode)
+        # a size-1 mode would broadcast against the mode fit's offsets
+        one = DenseTensor(rng.standard_normal((12, 1)))
+        mode = fit(x, y, FitConfig(rank=1, lam=0.5, seed=0))
+        for xd, yd in ((one, y), (x, one)):
+            with pytest.raises(ValueError, match="dims do not match"):
+                gibbs(xd, yd, GibbsConfig(rank=1, n_samples=2, lam=0.5), mode_fit=mode)
 
     def test_flat_prior_chain_stays_near_mode(self):
         rng = np.random.default_rng(20)
         x, y, _ = _random_instance(rng, 60, (3, 2), (2,), 1, noise=0.05)
         cfg = GibbsConfig(rank=1, n_samples=1200, lam=0.0, seed=7)
         draws = gibbs(x, y, cfg)
-        from mwreg import predict
-        from mwreg.posterior import _point_predictions
-
         mode_pred = predict(x, draws.mode).array
         mean_pred = _point_predictions(x, draws).mean(axis=0)
         rel = np.linalg.norm(mean_pred - mode_pred) / np.linalg.norm(mode_pred)
@@ -338,14 +357,21 @@ class TestPosteriorPredictive:
         x, y, _ = _random_instance(rng, 30, (3,), (2,), 1, noise=1.0)
         draws = gibbs(x, y, GibbsConfig(rank=1, n_samples=3000, lam=0.5, seed=10))
         x_new = DenseTensor(rng.standard_normal((2, 3)))
-        from mwreg.posterior import _point_predictions
-
         outs = posterior_predictive(x_new, draws, rng=11)
         vals = np.stack([d.array for d in outs])
         point = _point_predictions(x_new, draws)
         want = point.var(axis=0) + draws.sigma2s.mean()
         got = vals.var(axis=0)
         assert np.abs(got - want).max() < 0.15 * want.max()
+
+    def test_predict_is_the_one_draw_stack(self):
+        rng = np.random.default_rng(28)
+        for out_dims, center in (((2, 2), True), ((), True), ((2,), False)):
+            x, y, _ = _random_instance(rng, 12, (3, 2), out_dims, 2)
+            res = fit(x, y, FitConfig(rank=2, lam=0.5, seed=3, center_data=center))
+            x_new = DenseTensor(rng.standard_normal((5, 3, 2)))
+            one = PosteriorDraws([res.coefficients], np.ones(1), res)
+            assert np.array_equal(predict(x_new, res).array, _point_predictions(x_new, one)[0])
 
     def test_seed_types_and_determinism(self):
         rng = np.random.default_rng(25)
