@@ -159,7 +159,15 @@ def _draws_from(d: dict) -> PosteriorDraws:
         raise ValueError(f"sigma2 holds {sigma2s.size} values for {len(samples)} samples")
     if not np.all(np.isfinite(sigma2s) & (sigma2s > 0.0)):
         raise ValueError("sigma2 values must be finite and positive")
-    return PosteriorDraws(coefficients=samples, sigma2s=sigma2s, mode=_fit_from(d["mode"]))
+    mode = _fit_from(d["mode"])
+    m = mode.coefficients
+    for k, b in enumerate(samples):
+        if (b.in_dims, b.out_dims, b.rank) != (m.in_dims, m.out_dims, m.rank):
+            raise ValueError(
+                f"sample {k} has dims {b.in_dims} -> {b.out_dims} at rank {b.rank}, "
+                f"the mode has {m.in_dims} -> {m.out_dims} at rank {m.rank}"
+            )
+    return PosteriorDraws(coefficients=samples, sigma2s=sigma2s, mode=mode)
 
 
 def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None:

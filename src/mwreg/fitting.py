@@ -9,6 +9,12 @@ from degenerate configurations, then held at its target until the
 objective stabilizes.  `fit` and the augmented-data reference
 `fit_augmented_oracle` share one best-of-starts driver, and `predict` and
 the posterior's point predictions share one prediction function.
+
+The mode systems are assembled without dense Kronecker products, and the
+Cholesky factorization and solves call LAPACK directly, because the
+sampler rebuilds and solves one system per factor on every iteration.
+The prediction function evaluates many coefficient sets through stacked
+matrix products that repeat each set's own products bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from functools import reduce
 from math import prod
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .coefficients import CpCoefficients, _gram_product
-from .tensors import DenseTensor, khatri_rao
+from .tensors import DenseTensor, _khatri_rao
 
 __all__ = [
     "FitConfig",
@@ -39,6 +45,12 @@ __all__ = [
 ]
 
 _FIT_STREAM = 0
+
+# double-precision LAPACK routines, looked up once instead of per solve
+_POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+
+# coefficient sets per stacked matmul in `_predictions`
+_PREDICTION_BATCH = 32
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -172,8 +184,29 @@ class _Workspace:
 
 def _kr_or_ones(factors, rank: int) -> np.ndarray:
     if factors:
-        return khatri_rao(factors)
+        return _khatri_rao(factors)
     return np.ones((1, rank))
+
+
+def _stacked_kr_or_ones(factor_lists, rank: int) -> np.ndarray:
+    """`_kr_or_ones` of each set's factor list, stacked along a new first axis.
+
+    Each set's matrix keeps the memory layout `_kr_or_ones` gives it (C
+    order for one factor, Fortran order for more), since BLAS results
+    depend on operand layout; a stacked matmul then repeats every set's
+    own product bit for bit.  With no factors the ones row is shared.
+    """
+    n_modes = len(factor_lists[0])
+    if n_modes == 0:
+        return np.ones((1, 1, rank))
+    if n_modes == 1:
+        return np.stack([fs[0] for fs in factor_lists])
+    # built as (sets, R, rows), later factors' indices slower, then transposed
+    kr = np.stack([fs[0].T for fs in factor_lists])
+    for k in range(1, n_modes):
+        nxt = np.stack([fs[k].T for fs in factor_lists])
+        kr = (nxt[:, :, :, None] * kr[:, :, None, :]).reshape(len(factor_lists), rank, -1)
+    return kr.transpose(0, 2, 1)
 
 
 def _squared_norm(factors) -> float:
@@ -187,7 +220,9 @@ def _predictor_system(ws: _Workspace, pred, out, l: int, lam: float):
 
     S = C^T C + lam * (G (x) I) and rhs = C^T vec(Y) where C is the
     explicit design matrix of `build_design_predictor`; the flat index is
-    p + P_l * r, i.e. blocked by component.
+    p + P_l * r, i.e. blocked by component.  C^T C = (W^T W) * (V^T V (x) 1),
+    so both Kronecker products are applied in place on the (R, P_l, R, P_l)
+    view of W^T W instead of being built.
     """
     rank = pred[0].shape[1]
     pl = ws.in_dims[l]
@@ -197,12 +232,15 @@ def _predictor_system(ws: _Workspace, pred, out, l: int, lam: float):
     wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
     vq = _kr_or_ones(list(out), rank)
     vgram = vq.T @ vq
-    s = (wf.T @ wf) * np.kron(vgram, np.ones((pl, pl)))
+    s = wf.T @ wf
+    s4 = s.reshape(rank, pl, rank, pl)
+    s4 *= vgram[:, None, :, None]
     if lam:
         g = vgram.copy()
         for f in others:
             g = g * (f.T @ f)
-        s = s + lam * np.kron(g, np.eye(pl))
+        diag = np.arange(pl)
+        s4[:, diag, :, diag] += lam * g
     z = ws.y1 @ vq
     rhs = np.einsum("npr,nr->rp", w3, z).reshape(-1)
     return s, rhs
@@ -215,7 +253,7 @@ def _outcome_system(ws: _Workspace, pred, out, m: int, lam: float):
     explicit design matrix of `build_design_outcome` taken for mode m.
     """
     rank = pred[0].shape[1]
-    uq = khatri_rao(list(pred))
+    uq = _khatri_rao(list(pred))
     t = ws.x1 @ uq
     others = list(out[:m]) + list(out[m + 1:])
     wq = _kr_or_ones(others, rank)
@@ -228,18 +266,33 @@ def _outcome_system(ws: _Workspace, pred, out, m: int, lam: float):
     return a, rhs
 
 
+def _lapack_checked(routine: str, result):
+    """(output, info) of a LAPACK call once info reports no argument error."""
+    value, info = result
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+    return value, info
+
+
 def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
     """Solve the SPD system via Cholesky; returns (solution, lower factor)."""
-    try:
-        low = scipy.linalg.cholesky(s, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
+    low, info = _lapack_checked("potrf", _POTRF(s, lower=1, clean=1))
+    if info > 0:
         if lam == 0.0:
             raise SingularSystemError(
                 "mode subproblem is singular at lambda=0; "
                 "increase the penalty or lower the rank"
-            ) from exc
-        raise SingularSystemError("mode subproblem is numerically singular") from exc
-    return scipy.linalg.cho_solve((low, True), rhs, check_finite=False), low
+            )
+        raise SingularSystemError("mode subproblem is numerically singular")
+    return _lapack_checked("potrs", _POTRS(low, rhs, lower=1))[0], low
+
+
+def _lower_transpose_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve low^T x = b for a lower-triangular Cholesky factor low."""
+    x, info = _lapack_checked("trtrs", _TRTRS(low, b, lower=1, trans=1))
+    if info > 0:
+        raise SingularSystemError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 # The mode updates return (new factor, Cholesky factor of the system); the
@@ -257,7 +310,7 @@ def _update_outcome(ws, pred, out, m, lam):
 
 
 def _prediction_matrix(x1, pred, out, rank):
-    return (x1 @ khatri_rao(list(pred))) @ _kr_or_ones(list(out), rank).T
+    return (x1 @ _khatri_rao(list(pred))) @ _kr_or_ones(list(out), rank).T
 
 
 def _objective_arrays(ws, pred, out, lam) -> float:
@@ -506,26 +559,41 @@ def fit_augmented_oracle(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitR
 def _predictions(x_new: DenseTensor, coefficient_sets, x_offsets, y_offsets) -> np.ndarray:
     """Noiseless predictions of each coefficient set, shape (sets, N, *out_dims).
 
-    The sets share dims.  Centering offsets, when not None, are removed
-    from x_new once and added back to every set's prediction.
+    The sets must share dims and rank.  Centering offsets, when not None,
+    are removed from x_new once and added back to every set's prediction.
+    Batches of sets go through stacked matmuls that give each set exactly
+    the bits of its own `_prediction_matrix`.
     """
     b0 = coefficient_sets[0]
     if x_new.dims[1:] != b0.in_dims:
         raise ValueError(
             f"x trailing dims {x_new.dims[1:]} do not match coefficients {b0.in_dims}"
         )
+    for k, b in enumerate(coefficient_sets):
+        if (b.in_dims, b.out_dims, b.rank) != (b0.in_dims, b0.out_dims, b0.rank):
+            raise ValueError(
+                f"coefficient set {k} has dims {b.in_dims} -> {b.out_dims} at rank {b.rank}, "
+                f"set 0 has {b0.in_dims} -> {b0.out_dims} at rank {b0.rank}"
+            )
     xa = x_new.array
     if x_offsets is not None:
         xa = xa - x_offsets
     n = x_new.dims[0]
     x1 = xa.reshape(n, -1, order="F")
-    stack = np.empty((len(coefficient_sets), n) + b0.out_dims)
-    for t, b in enumerate(coefficient_sets):
-        pm = _prediction_matrix(x1, b.predictor_factors, b.outcome_factors, b.rank)
-        arr = pm.reshape((n,) + b0.out_dims, order="F")
-        if y_offsets is not None:
-            arr = arr + y_offsets
-        stack[t] = arr
+    out_dims = b0.out_dims
+    # a C-order (N, Q) row read with reversed outcome modes is its order="F" reshape
+    reverse = (0, 1) + tuple(range(len(out_dims) + 1, 1, -1))
+    stack = np.empty((len(coefficient_sets), n) + out_dims)
+    for t0 in range(0, len(coefficient_sets), _PREDICTION_BATCH):
+        batch = coefficient_sets[t0:t0 + _PREDICTION_BATCH]
+        u = _stacked_kr_or_ones([b.predictor_factors for b in batch], b0.rank)
+        v = _stacked_kr_or_ones([b.outcome_factors for b in batch], b0.rank)
+        pm = (x1 @ u) @ v.transpose(0, 2, 1)
+        rows = pm.reshape((len(batch), n) + out_dims[::-1]).transpose(reverse)
+        if y_offsets is None:
+            stack[t0:t0 + len(batch)] = rows
+        else:
+            np.add(rows, y_offsets, out=stack[t0:t0 + len(batch)])
     return stack
 
 

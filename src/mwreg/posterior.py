@@ -9,7 +9,10 @@ least-squares update, so the sampler reuses the exact system builders of
 the fitting module; sigma^2 given everything else is inverse gamma.  The
 chain starts at the penalized least-squares solution, which is the
 posterior mode, so no burn-in is needed by default.  Predictions from the
-draws go through the same function as `fitting.predict`.
+draws go through the same function as `fitting.predict`, evaluated for all
+draws into one (draws, N, *out_dims) array; `posterior_predictive` adds the
+noise to that array in place and `credible_intervals` reads it a block of
+cells at a time, so a chain's predictive stack exists once in memory.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .fitting import (
     FitConfig,
     FitResult,
     _checked_workspace,
+    _lower_transpose_solve,
     _objective_arrays,
     _predictions,
     _update_outcome,
@@ -47,6 +51,9 @@ __all__ = [
 ]
 
 _CHAIN_STREAM = 1
+
+# response cells whose draws `credible_intervals` transposes and sorts at once
+_INTERVAL_BLOCK = 128
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -116,7 +123,9 @@ class FactorConditional:
     stacked factor (column-major, entries of each component contiguous) is
     sigma2 * S^{-1} with S = system_chol @ system_chol.T; for an outcome
     mode the rows of the factor are independent with shared row covariance
-    sigma2 * A^{-1}, A likewise held by its Cholesky factor.
+    sigma2 * A^{-1}, A likewise held by its Cholesky factor.  system_chol
+    is the lower factor LAPACK's potrf returns for the mode update, and
+    `sample` solves against it with LAPACK's trtrs directly.
     """
 
     mean: np.ndarray
@@ -137,14 +146,10 @@ class FactorConditional:
         sd = float(np.sqrt(self.sigma2))
         if self.is_outcome:
             z = rng.standard_normal(self.mean.shape)
-            pert = scipy.linalg.solve_triangular(
-                self.system_chol, z.T, lower=True, trans="T", check_finite=False
-            ).T
+            pert = _lower_transpose_solve(self.system_chol, z.T).T
             return self.mean + sd * pert
         z = rng.standard_normal(self.mean.size)
-        pert = scipy.linalg.solve_triangular(
-            self.system_chol, z, lower=True, trans="T", check_finite=False
-        )
+        pert = _lower_transpose_solve(self.system_chol, z)
         return self.mean + sd * pert.reshape(self.mean.shape, order="F")
 
 
@@ -261,43 +266,67 @@ def _point_predictions(x_new: DenseTensor, draws: PosteriorDraws) -> np.ndarray:
 
 def posterior_predictive(
     x_new: DenseTensor, draws: PosteriorDraws, rng
-) -> list:
+) -> np.ndarray:
     """One response draw per retained sample, with fresh Gaussian noise.
 
-    Each draw is the point prediction under that sample's coefficients
-    (centering offsets reapplied) plus iid N(0, sigma2_t) noise.
+    Returns an array of shape (draws, N, *out_dims) whose row t is the
+    point prediction under sample t's coefficients (centering offsets
+    reapplied) plus iid N(0, sigma2_t) noise, drawn sample by sample in
+    row order.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     if not len(draws.coefficients):
         raise ValueError("draws are empty")
     stack = _point_predictions(x_new, draws)
-    outs = []
-    for t in range(stack.shape[0]):
-        noise = np.sqrt(draws.sigma2s[t]) * rng.standard_normal(stack.shape[1:])
-        outs.append(DenseTensor(stack[t] + noise))
-    return outs
+    noise = np.empty(stack.shape[1:])
+    for row, sigma2 in zip(stack, draws.sigma2s):
+        rng.standard_normal(out=noise)
+        noise *= np.sqrt(sigma2)
+        row += noise
+        if not np.isfinite(row).all():
+            raise ValueError("predictive draws must be finite")
+    return stack
 
 
-def credible_intervals(draws: list, level: float = 0.95):
+def credible_intervals(draws: np.ndarray, level: float = 0.95):
     """Equal-tailed empirical interval per response cell.
 
-    draws is a list of equally shaped DenseTensors (usually from
-    posterior_predictive); returns (lo, hi) DenseTensors holding the
-    (1-level)/2 and 1-(1-level)/2 sample quantiles cell-wise.
+    draws is an array of shape (draws, *dims), usually from
+    posterior_predictive; returns (lo, hi) DenseTensors of shape dims
+    holding the (1-level)/2 and 1-(1-level)/2 sample quantiles cell-wise.
+    The quantiles equal np.quantile's over the first axis bit for bit;
+    they are taken over contiguous transposed blocks of cells instead of a
+    copy of all draws.
     """
-    if len(draws) < 2:
+    stack = np.asarray(draws, dtype=float)
+    if stack.ndim < 2 or stack.size == 0:
+        raise ValueError("draws must be a non-empty array of shape (draws, *dims)")
+    if stack.shape[0] < 2:
         raise ValueError("need at least two draws for an interval")
     if not 0.0 <= level < 1.0:
         raise ValueError("level must be in [0, 1)")
-    dims = draws[0].dims
-    for d in draws:
-        if d.dims != dims:
-            raise ValueError("draws must share dims")
-    stack = np.stack([d.array for d in draws])
     alpha = 0.5 * (1.0 - level)
-    lo, hi = np.quantile(stack, [alpha, 1.0 - alpha], axis=0)
-    return DenseTensor(lo), DenseTensor(hi)
+    n = stack.shape[0]
+    # np.quantile's default linear method: the order statistics around the
+    # virtual index (n - 1) * q, interpolated exactly as numpy's _lerp does
+    virtual = (n - 1) * np.array([alpha, 1.0 - alpha])
+    below = np.floor(virtual).astype(np.intp)
+    above = np.minimum(below + 1, n - 1)
+    gamma = virtual - below
+    cells = stack.reshape(n, -1)
+    lo, hi = np.empty((2, cells.shape[1]))
+    for c0 in range(0, cells.shape[1], _INTERVAL_BLOCK):
+        block = np.ascontiguousarray(cells[:, c0:c0 + _INTERVAL_BLOCK].T)
+        if not np.isfinite(block).all():
+            raise ValueError("draws must be finite")
+        block.sort(axis=1)
+        a, b = block[:, below], block[:, above]
+        diff = b - a
+        q = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+        lo[c0:c0 + _INTERVAL_BLOCK], hi[c0:c0 + _INTERVAL_BLOCK] = q.T
+    return DenseTensor(lo.reshape(stack.shape[1:])), DenseTensor(hi.reshape(stack.shape[1:]))
 
 
 def dic(x: DenseTensor, y: DenseTensor, draws: PosteriorDraws) -> float:

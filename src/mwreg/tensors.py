@@ -157,7 +157,11 @@ def khatri_rao(factors) -> np.ndarray:
     r-th columns, so ``cp_compose(factors)`` vectorizes to the row sums of
     this matrix times one.
     """
-    mats = _as_factor_matrices(factors)
+    return _khatri_rao(_as_factor_matrices(factors))
+
+
+def _khatri_rao(mats) -> np.ndarray:
+    """`khatri_rao` of float matrices already known to share a column count."""
     k = len(mats)
     rank = mats[0].shape[1]
     if k == 1:

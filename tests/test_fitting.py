@@ -8,6 +8,7 @@ closed-form collapses (ridge regression, OLS) pin the special cases.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mwreg import (
     CpCoefficients,
@@ -20,6 +21,7 @@ from mwreg import (
     contract,
     fit,
     fit_augmented_oracle,
+    khatri_rao,
     objective,
     predict,
     unfold,
@@ -27,7 +29,7 @@ from mwreg import (
     update_predictor_factor,
     vec,
 )
-from mwreg.fitting import _augment_arrays
+from mwreg.fitting import _augment_arrays, _predictor_system, _spd_solve, _Workspace
 
 
 def _random_instance(rng, n, in_dims, out_dims, rank, noise=0.5):
@@ -270,6 +272,61 @@ class TestUpdatesAgainstExplicitSystems:
         b = CpCoefficients([rng.standard_normal((3, 2))], [rng.standard_normal((2, 2))])
         v = update_outcome_factor(x, y, b, 0, 1.0)
         assert np.abs(v).max() < 1e-12
+
+
+def _kron_predictor_system(ws, pred, out, l, lam):
+    """Predictor-mode normal equations assembled with dense Kronecker products."""
+    rank = pred[0].shape[1]
+    pl = ws.in_dims[l]
+    others = list(pred[:l]) + list(pred[l + 1:])
+    kr = khatri_rao(others) if others else np.ones((1, rank))
+    w3 = (ws.x_by_mode(l) @ kr).reshape(ws.n, pl, rank, order="F")
+    wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
+    vq = khatri_rao(out) if out else np.ones((1, rank))
+    vgram = vq.T @ vq
+    s = (wf.T @ wf) * np.kron(vgram, np.ones((pl, pl)))
+    if lam:
+        g = vgram.copy()
+        for f in others:
+            g = g * (f.T @ f)
+        s = s + lam * np.kron(g, np.eye(pl))
+    rhs = np.einsum("npr,nr->rp", w3, ws.y1 @ vq).reshape(-1)
+    return s, rhs
+
+
+class TestSystemsBitForBit:
+    def test_predictor_system_equals_kron_assembly(self):
+        rng = np.random.default_rng(40)
+        for in_dims in ((4,), (3, 4), (2, 3, 4)):
+            for out_dims in ((), (3,), (2, 3)):
+                x, y, b = _random_instance(rng, 15, in_dims, out_dims, 3)
+                ws = _Workspace(x.array, y.array)
+                pred, out = list(b.predictor_factors), list(b.outcome_factors)
+                for lam in (0.0, 0.7):
+                    for mode in range(len(in_dims)):
+                        s, rhs = _predictor_system(ws, pred, out, mode, lam)
+                        s_ref, rhs_ref = _kron_predictor_system(ws, pred, out, mode, lam)
+                        assert np.array_equal(s, s_ref)
+                        assert np.array_equal(rhs, rhs_ref)
+
+    def test_spd_solve_equals_scipy_wrappers(self):
+        rng = np.random.default_rng(41)
+        x, y, b = _random_instance(rng, 30, (3, 4), (2, 3), 2)
+        ws = _Workspace(x.array, y.array)
+        s, rhs = _predictor_system(ws, list(b.predictor_factors), list(b.outcome_factors), 1, 0.5)
+        for right in (rhs, np.stack([rhs, 2.0 * rhs], axis=1)):
+            sol, low = _spd_solve(s, right, 0.5)
+            want_low = scipy.linalg.cholesky(s, lower=True, check_finite=False)
+            assert np.array_equal(low, want_low)
+            assert np.array_equal(sol, scipy.linalg.cho_solve((want_low, True), right))
+
+    def test_spd_solve_singular_messages(self):
+        s = np.array([[1.0, 1.0], [1.0, 1.0]])
+        rhs = np.ones(2)
+        with pytest.raises(SingularSystemError, match="singular at lambda=0; increase the penalty"):
+            _spd_solve(s, rhs, 0.0)
+        with pytest.raises(SingularSystemError, match="numerically singular"):
+            _spd_solve(s, rhs, 0.5)
 
 
 class TestFit:

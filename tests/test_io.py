@@ -237,3 +237,19 @@ class TestDrawsFormat:
                 payload["sigma2"][1] = bad
 
             self._rejects(path, _edited(path, set_bad), "sigma2 values")
+
+    def test_samples_must_match_the_mode(self, tmp_path):
+        path = self._draws_file(tmp_path)
+
+        def shorter_outcome(payload):
+            payload["samples"][2]["outcome_factors"][0] = {"rows": 1, "values": [0.5]}
+
+        def wider_rank(payload):
+            sample = payload["samples"][1]
+            sample["rank"] = 2
+            for item in sample["predictor_factors"] + sample["outcome_factors"]:
+                item["values"] = item["values"] * 2
+
+        self._rejects(path, _edited(path, shorter_outcome),
+                      re.escape("sample 2 has dims (3,) -> (1,) at rank 1, the mode has (3,) -> (2,)"))
+        self._rejects(path, _edited(path, wider_rank), "sample 1 has dims .* at rank 2")

@@ -6,8 +6,11 @@ and the chain against the closed-form posterior of the single-factor
 ridge model, where the coefficient posterior mean is available exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mwreg import (
     CpCoefficients,
@@ -16,6 +19,8 @@ from mwreg import (
     FitConfig,
     GibbsConfig,
     PosteriorDraws,
+    SimSpec,
+    SingularSystemError,
     build_design_outcome,
     build_design_predictor,
     conditional_factor_params,
@@ -25,9 +30,11 @@ from mwreg import (
     draw_sigma2,
     fit,
     gibbs,
+    khatri_rao,
     objective,
     posterior_predictive,
     predict,
+    simulate,
     update_outcome_factor,
     update_predictor_factor,
 )
@@ -179,6 +186,24 @@ class TestConditionalFactorParams:
         assert np.abs(draws.mean(axis=0) - cond.mean.ravel(order="F")).max() < 0.01
         assert np.abs(got - want).max() < 0.1 * np.abs(want).max()
 
+    def test_sample_equals_scipy_triangular_solve(self):
+        rng = np.random.default_rng(33)
+        x, y, b = _random_instance(rng, 12, (3, 2), (2, 3), 2)
+        for mode in range(4):
+            cond = conditional_factor_params(x, y, b, mode, 0.5, 1.7)
+            got = cond.sample(np.random.default_rng(mode))
+            z_rng = np.random.default_rng(mode)
+            sd = float(np.sqrt(cond.sigma2))
+            low = cond.system_chol
+            if cond.is_outcome:
+                z = z_rng.standard_normal(cond.mean.shape)
+                pert = scipy.linalg.solve_triangular(low, z.T, lower=True, trans="T").T
+            else:
+                z = z_rng.standard_normal(cond.mean.size)
+                pert = scipy.linalg.solve_triangular(low, z, lower=True, trans="T")
+                pert = pert.reshape(cond.mean.shape, order="F")
+            assert np.array_equal(got, cond.mean + sd * pert)
+
     def test_mode_and_sigma2_validation(self):
         rng = np.random.default_rng(14)
         x, y, b = _random_instance(rng, 8, (3,), (2,), 1)
@@ -266,6 +291,16 @@ class TestGibbs:
             with pytest.raises(ValueError, match="dims do not match"):
                 gibbs(xd, yd, GibbsConfig(rank=1, n_samples=2, lam=0.5), mode_fit=mode)
 
+    def test_singular_chain_keeps_error_type(self):
+        # flat prior, fit rank 3 over true rank 1: the fit converges, then a
+        # conditional system of the chain turns singular
+        spec = SimSpec(n=12, in_dims=(3, 2), out_dims=(2,), rank=1, snr=1.0, seed=0)
+        x, y, _ = simulate(spec)
+        mode = fit(x, y, FitConfig(rank=3, lam=0.0, seed=0))
+        with pytest.raises(SingularSystemError, match="singular at lambda=0") as info:
+            gibbs(x, y, GibbsConfig(rank=3, n_samples=200, lam=0.0, seed=0), mode_fit=mode)
+        assert any(entry.name == "gibbs" for entry in info.traceback)
+
     def test_flat_prior_chain_stays_near_mode(self):
         rng = np.random.default_rng(20)
         x, y, _ = _random_instance(rng, 60, (3, 2), (2,), 1, noise=0.05)
@@ -347,18 +382,18 @@ class TestPosteriorPredictive:
         x, y, draws = _tiny_draws(rng, t=3, sigma2=0.0)
         x_new = DenseTensor(rng.standard_normal((5, 3)))
         outs = posterior_predictive(x_new, draws, rng=0)
+        assert isinstance(outs, np.ndarray) and outs.shape == (3, 5, 2)
         x1 = x_new.array
         for t, d in enumerate(outs):
             want = x1 @ draws.coefficients[t].matricize()
-            assert np.allclose(d.array, want.reshape(5, 2, order="F"), atol=1e-12)
+            assert np.allclose(d, want.reshape(5, 2, order="F"), atol=1e-12)
 
     def test_law_of_total_variance(self):
         rng = np.random.default_rng(24)
         x, y, _ = _random_instance(rng, 30, (3,), (2,), 1, noise=1.0)
         draws = gibbs(x, y, GibbsConfig(rank=1, n_samples=3000, lam=0.5, seed=10))
         x_new = DenseTensor(rng.standard_normal((2, 3)))
-        outs = posterior_predictive(x_new, draws, rng=11)
-        vals = np.stack([d.array for d in outs])
+        vals = posterior_predictive(x_new, draws, rng=11)
         point = _point_predictions(x_new, draws)
         want = point.var(axis=0) + draws.sigma2s.mean()
         got = vals.var(axis=0)
@@ -373,14 +408,55 @@ class TestPosteriorPredictive:
             one = PosteriorDraws([res.coefficients], np.ones(1), res)
             assert np.array_equal(predict(x_new, res).array, _point_predictions(x_new, one)[0])
 
+    def test_matches_per_draw_loop(self):
+        # more draws than one stacked-matmul batch; one, two and three
+        # predictor modes; centered, uncentered and scalar responses
+        rng = np.random.default_rng(34)
+        cases = (((3,), (2, 3), True), ((3, 2), (2, 3), False), ((3, 2), (), True),
+                 ((2, 2, 2), (4,), False), ((2, 2, 2), (2, 2, 2), True))
+        for in_dims, out_dims, center in cases:
+            x, y, _ = _random_instance(rng, 20, in_dims, out_dims, 2)
+            cfg = GibbsConfig(rank=2, n_samples=45, lam=0.5, seed=4, center_data=center)
+            draws = gibbs(x, y, cfg)
+            x_new = DenseTensor(rng.standard_normal((6,) + in_dims))
+            got = posterior_predictive(x_new, draws, rng=13)
+            assert isinstance(got, np.ndarray) and got.shape == (45, 6) + out_dims
+            assert len(got) == 45 and got[0].size == 6 * int(np.prod(out_dims))
+            noise = np.random.default_rng(13)
+            xa = x_new.array if draws.mode.x_offsets is None else x_new.array - draws.mode.x_offsets
+            x1 = xa.reshape(6, -1, order="F")
+            for t, (b, s2) in enumerate(zip(draws.coefficients, draws.sigma2s)):
+                point = predict(x_new, replace(draws.mode, coefficients=b)).array
+                # the per-set matricized route, written out
+                vq = khatri_rao(b.outcome_factors) if out_dims else np.ones((1, 2))
+                pm = ((x1 @ khatri_rao(b.predictor_factors)) @ vq.T).reshape((6,) + out_dims, order="F")
+                if draws.mode.y_offsets is not None:
+                    pm = pm + draws.mode.y_offsets
+                assert np.array_equal(point, pm)
+                assert np.array_equal(got[t], point + np.sqrt(s2) * noise.standard_normal(point.shape))
+
+    def test_mismatched_sets_rejected(self):
+        rng = np.random.default_rng(35)
+        x, y, draws = _tiny_draws(rng, t=3)
+        x_new = DenseTensor(rng.standard_normal((4, 3)))
+        b0 = draws.coefficients[0]
+        wider = CpCoefficients([rng.standard_normal((3, 1))], [rng.standard_normal((3, 1))])
+        rank2 = CpCoefficients([rng.standard_normal((3, 2))], [rng.standard_normal((2, 2))])
+        for odd in (wider, rank2):
+            bad = PosteriorDraws([b0, odd, b0], draws.sigma2s, draws.mode)
+            with pytest.raises(ValueError, match="coefficient set 1 has dims"):
+                posterior_predictive(x_new, bad, rng=0)
+            with pytest.raises(ValueError, match="coefficient set 1 has dims"):
+                dic(x, y, bad)
+
     def test_seed_types_and_determinism(self):
         rng = np.random.default_rng(25)
         x, y, draws = _tiny_draws(rng)
         x_new = DenseTensor(rng.standard_normal((3, 3)))
         a = posterior_predictive(x_new, draws, rng=42)
         b = posterior_predictive(x_new, draws, np.random.default_rng(42))
-        for da, db in zip(a, b):
-            assert np.array_equal(da.array, db.array)
+        assert a.shape == b.shape == (4, 3, 2)
+        assert np.array_equal(a, b)
 
     def test_empty_draws_rejected(self):
         rng = np.random.default_rng(26)
@@ -398,14 +474,14 @@ class TestPosteriorPredictive:
 
 class TestCredibleIntervals:
     def test_constant_draws_zero_width(self):
-        d = DenseTensor(np.array([[1.5, -2.0], [0.0, 3.0]]))
-        lo, hi = credible_intervals([d, d, d], level=0.9)
-        assert np.array_equal(lo.array, d.array)
-        assert np.array_equal(hi.array, d.array)
+        d = np.array([[1.5, -2.0], [0.0, 3.0]])
+        lo, hi = credible_intervals(np.stack([d, d, d]), level=0.9)
+        assert isinstance(lo, DenseTensor) and lo.dims == (2, 2)
+        assert np.array_equal(lo.array, d)
+        assert np.array_equal(hi.array, d)
 
     def test_level_zero_is_median(self):
-        vals = np.arange(1.0, 6.0)
-        draws = [DenseTensor(np.array([v])) for v in vals]
+        draws = np.arange(1.0, 6.0)[:, None]
         lo, hi = credible_intervals(draws, level=0.0)
         assert lo.array[0] == hi.array[0] == 3.0
 
@@ -413,8 +489,7 @@ class TestCredibleIntervals:
         rng = np.random.default_rng(28)
         sims = rng.standard_normal((100_000, 2))
         sims[:, 1] = 3.0 + 2.0 * sims[:, 1]
-        draws = [DenseTensor(row) for row in sims]
-        lo, hi = credible_intervals(draws, level=0.95)
+        lo, hi = credible_intervals(sims, level=0.95)
         assert lo.array[0] == pytest.approx(-1.96, abs=0.05)
         assert hi.array[0] == pytest.approx(1.96, abs=0.05)
         assert lo.array[1] == pytest.approx(3.0 - 1.96 * 2.0, abs=0.1)
@@ -422,18 +497,36 @@ class TestCredibleIntervals:
 
     def test_monotone_in_level(self):
         rng = np.random.default_rng(29)
-        draws = [DenseTensor(rng.standard_normal((3, 2))) for _ in range(200)]
+        draws = rng.standard_normal((200, 3, 2))
         lo_a, hi_a = credible_intervals(draws, level=0.5)
         lo_b, hi_b = credible_intervals(draws, level=0.9)
         assert np.all(lo_b.array <= lo_a.array)
         assert np.all(hi_b.array >= hi_a.array)
 
+    def test_blocks_match_np_quantile(self):
+        # more response cells than one transposed block, ties included
+        rng = np.random.default_rng(36)
+        for shape in ((50, 7, 30), (2, 301), (37, 3, 2, 50)):
+            stack = rng.standard_normal(shape)
+            for tied in (False, True):
+                draws = np.round(stack, 1) if tied else stack
+                for level in (0.0, 0.5, 0.9, 0.95, 0.999):
+                    alpha = 0.5 * (1.0 - level)
+                    lo, hi = credible_intervals(draws, level)
+                    want_lo, want_hi = np.quantile(draws, [alpha, 1.0 - alpha], axis=0)
+                    assert np.array_equal(lo.array, want_lo)
+                    assert np.array_equal(hi.array, want_hi)
+
     def test_validation(self):
-        d = DenseTensor(np.array([1.0]))
+        d = np.array([[1.0]])
         with pytest.raises(ValueError):
-            credible_intervals([d], level=0.9)
+            credible_intervals(d, level=0.9)
         with pytest.raises(ValueError):
-            credible_intervals([d, d], level=1.0)
+            credible_intervals(np.concatenate([d, d]), level=1.0)
+        with pytest.raises(ValueError):
+            credible_intervals(np.ones(5), level=0.9)
+        with pytest.raises(ValueError, match="finite"):
+            credible_intervals(np.array([[1.0], [np.inf], [2.0]]), level=0.9)
 
 
 class TestDic:

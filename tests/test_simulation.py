@@ -230,6 +230,15 @@ class TestRunGrid:
         assert rows[0][1] is not None and rows[0][2] is None
         assert rows[1][1] is None and "Singular" in rows[1][2]
 
+    def test_singular_chain_is_an_error_row(self):
+        # flat prior, fit rank 3 over true rank 1: the fit converges and the
+        # chain then meets a singular conditional system
+        spec = SimSpec(n=12, in_dims=(3, 2), out_dims=(2,), rank=1, snr=1.0, seed=0)
+        ((cell, out, err),) = run_grid([GridCell(spec, 3, 0.0, replicates=1, test_n=10,
+                                                 gibbs_samples=200)])
+        assert out is None
+        assert err.startswith("SingularSystemError: mode subproblem is singular at lambda=0")
+
     def test_parallel_matches_serial(self):
         # nonzero gibbs_samples keep all metrics finite so the dataclass
         # comparison is exact
