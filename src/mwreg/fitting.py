@@ -10,6 +10,13 @@ objective stabilizes.  `fit` and the augmented-data reference
 `fit_augmented_oracle` share one best-of-starts driver, and `predict` and
 the posterior's point predictions share one prediction function.
 
+The objective after a factor update comes free from the update's normal
+equations S sol = rhs: it is ||Y||^2 - rhs^T sol, on the augmented data
+too, whose appended rows of Y are zero.  The sub-step trace records that
+value, equal to the explicit objective up to round-off of order
+eps * ||Y||^2; the residual is rebuilt once per sweep, for the explicit
+sweep-end objective that the convergence test and best-of-starts use.
+
 The mode systems are assembled without dense Kronecker products, and the
 Cholesky factorization and solves call LAPACK directly, because the
 sampler rebuilds and solves one system per factor on every iteration.
@@ -107,9 +114,12 @@ class FitResult:
     """Output of `fit` and `fit_augmented_oracle`.
 
     objective_trace holds the penalized objective at the target lambda
-    after each sweep; substep_trace holds the same quantity after every
-    individual factor update once annealing has finished (it is
-    non-increasing up to round-off).  converged tells whether the
+    after each sweep, evaluated explicitly from the residual.
+    substep_trace holds the same quantity after every individual factor
+    update once annealing has finished, taken from the update's normal
+    equations as ||Y||^2 - rhs^T sol; it equals the explicit objective up
+    to round-off of order eps * ||Y||^2 and is non-increasing up to
+    that round-off.  converged tells whether the
     relative-drop test passed before max_iters, and iterations counts the
     sweeps run.  Offsets are None when the data were not centered.
     """
@@ -284,6 +294,10 @@ def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
                 "increase the penalty or lower the rank"
             )
         raise SingularSystemError("mode subproblem is numerically singular")
+    # OpenBLAS potrf reports success on NaN or inf entries, which reach
+    # the factor's diagonal
+    if not np.isfinite(np.diagonal(low)).all():
+        raise SingularSystemError("mode subproblem is not finite")
     return _lapack_checked("potrs", _POTRS(low, rhs, lower=1))[0], low
 
 
@@ -295,18 +309,20 @@ def _lower_transpose_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# The mode updates return (new factor, Cholesky factor of the system); the
-# sampler's full conditionals reuse both.
+# The mode updates return (new factor, Cholesky factor of the system,
+# rhs^T sol); the sampler's full conditionals reuse the first two.  As
+# S sol = rhs, the objective right after the update is
+# ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.
 def _update_predictor(ws, pred, out, l, lam):
     s, rhs = _predictor_system(ws, pred, out, l, lam)
     sol, low = _spd_solve(s, rhs, lam)
-    return sol.reshape(ws.in_dims[l], pred[0].shape[1], order="F"), low
+    return sol.reshape(ws.in_dims[l], pred[0].shape[1], order="F"), low, float(rhs @ sol)
 
 
 def _update_outcome(ws, pred, out, m, lam):
     a, rhs = _outcome_system(ws, pred, out, m, lam)
     sol, low = _spd_solve(a, rhs, lam)
-    return sol.T, low
+    return sol.T, low, float(np.vdot(rhs, sol))
 
 
 def _prediction_matrix(x1, pred, out, rank):
@@ -460,10 +476,10 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
     """One seeded run of annealed sweeps; the result carries no offsets."""
     pred, out = _init_factors(cfg, ws.in_dims, ws.out_dims, start)
     schedule = _lambda_schedule(cfg)
+    yy = float(np.vdot(ws.y1, ws.y1))
     trace, subtrace = [], []
     converged = False
     prev = None
-    sweeps = 0
     aws, aws_lam = None, None
     for it in range(cfg.max_iters):
         annealing = it < len(schedule)
@@ -480,24 +496,23 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
             ulam = 0.0
         else:
             uws, ulam = ws, lam_t
+        gains = []
         for l in range(len(pred)):
-            pred[l] = _update_predictor(uws, pred, out, l, ulam)[0]
-            if not annealing:
-                subtrace.append(_objective_arrays(ws, pred, out, cfg.lam))
+            pred[l], _, gain = _update_predictor(uws, pred, out, l, ulam)
+            gains.append(gain)
         for m in range(len(out)):
-            out[m] = _update_outcome(uws, pred, out, m, ulam)[0]
-            if not annealing:
-                subtrace.append(_objective_arrays(ws, pred, out, cfg.lam))
+            out[m], _, gain = _update_outcome(uws, pred, out, m, ulam)
+            gains.append(gain)
         obj = _objective_arrays(ws, pred, out, cfg.lam)
         trace.append(obj)
-        sweeps = it + 1
         if not annealing:
+            subtrace += [yy - gain for gain in gains]
             if prev is not None and prev - obj <= cfg.rel_tol * max(1.0, abs(prev)):
                 converged = True
                 break
             prev = obj
     return FitResult(coefficients=CpCoefficients(pred, out), objective_trace=trace,
-                     substep_trace=subtrace, converged=converged, iterations=sweeps,
+                     substep_trace=subtrace, converged=converged, iterations=len(trace),
                      x_offsets=None, y_offsets=None)
 
 

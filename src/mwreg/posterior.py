@@ -196,9 +196,9 @@ def conditional_factor_params(
 
 def _conditional_ws(ws, pred, out, mode, lam, sigma2) -> FactorConditional:
     if mode < len(pred):
-        mean, low = _update_predictor(ws, pred, out, mode, lam)
+        mean, low, _ = _update_predictor(ws, pred, out, mode, lam)
         return FactorConditional(mean, low, float(sigma2), False)
-    mean, low = _update_outcome(ws, pred, out, mode - len(pred), lam)
+    mean, low, _ = _update_outcome(ws, pred, out, mode - len(pred), lam)
     return FactorConditional(mean, low, float(sigma2), True)
 
 

@@ -105,7 +105,9 @@ class ExperimentCell:
 
     Per-replicate values are kept alongside the means; standard errors are
     of the mean across replicates.  Interval metrics are NaN when the cell
-    ran with gibbs_samples = 0.
+    ran with gibbs_samples = 0.  iterations_values and converged_values
+    hold each replicate fit's sweep count and whether it converged before
+    max_iters.
     """
 
     spec: SimSpec
@@ -121,6 +123,8 @@ class ExperimentCell:
     rpe_values: tuple
     coverage_values: tuple
     length_values: tuple
+    iterations_values: tuple
+    converged_values: tuple
 
 
 def _grid_chol(dims, rho: float) -> np.ndarray:
@@ -259,12 +263,14 @@ def run_cell(
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
-    rpes, covers, lengths = [], [], []
+    rpes, covers, lengths, sweeps, converged = [], [], [], [], []
     for rep in range(replicates):
         data_spec = replace(spec, seed=_substream_int(spec.seed, rep, _DATA))
         x, y, true_b = simulate(data_spec)
         cfg = FitConfig(rank=fit_rank, lam=lam, seed=_substream_int(spec.seed, rep, _FIT))
         res = fit(x, y, cfg)
+        sweeps.append(res.iterations)
+        converged.append(res.converged)
         x_new, y_new = _test_set(spec, true_b, test_n, _substream_rng(spec.seed, rep, _TEST))
         rpes.append(rpe(y_new, predict(x_new, res)))
         if gibbs_samples > 0:
@@ -303,6 +309,8 @@ def run_cell(
         rpe_values=tuple(rpes.tolist()),
         coverage_values=tuple(covers),
         length_values=tuple(lengths),
+        iterations_values=tuple(sweeps),
+        converged_values=tuple(converged),
     )
 
 
@@ -387,6 +395,7 @@ def expand_grid(grid: dict) -> list:
 _CSV_COLUMNS = [
     "n", "in_dims", "out_dims", "rank", "snr", "seed", "correlation", "rho",
     "fit_rank", "lam", "row", "rpe", "coverage", "length", "note",
+    "iterations", "converged",
 ]
 
 
@@ -398,7 +407,9 @@ def write_results_csv(results, path: str) -> None:
     """Flat CSV: one row per replicate plus mean/se rows per cell.
 
     Failed cells appear as a single row with row=error and the message in
-    the note column.
+    the note column.  The trailing iterations and converged columns give
+    each replicate fit's sweep count and convergence flag; they are blank
+    on mean, se and error rows.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -411,11 +422,13 @@ def write_results_csv(results, path: str) -> None:
                 cell.fit_rank, cell.lam,
             ]
             if err is not None:
-                writer.writerow(head + ["error", "", "", "", err])
+                writer.writerow(head + ["error", "", "", "", err, "", ""])
                 continue
             for k in range(out.replicates):
                 cov = out.coverage_values[k] if out.coverage_values else ""
                 ln = out.length_values[k] if out.length_values else ""
-                writer.writerow(head + [k, out.rpe_values[k], cov, ln, ""])
-            writer.writerow(head + ["mean", out.rpe, out.coverage_rate, out.mean_interval_length, ""])
-            writer.writerow(head + ["se", out.rpe_se, out.coverage_se, out.length_se, ""])
+                writer.writerow(head + [k, out.rpe_values[k], cov, ln, "",
+                                        out.iterations_values[k], out.converged_values[k]])
+            writer.writerow(head + ["mean", out.rpe, out.coverage_rate, out.mean_interval_length,
+                                    "", "", ""])
+            writer.writerow(head + ["se", out.rpe_se, out.coverage_se, out.length_se, "", "", ""])

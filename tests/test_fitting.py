@@ -6,6 +6,8 @@ matrices, and plain least-squares sweeps on ridge-augmented data.  The
 closed-form collapses (ridge regression, OLS) pin the special cases.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -328,6 +330,16 @@ class TestSystemsBitForBit:
         with pytest.raises(SingularSystemError, match="numerically singular"):
             _spd_solve(s, rhs, 0.5)
 
+    @pytest.mark.parametrize("s", [
+        np.array([[np.nan]]),
+        np.array([[2.0, np.nan], [np.nan, 2.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ], ids=["nan", "nan-off-diagonal", "inf-diagonal"])
+    def test_spd_solve_rejects_non_finite_systems(self, s):
+        for lam in (0.0, 0.5):
+            with pytest.raises(SingularSystemError, match="not finite"):
+                _spd_solve(s, np.ones(s.shape[0]), lam)
+
 
 class TestFit:
     def test_noiseless_recovery(self):
@@ -439,6 +451,55 @@ class TestFit:
             FitConfig(rank=1, anneal_steps=-1)
         with pytest.raises(ValueError):
             FitConfig(rank=1, n_starts=0)
+
+
+class TestSubstepObjective:
+    """substep_trace comes from the normal equations of each update; the
+    explicit objective after the same updates replayed through the public
+    single-step functions is its oracle."""
+
+    @staticmethod
+    def _next_sweep(fitter, x, y, cfg, k):
+        """(substep values of sweep k + 1, explicit replay of that sweep, fit)."""
+        first = fitter(x, y, replace(cfg, max_iters=k))
+        assert (first.iterations, first.converged) == (k, False)
+        nxt = fitter(x, y, replace(cfg, max_iters=k + 1))
+        b = first.coefficients
+        pred, out = list(b.predictor_factors), list(b.outcome_factors)
+        want = []
+        for l in range(len(pred)):
+            pred[l] = update_predictor_factor(x, y, CpCoefficients(pred, out), l, cfg.lam)
+            want.append(objective(x, y, CpCoefficients(pred, out), cfg.lam))
+        for m in range(len(out)):
+            out[m] = update_outcome_factor(x, y, CpCoefficients(pred, out), m, cfg.lam)
+            want.append(objective(x, y, CpCoefficients(pred, out), cfg.lam))
+        return np.array(nxt.substep_trace[-len(want):]), np.array(want), nxt
+
+    @pytest.mark.parametrize("fitter", [fit, fit_augmented_oracle])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 50.0])
+    @pytest.mark.parametrize("in_dims,out_dims", [
+        ((5,), (3, 2)), ((4, 3), (3,)), ((3, 2, 2), (2,)), ((4, 3), ()),
+    ])
+    def test_matches_explicit_objective(self, fitter, lam, in_dims, out_dims):
+        rng = np.random.default_rng(60)
+        x, y, _ = _random_instance(rng, 20, in_dims, out_dims, 2)
+        cfg = FitConfig(rank=2, lam=lam, seed=3, center_data=False)
+        # sweep anneal_steps + 1 is the second post-annealing sweep; no fit
+        # can converge before it
+        got, want, _ = self._next_sweep(fitter, x, y, cfg, cfg.anneal_steps + 1)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_high_snr_noise_floor(self):
+        # at the noise floor ||Y||^2 - rhs^T sol cancels ~9 digits: its
+        # round-off is of order eps * ||Y||^2, not eps times the objective
+        rng = np.random.default_rng(65)
+        x, y, _ = _random_instance(rng, 30, (4, 3), (3, 2), 2, noise=1e-4)
+        yy = float(np.sum(y.array**2))
+        cfg = FitConfig(rank=2, lam=0.0, seed=3, center_data=False, rel_tol=1e-300)
+        got, want, res = self._next_sweep(fit, x, y, cfg, 40)
+        assert want.max() < 1e-8 * yy
+        assert np.abs(got - want).max() <= 1e-13 * yy
+        assert np.diff(res.substep_trace).max() <= 1e-9
 
 
 class TestAugmentedOracle:

@@ -2,7 +2,9 @@
 
 The figures are pinned at rel=1e-12, so a refactor of the fit, the chain,
 the prediction path or the study driver that moves a seeded result past
-round-off fails here.
+round-off fails here.  The sweep-end objectives and factors of an
+unconverged fit are pinned bit for bit, since they decide convergence
+and best-of-starts.
 """
 
 import numpy as np
@@ -40,6 +42,33 @@ GOLDEN_HI = [
 ]
 # run_cell on the grids/smoke.json shape: rpe, coverage, relative length
 GOLDEN_CELL = (0.6764107015740317, 0.9025, 2.9564043245628566)
+# rank-4 fit of _data() stopped by max_iters=14 before converging: the
+# explicit sweep-end objectives and the factors, pinned bit for bit
+GOLDEN_SWEEP_OBJECTIVES = [
+    189.88538254706364, 144.14576741760146, 109.56902503043813, 84.24670527775876,
+    67.4465615617819, 57.514173914910856, 52.27937961098317, 49.80418197932714,
+    48.710306851021414, 48.20590738051358, 47.87806449830111, 47.58836326796199,
+    47.32506403239669, 47.08252200106515,
+]
+GOLDEN_SUBSTEPS = [
+    48.14718699213501, 47.996649172963345, 47.901749138499234, 47.87806449830111,
+    47.81927846193036, 47.68206372749715, 47.615234481112324, 47.58836326796199,
+    47.52759188556894, 47.4000693536975, 47.35106886828814, 47.32506403239669,
+    47.2623723394007, 47.143684459969855, 47.106377714124754, 47.08252200106515,
+]
+GOLDEN_FACTORS = [
+    [[0.6158086516820139, 0.9650164624440732, 0.18768547322844129, -2.3691405544519397],
+     [0.5599266446410557, -1.4110753755884053, -0.5662366870204002, 0.8162000554220108],
+     [0.7880729343708655, -0.5774218222225846, -0.2002438856975644, 1.7265117766166922],
+     [-1.7369547863450447, 0.09807271521348933, 0.3512098870836126, 1.882865488261211]],
+    [[-0.5403052501112859, -1.5814946034165296, 0.9851569906321314, -0.6859668672431681],
+     [-0.7329719114401494, -0.1576147298713573, 0.6802688196288649, -0.5089273038361483],
+     [0.27478262681500787, 1.6701844566423323, -0.4932128666254755, 0.9409863802239951]],
+    [[-0.8119834762428095, -0.2615768762689459, -1.543582004954009, 0.13456884605013292],
+     [0.13086511490207475, -0.29672386164285836, -0.4289395298110799, -0.37053313058927634]],
+    [[-0.9999204235310215, -1.6014191704387768, -0.8976928551769894, -1.080333225885266],
+     [1.328442946587319, -0.359642801880933, -0.8681179120268384, -0.3143813683854242]],
+]
 
 
 def _data():
@@ -54,6 +83,17 @@ def test_fit_and_oracle_objectives():
         res = fitter(x, y, cfg)
         assert res.objective_trace[-1] == pytest.approx(GOLDEN_FIT_OBJECTIVE, rel=1e-12)
         assert (res.iterations, res.converged) == (29, True)
+
+
+def test_unconverged_fit_is_bit_identical():
+    x, y = _data()
+    res = fit(x, y, FitConfig(rank=4, lam=0.5, seed=5, max_iters=14))
+    assert (res.iterations, res.converged) == (14, False)
+    assert np.array_equal(res.objective_trace, GOLDEN_SWEEP_OBJECTIVES)
+    for got, want in zip(res.coefficients.factors, GOLDEN_FACTORS, strict=True):
+        assert np.array_equal(got, want)
+    # the sub-step values come from the normal equations, equal up to round-off
+    assert res.substep_trace == pytest.approx(GOLDEN_SUBSTEPS, rel=1e-12)
 
 
 def test_gibbs_sigma2_and_interval_endpoints():

@@ -8,24 +8,27 @@ procedures, and the factorial counts of the shipped design.
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mwreg import (
     DenseTensor,
+    FitConfig,
     GridCell,
     SimSpec,
     contract,
     correlated_field,
     expand_grid,
+    fit,
     rpe,
     run_cell,
     run_grid,
     simulate,
     write_results_csv,
 )
-from mwreg.simulation import _grid_chol, _field_slices, _test_set
+from mwreg.simulation import _DATA, _FIT, _grid_chol, _field_slices, _substream_int, _test_set
 
 
 class TestSimSpec:
@@ -211,6 +214,15 @@ class TestRunCell:
         b = run_cell(spec, 2, 1e12, replicates=2, test_n=80, gibbs_samples=0)
         assert a.rpe_values == pytest.approx(b.rpe_values, rel=1e-6)
 
+    def test_records_each_replicate_fit_convergence(self):
+        spec = _small_spec(rank=2)
+        cell = run_cell(spec, 3, 0.0, replicates=2, test_n=40, gibbs_samples=0)
+        for rep in range(2):
+            x, y, _ = simulate(replace(spec, seed=_substream_int(spec.seed, rep, _DATA)))
+            res = fit(x, y, FitConfig(rank=3, lam=0.0, seed=_substream_int(spec.seed, rep, _FIT)))
+            assert cell.iterations_values[rep] == res.iterations
+            assert cell.converged_values[rep] is res.converged
+
     def test_replicates_validation(self):
         with pytest.raises(ValueError):
             run_cell(_small_spec(), 1, 0.5, replicates=0)
@@ -326,6 +338,7 @@ class TestWriteResultsCsv:
         assert table[0] == [
             "n", "in_dims", "out_dims", "rank", "snr", "seed", "correlation",
             "rho", "fit_rank", "lam", "row", "rpe", "coverage", "length", "note",
+            "iterations", "converged",
         ]
         # two replicate rows, then mean and se rows, then one error row
         assert [r[10] for r in table[1:]] == ["0", "1", "mean", "se", "error"]
@@ -334,3 +347,11 @@ class TestWriteResultsCsv:
             (float(table[1][11]) + float(table[2][11])) / 2.0
         )
         assert "Singular" in table[5][14]
+        # fit sweeps and convergence on replicate rows only
+        good_out = rows[0][1]
+        for k in range(2):
+            assert table[1 + k][15:] == [
+                str(good_out.iterations_values[k]), str(good_out.converged_values[k])
+            ]
+            assert int(table[1 + k][15]) >= 1 and table[1 + k][16] in ("True", "False")
+        assert [r[15:] for r in table[3:]] == [["", ""]] * 3
