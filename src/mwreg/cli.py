@@ -265,14 +265,13 @@ def cmd_predict(args) -> None:
     print(f"predictions written to {out}")
 
 
-def _interval_rows(lo: DenseTensor, hi: DenseTensor):
+def _interval_rows(lo: DenseTensor, hi: DenseTensor) -> list:
+    """CSV rows "i1x...xik,lo,hi" of the cells in first-index-fastest order."""
     dims = lo.dims
-    lo_v = lo.array.ravel(order="F")
-    hi_v = hi.array.ravel(order="F")
-    idx = np.unravel_index(np.arange(lo_v.size), dims, order="F")
-    for k in range(lo_v.size):
-        cell = "x".join(str(int(idx[d][k]) + 1) for d in range(len(dims)))
-        yield cell, lo_v[k], hi_v[k]
+    idx = [(i + 1).tolist() for i in np.unravel_index(np.arange(lo.array.size), dims, order="F")]
+    fmt = "x".join(["%d"] * len(dims)) + ",%.17g,%.17g"
+    cols = idx + [lo.array.ravel(order="F").tolist(), hi.array.ravel(order="F").tolist()]
+    return [fmt % row for row in zip(*cols)]
 
 
 def cmd_gibbs(args) -> None:
@@ -313,10 +312,9 @@ def cmd_gibbs(args) -> None:
         return
     x_new = read_tensor(args.x_new)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _PREDICTIVE_STREAM)))
-    pdraws = posterior_predictive(x_new, draws, rng)
-    lo, hi = credible_intervals(pdraws, args.level)
-    lines = ["cell,lo,hi"]
-    lines += [f"{cell},{l:.17g},{h:.17g}" for cell, l, h in _interval_rows(lo, hi)]
+    # the predictive stack is freed before the rows are formatted
+    lo, hi = credible_intervals(posterior_predictive(x_new, draws, rng), args.level)
+    lines = ["cell,lo,hi"] + _interval_rows(lo, hi)
     if args.intervals_out:
         with open(args.intervals_out, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -1,14 +1,17 @@
 """File formats: text tensors, order-2 CSV, and JSON model/draw files.
 
 The tensor format is line-oriented text: a magic line "mwt 1", the order
-K, the K dims, then the values in first-index-fastest order, printed with
-17 significant digits so every finite double round-trips bit-exactly.
-CSV files are accepted for order-2 tensors (rows are mode 1).  Model and
-draw files are JSON; Python's float repr is shortest-round-trip, so these
-round-trip bit-exactly as well.  A model file's fit and a draws file's
-"mode" block hold the same fit record.  A file that parses but lacks a key
-or holds a value of the wrong type or shape is rejected with a ValueError
-naming the file.
+K, the K dims, then the values in first-index-fastest order, 8 to a line,
+printed with 17 significant digits so every finite double round-trips
+bit-exactly.  The writer emits exactly the bytes of formatting each value
+with "%.17g", but formats a block of lines with one `%` operation; the
+reader is a correctly rounded decimal parse.  CSV files are accepted for
+order-2 tensors (rows are mode 1).  Model and draw files are JSON, written
+by the C encoder of `json.dumps`; Python's float repr is
+shortest-round-trip, so these round-trip bit-exactly as well.  A model
+file's fit and a draws file's "mode" block hold the same fit record.  A
+file that parses but lacks a key or holds a value of the wrong type or
+shape is rejected with a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
 
 _MAGIC = "mwt 1"
 _VALUES_PER_LINE = 8
+_LINE = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
+_BLOCK_VALUES = 1024 * _VALUES_PER_LINE
 
 
 def write_tensor(path: str, t: DenseTensor) -> None:
@@ -41,14 +46,24 @@ def write_tensor(path: str, t: DenseTensor) -> None:
     if str(path).lower().endswith(".csv"):
         _write_csv(path, t)
         return
-    vals = t.array.ravel(order="F")
     with open(path, "w") as fh:
         fh.write(_MAGIC + "\n")
         fh.write(f"{t.order}\n")
         fh.write(" ".join(str(d) for d in t.dims) + "\n")
-        for start in range(0, vals.size, _VALUES_PER_LINE):
-            chunk = vals[start:start + _VALUES_PER_LINE]
-            fh.write(" ".join(f"{v:.17g}" for v in chunk) + "\n")
+        _write_values(fh, t.array.ravel(order="F"))
+
+
+def _write_values(fh, vals: np.ndarray) -> None:
+    """Write vals 8 to a line, each as "%.17g", with one `%` per block of lines.
+
+    The output equals formatting value by value: `tolist()` gives Python
+    floats, and "%.17g" on them is the conversion f"{v:.17g}" makes.
+    """
+    for start in range(0, vals.size, _BLOCK_VALUES):
+        chunk = vals[start:start + _BLOCK_VALUES].tolist()
+        lines, rest = divmod(len(chunk), _VALUES_PER_LINE)
+        fmt = _LINE * lines + (" ".join(["%.17g"] * rest) + "\n" if rest else "")
+        fh.write(fmt % tuple(chunk))
 
 
 def _write_csv(path: str, t: DenseTensor) -> None:
@@ -172,9 +187,10 @@ def _draws_from(d: dict) -> PosteriorDraws:
 
 def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None:
     payload = {"format": f"mwreg-{kind}", "version": 1, "lam": float(lam), "seed": int(seed), **body}
+    # dumps runs the C encoder; dump to a file takes the pure-Python path
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_json(path: str, kind: str, parse) -> tuple:
@@ -211,7 +227,7 @@ def read_model(path: str) -> tuple:
 def write_draws(path: str, draws: PosteriorDraws, lam: float, seed: int) -> None:
     """Serialize a chain: every retained factor set, sigma2s, and the mode."""
     _write_json(path, "draws", lam, seed, {
-        "sigma2": [float(v) for v in draws.sigma2s],
+        "sigma2": np.asarray(draws.sigma2s, dtype=float).tolist(),
         "samples": [_coeff_dict(b) for b in draws.coefficients],
         "mode": _fit_dict(draws.mode),
     })

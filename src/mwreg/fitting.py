@@ -285,7 +285,11 @@ def _lapack_checked(routine: str, result):
 
 
 def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
-    """Solve the SPD system via Cholesky; returns (solution, lower factor)."""
+    """Solve the SPD system via Cholesky; returns (solution, lower factor).
+
+    lam is the problem's penalty, which picks the advice of the singular
+    message; an augmented-data sweep solves with no penalty of its own.
+    """
     low, info = _lapack_checked("potrf", _POTRF(s, lower=1, clean=1))
     if info > 0:
         if lam == 0.0:
@@ -312,16 +316,17 @@ def _lower_transpose_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 # The mode updates return (new factor, Cholesky factor of the system,
 # rhs^T sol); the sampler's full conditionals reuse the first two.  As
 # S sol = rhs, the objective right after the update is
-# ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.
-def _update_predictor(ws, pred, out, l, lam):
+# ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.  problem_lam,
+# when given, is the penalty the singular message reports against.
+def _update_predictor(ws, pred, out, l, lam, problem_lam=None):
     s, rhs = _predictor_system(ws, pred, out, l, lam)
-    sol, low = _spd_solve(s, rhs, lam)
+    sol, low = _spd_solve(s, rhs, lam if problem_lam is None else problem_lam)
     return sol.reshape(ws.in_dims[l], pred[0].shape[1], order="F"), low, float(rhs @ sol)
 
 
-def _update_outcome(ws, pred, out, m, lam):
+def _update_outcome(ws, pred, out, m, lam, problem_lam=None):
     a, rhs = _outcome_system(ws, pred, out, m, lam)
-    sol, low = _spd_solve(a, rhs, lam)
+    sol, low = _spd_solve(a, rhs, lam if problem_lam is None else problem_lam)
     return sol.T, low, float(np.vdot(rhs, sol))
 
 
@@ -498,10 +503,10 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
             uws, ulam = ws, lam_t
         gains = []
         for l in range(len(pred)):
-            pred[l], _, gain = _update_predictor(uws, pred, out, l, ulam)
+            pred[l], _, gain = _update_predictor(uws, pred, out, l, ulam, cfg.lam)
             gains.append(gain)
         for m in range(len(out)):
-            out[m], _, gain = _update_outcome(uws, pred, out, m, ulam)
+            out[m], _, gain = _update_outcome(uws, pred, out, m, ulam, cfg.lam)
             gains.append(gain)
         obj = _objective_arrays(ws, pred, out, cfg.lam)
         trace.append(obj)

@@ -533,6 +533,20 @@ class TestAugmentedOracle:
         with pytest.raises(ValueError, match="small"):
             fit_augmented_oracle(x, y, FitConfig(rank=2, lam=1.0))
 
+    def test_singular_message_follows_the_problem_penalty(self):
+        # one predictor mode and no response mode: every rank-2 system is
+        # singular at any penalty, and the augmented sweeps solve with none
+        rng = np.random.default_rng(0)
+        x = DenseTensor(rng.standard_normal((20, 4)))
+        y = DenseTensor(rng.standard_normal(20))
+        cfg = FitConfig(rank=2, lam=50.0, seed=3)
+        for run in (fit, fit_augmented_oracle):
+            with pytest.raises(SingularSystemError, match="numerically singular"):
+                run(x, y, cfg)
+        for run in (fit, fit_augmented_oracle):
+            with pytest.raises(SingularSystemError, match="singular at lambda=0"):
+                run(x, y, replace(cfg, lam=0.0))
+
 
 class TestPredict:
     def test_perfect_fit_reproduces_training_rows(self):

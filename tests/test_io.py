@@ -4,24 +4,36 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mwreg import (
     CpCoefficients,
     DenseTensor,
     FitConfig,
+    FitResult,
     GibbsConfig,
+    PosteriorDraws,
+    SimSpec,
+    credible_intervals,
     fit,
     gibbs,
+    posterior_predictive,
     read_draws,
     read_model,
     read_tensor,
+    simulate,
     write_draws,
     write_model,
     write_tensor,
 )
+from mwreg.cli import _PREDICTIVE_STREAM, _interval_rows, main
+from mwreg.fileio import _BLOCK_VALUES
 
 
 def _sha(path):
@@ -103,6 +115,201 @@ class TestTensorFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_tensor(os.path.join(tmp_path, "nope.mwt"))
+
+
+# doubles at the edges of the format: signed zero, the smallest subnormal, a
+# subnormal with few digits, the largest finite value, an exact power of ten
+# and a value with no short binary form
+_EDGE_VALUES = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1e22, 0.1]
+
+
+def _old_mwt_text(t):
+    """The .mwt text as written value by value with f"{v:.17g}", 8 to a line."""
+    vals = t.array.ravel(order="F")
+    lines = ["mwt 1", f"{t.order}", " ".join(str(d) for d in t.dims)]
+    lines += [" ".join(f"{v:.17g}" for v in vals[s:s + 8]) for s in range(0, vals.size, 8)]
+    return "\n".join(lines) + "\n"
+
+
+def _dims_of(size, order):
+    """order dims with product size: small factors first, then 1s."""
+    dims = []
+    rest = size
+    for _ in range(order - 1):
+        f = next((p for p in range(2, 8) if rest % p == 0), 1)
+        dims.append(f)
+        rest //= f
+    return tuple(dims) + (rest,)
+
+
+def _edge_array(rng, size):
+    """size doubles over the whole exponent range, edge values at both ends."""
+    vals = rng.standard_normal(size) * 10.0 ** rng.uniform(-320, 300, size)
+    k = min(len(_EDGE_VALUES), size)
+    vals[:k] = _EDGE_VALUES[:k]
+    vals[size - k:] = [-v for v in _EDGE_VALUES[:k]]
+    return vals
+
+
+class TestWriterBytes:
+    """The block writers emit the bytes of the per-value formatting they replaced."""
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, _BLOCK_VALUES - 1, _BLOCK_VALUES,
+                                      _BLOCK_VALUES + 1, 3 * _BLOCK_VALUES + 5])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_tensor_bytes_equal_per_value_formatting(self, tmp_path, size, order):
+        rng = np.random.default_rng(size * 10 + order)
+        vals = _edge_array(rng, size)
+        t = DenseTensor(vals.reshape(_dims_of(size, order), order="F"))
+        path = os.path.join(tmp_path, "t.mwt")
+        write_tensor(path, t)
+        with open(path, "rb") as fh:
+            assert fh.read() == _old_mwt_text(t).encode()
+        back = read_tensor(path)
+        assert back.dims == t.dims
+        assert back.array.tobytes() == t.array.tobytes()
+
+    @pytest.mark.parametrize("dims", [(7,), (7, 3), (5, 2, 3), (4, 2, 2, 3)])
+    def test_interval_rows_equal_per_cell_formatting(self, dims):
+        rng = np.random.default_rng(len(dims))
+        size = int(np.prod(dims))
+        lo = DenseTensor(_edge_array(rng, size).reshape(dims, order="F"))
+        hi = DenseTensor(_edge_array(rng, size).reshape(dims, order="F"))
+        idx = np.unravel_index(np.arange(size), dims, order="F")
+        lo_v, hi_v = lo.array.ravel(order="F"), hi.array.ravel(order="F")
+        want = [
+            "x".join(str(int(idx[d][k]) + 1) for d in range(len(dims)))
+            + f",{lo_v[k]:.17g},{hi_v[k]:.17g}"
+            for k in range(size)
+        ]
+        assert _interval_rows(lo, hi) == want
+
+    @pytest.mark.parametrize("out_dims", [(), (3,), (2, 3), (2, 1, 2)])
+    def test_intervals_file_equals_per_cell_formatting(self, tmp_path, out_dims):
+        # the intervals are recomputed from the written draws, which read back
+        # bit-exactly, with the predictive stream the command uses
+        x, y, _ = simulate(SimSpec(n=24, in_dims=(3, 2), out_dims=out_dims, rank=1, seed=5))
+        x_new, _, _ = simulate(SimSpec(n=6, in_dims=(3, 2), out_dims=out_dims, rank=1, seed=6))
+        paths = {name: os.path.join(tmp_path, f"{name}.mwt") for name in ("x", "y", "x_new")}
+        for name, t in (("x", x), ("y", y), ("x_new", x_new)):
+            write_tensor(paths[name], t)
+        draws_path = os.path.join(tmp_path, "draws.json")
+        ivals = os.path.join(tmp_path, "intervals.csv")
+        assert main(["gibbs", "--x", paths["x"], "--y", paths["y"], "--rank", "1",
+                     "--lambda", "0.5", "--samples", "40", "--seed", "4", "--level", "0.9",
+                     "--x-new", paths["x_new"], "--intervals-out", ivals,
+                     "--out", draws_path]) == 0
+        draws, _, seed = read_draws(draws_path)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _PREDICTIVE_STREAM)))
+        lo, hi = credible_intervals(posterior_predictive(read_tensor(paths["x_new"]), draws, rng), 0.9)
+        idx = np.unravel_index(np.arange(lo.array.size), lo.dims, order="F")
+        lo_v, hi_v = lo.array.ravel(order="F"), hi.array.ravel(order="F")
+        want = ["cell,lo,hi"] + [
+            "x".join(str(int(idx[d][k]) + 1) for d in range(lo.order))
+            + f",{lo_v[k]:.17g},{hi_v[k]:.17g}"
+            for k in range(lo_v.size)
+        ]
+        assert lo.dims == (6,) + out_dims
+        with open(ivals, "rb") as fh:
+            assert fh.read() == ("\n".join(want) + "\n").encode()
+
+
+# finite doubles, -0.0 and subnormals included
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _fit_records(draw, centered=None):
+    """A FitResult with random dims, rank and finite values, offsets or none."""
+    rank = draw(st.integers(1, 3))
+    in_dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple))
+    out_dims = draw(st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple))
+    dims = in_dims + out_dims
+    factors = [draw(hnp.arrays(float, (d, rank), elements=_FINITE)) for d in dims]
+    if centered is None:
+        centered = draw(st.booleans())
+    x_off = draw(hnp.arrays(float, in_dims, elements=_FINITE)) if centered else None
+    y_off = draw(hnp.arrays(float, out_dims, elements=_FINITE)) if centered else None
+    return FitResult(
+        coefficients=CpCoefficients(factors[:len(in_dims)], factors[len(in_dims):]),
+        objective_trace=[draw(_FINITE)],
+        substep_trace=[],
+        converged=draw(st.booleans()),
+        iterations=draw(st.integers(1, 10**6)),
+        x_offsets=x_off,
+        y_offsets=y_off,
+    )
+
+
+def _assert_same_fit(a, b):
+    for fa, fb in zip(a.coefficients.factors, b.coefficients.factors, strict=True):
+        assert _same_bits(fa, fb)
+    assert (a.coefficients.in_dims, a.coefficients.out_dims) == (
+        b.coefficients.in_dims, b.coefficients.out_dims)
+    assert _same_bits(a.objective_trace[-1], b.objective_trace[-1])
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    for oa, ob in ((a.x_offsets, b.x_offsets), (a.y_offsets, b.y_offsets)):
+        assert (oa is None) == (ob is None)
+        if oa is not None:
+            assert _same_bits(oa, ob)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5),
+                      elements=_FINITE))
+    def test_tensor_round_trip_is_bit_exact(self, arr):
+        t = DenseTensor(arr)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.mwt")
+            write_tensor(path, t)
+            with open(path, "rb") as fh:
+                assert fh.read() == _old_mwt_text(t).encode()
+            back = read_tensor(path)
+        assert back.dims == t.dims
+        assert _same_bits(back.array, t.array)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_fit_records(), _FINITE, st.integers(0, 2**63 - 1))
+    def test_model_round_trip_is_bit_exact(self, record, lam, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            write_model(path, record, lam, seed)
+            back, lam_back, seed_back = read_model(path)
+        _assert_same_fit(record, back)
+        assert _same_bits(lam_back, lam) and seed_back == seed
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_draws_round_trip_is_bit_exact(self, data):
+        mode = data.draw(_fit_records())
+        m = mode.coefficients
+        n = data.draw(st.integers(1, 4))
+        samples = [
+            CpCoefficients(
+                [data.draw(hnp.arrays(float, (d, m.rank), elements=_FINITE)) for d in m.in_dims],
+                [data.draw(hnp.arrays(float, (d, m.rank), elements=_FINITE)) for d in m.out_dims],
+            )
+            for _ in range(n)
+        ]
+        positive = st.floats(min_value=5e-324, allow_infinity=False, width=64)
+        sigma2s = data.draw(hnp.arrays(float, (n,), elements=positive))
+        draws = PosteriorDraws(coefficients=samples, sigma2s=sigma2s, mode=mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "draws.json")
+            write_draws(path, draws, 0.5, 7)
+            back, _, _ = read_draws(path)
+        assert _same_bits(back.sigma2s, sigma2s)
+        assert len(back) == n
+        for a, b in zip(samples, back.coefficients):
+            for fa, fb in zip(a.factors, b.factors, strict=True):
+                assert _same_bits(fa, fb)
+        _assert_same_fit(mode, back.mode)
 
 
 def _rewrite(path, text):
