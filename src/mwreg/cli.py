@@ -302,6 +302,9 @@ def cmd_gibbs(args) -> None:
         center_data=not args.no_center,
     )
     draws = gibbs(x, y, cfg)
+    # the chain's starting fit, on stderr so that the stdout report keeps its lines
+    print(f"mode iterations {draws.mode.iterations}", file=sys.stderr)
+    print(f"mode converged {str(draws.mode.converged).lower()}", file=sys.stderr)
     write_draws(out, draws, cfg.lam, cfg.seed)
     print(f"samples {len(draws)}")
     print(f"sigma2 mean {float(draws.sigma2s.mean()):.17g}")

@@ -20,6 +20,16 @@ sweep-end objective that the convergence test and best-of-starts use.
 The mode systems are assembled without dense Kronecker products, and the
 Cholesky factorization and solves call LAPACK directly, because the
 sampler rebuilds and solves one system per factor on every iteration.
+A sweep of ALS and an iteration of the sampler run one mode loop over one
+sweep state, which owns the current factors and the products derived
+from them: each factor's Gram matrix, the outcome Khatri-Rao product with
+its Gram and Y1 product, and X1 times the predictor Khatri-Rao product
+with its Gram.  Setting a factor drops only the products that depend on
+it, so each is built once per factor update instead of once per system.
+A cached product is built from the same operands, in the same memory
+layout and multiplication order, as a per-call build, because BLAS
+results depend on operand layout; the sweeps therefore keep their bits.
+The public single-step functions build a fresh state per call.
 The prediction function evaluates many coefficient sets through stacked
 matrix products that repeat each set's own products bit for bit.
 """
@@ -27,13 +37,13 @@ matrix products that repeat each set's own products bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .coefficients import CpCoefficients, _gram_product
+from .coefficients import CpCoefficients
 from .tensors import DenseTensor, _khatri_rao
 
 __all__ = [
@@ -55,6 +65,13 @@ _FIT_STREAM = 0
 
 # double-precision LAPACK routines, looked up once instead of per solve
 _POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+
+# smallest squared Cholesky pivot, relative to its diagonal entry, that
+# `_spd_solve` accepts in an unpenalized problem.  Exactly singular Gram
+# systems that potrf accepted on round-off reached 4e-9 in random trials;
+# the fits and chains of the full-factorial study cells in perfbench
+# (8 seeds) stayed above 1e-5.
+_PIVOT_FLOOR = 1e-8
 
 # coefficient sets per stacked matmul in `_predictions`
 _PREDICTION_BATCH = 32
@@ -219,61 +236,172 @@ def _stacked_kr_or_ones(factor_lists, rank: int) -> np.ndarray:
     return kr.transpose(0, 2, 1)
 
 
-def _squared_norm(factors) -> float:
-    """||B||_F^2 from the factors via the all-mode Gram entrywise product."""
-    rank = factors[0].shape[1]
-    return float(np.sum(_gram_product(factors, rank)))
+class _SweepState:
+    """The current factors of a sweep and the products derived from them.
+
+    One state is bound to one workspace and owns the factor lists; modes
+    index the concatenated list, predictor modes first.  Each product
+    (f^T f per factor; V = KR(out), V^T V and Y1 V; T = X1 KR(pred) and
+    T^T T) is built on first use, with the operands and memory layout of
+    a per-call build (one-factor `_kr_or_ones` is a C-order copy while
+    solved factors are Fortran order), and kept until `set_factor`
+    replaces a factor it depends on.
+    """
+
+    def __init__(self, ws: _Workspace, pred, out):
+        self.ws = ws
+        self.pred = list(pred)
+        self.out = list(out)
+        self.rank = self.pred[0].shape[1]
+        self._grams = [None] * (len(self.pred) + len(self.out))
+
+    def set_factor(self, mode: int, f: np.ndarray) -> None:
+        """Replace one factor and drop the products that depend on it."""
+        n_pred = len(self.pred)
+        if mode < n_pred:
+            self.pred[mode] = f
+            dropped = _PREDICTOR_PRODUCTS
+        else:
+            self.out[mode - n_pred] = f
+            dropped = _OUTCOME_PRODUCTS
+        for name in dropped:
+            self.__dict__.pop(name, None)
+        self._grams[mode] = None
+
+    def _gram(self, mode: int) -> np.ndarray:
+        if self._grams[mode] is None:
+            n_pred = len(self.pred)
+            f = self.pred[mode] if mode < n_pred else self.out[mode - n_pred]
+            self._grams[mode] = f.T @ f
+        return self._grams[mode]
+
+    def _gram_product(self, modes) -> np.ndarray:
+        # ones * G_k * ... in mode order, as `coefficients._gram_product`
+        g = np.ones((self.rank, self.rank))
+        for k in modes:
+            g = g * self._gram(k)
+        return g
+
+    @cached_property
+    def _kr_out(self) -> np.ndarray:
+        return _kr_or_ones(self.out, self.rank)
+
+    @cached_property
+    def _kr_out_gram(self) -> np.ndarray:
+        return self._kr_out.T @ self._kr_out
+
+    @cached_property
+    def _y_kr_out(self) -> np.ndarray:
+        return self.ws.y1 @ self._kr_out
+
+    @cached_property
+    def _x_kr_pred(self) -> np.ndarray:
+        return self.ws.x1 @ _khatri_rao(self.pred)
+
+    @cached_property
+    def _x_kr_pred_gram(self) -> np.ndarray:
+        return self._x_kr_pred.T @ self._x_kr_pred
+
+    def predictor_system(self, l: int, lam: float):
+        """Normal equations (S, rhs) for predictor mode l.
+
+        S = C^T C + lam * (G (x) I) and rhs = C^T vec(Y) where C is the
+        explicit design matrix of `build_design_predictor`; the flat index
+        is p + P_l * r, i.e. blocked by component.  C^T C = (W^T W) *
+        (V^T V (x) 1), so both Kronecker products are applied in place on
+        the (R, P_l, R, P_l) view of W^T W instead of being built.
+        """
+        ws, rank = self.ws, self.rank
+        pl = ws.in_dims[l]
+        others = [k for k in range(len(self.pred)) if k != l]
+        w2 = ws.x_by_mode(l) @ _kr_or_ones([self.pred[k] for k in others], rank)
+        w3 = w2.reshape(ws.n, pl, rank, order="F")
+        wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
+        vgram = self._kr_out_gram
+        s = wf.T @ wf
+        s4 = s.reshape(rank, pl, rank, pl)
+        s4 *= vgram[:, None, :, None]
+        if lam:
+            g = vgram
+            for k in others:
+                g = g * self._gram(k)
+            diag = np.arange(pl)
+            s4[:, diag, :, diag] += lam * g
+        rhs = np.einsum("npr,nr->rp", w3, self._y_kr_out).reshape(-1)
+        return s, rhs
+
+    def outcome_system(self, m: int, lam: float):
+        """Normal equations (A, rhs) for outcome mode m.
+
+        A = D^T D + lam * G (R x R) and rhs = D^T Ym^T (R x Q_m) where D is
+        the explicit design matrix of `build_design_outcome` taken for mode m.
+        """
+        ws, rank = self.ws, self.rank
+        n_pred = len(self.pred)
+        t = self._x_kr_pred
+        others = [k for k in range(len(self.out)) if k != m]
+        wq = _kr_or_ones([self.out[k] for k in others], rank)
+        a = self._x_kr_pred_gram * (wq.T @ wq)
+        if lam:
+            g = self._gram_product(list(range(n_pred)) + [n_pred + k for k in others])
+            a = a + lam * g
+        d = (t[:, None, :] * wq[None, :, :]).reshape(ws.n * wq.shape[0], rank, order="F")
+        rhs = (ws.y_by_mode(m) @ d).T
+        return a, rhs
+
+    def update(self, mode: int, lam: float, problem_lam: float):
+        """(new factor, Cholesky factor of the system, rhs^T sol) of one mode.
+
+        The sampler's full conditionals reuse the first two.  As
+        S sol = rhs, the objective right after the update is
+        ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.
+        problem_lam is the penalty the singular message reports against.
+        """
+        n_pred = len(self.pred)
+        if mode < n_pred:
+            s, rhs = self.predictor_system(mode, lam)
+            sol, low = _spd_solve(s, rhs, problem_lam)
+            return sol.reshape(self.ws.in_dims[mode], self.rank, order="F"), low, float(rhs @ sol)
+        a, rhs = self.outcome_system(mode - n_pred, lam)
+        sol, low = _spd_solve(a, rhs, problem_lam)
+        return sol.T, low, float(np.vdot(rhs, sol))
+
+    def sweep(self, lam: float, problem_lam: float, take) -> list:
+        """Replace every factor in turn, predictor modes first.
+
+        take(mode, mean, low) gives the new factor from the update's mean
+        and the Cholesky factor of its system: the mean itself in ALS, a
+        draw from the full conditional in the sampler.  Returns each
+        update's rhs^T sol.
+        """
+        gains = []
+        for mode in range(len(self.pred) + len(self.out)):
+            mean, low, gain = self.update(mode, lam, problem_lam)
+            self.set_factor(mode, take(mode, mean, low))
+            gains.append(gain)
+        return gains
+
+    def rss(self) -> float:
+        """||Y - <X, B>||_F^2 of the current factors."""
+        resid = self.ws.y1 - self._x_kr_pred @ self._kr_out.T
+        return float(np.sum(resid * resid))
+
+    def objective(self, lam: float) -> float:
+        """The penalized objective, lam * ||B||_F^2 from the all-mode Gram product."""
+        rss = self.rss()
+        if lam:
+            return rss + lam * float(np.sum(self._gram_product(range(len(self._grams)))))
+        return rss
+
+
+# the cached products `_SweepState.set_factor` drops with a factor of each kind
+_PREDICTOR_PRODUCTS = ("_x_kr_pred", "_x_kr_pred_gram")
+_OUTCOME_PRODUCTS = ("_kr_out", "_kr_out_gram", "_y_kr_out")
 
 
 def _predictor_system(ws: _Workspace, pred, out, l: int, lam: float):
-    """Normal equations (S, rhs) for predictor mode l.
-
-    S = C^T C + lam * (G (x) I) and rhs = C^T vec(Y) where C is the
-    explicit design matrix of `build_design_predictor`; the flat index is
-    p + P_l * r, i.e. blocked by component.  C^T C = (W^T W) * (V^T V (x) 1),
-    so both Kronecker products are applied in place on the (R, P_l, R, P_l)
-    view of W^T W instead of being built.
-    """
-    rank = pred[0].shape[1]
-    pl = ws.in_dims[l]
-    others = list(pred[:l]) + list(pred[l + 1:])
-    w2 = ws.x_by_mode(l) @ _kr_or_ones(others, rank)
-    w3 = w2.reshape(ws.n, pl, rank, order="F")
-    wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
-    vq = _kr_or_ones(list(out), rank)
-    vgram = vq.T @ vq
-    s = wf.T @ wf
-    s4 = s.reshape(rank, pl, rank, pl)
-    s4 *= vgram[:, None, :, None]
-    if lam:
-        g = vgram.copy()
-        for f in others:
-            g = g * (f.T @ f)
-        diag = np.arange(pl)
-        s4[:, diag, :, diag] += lam * g
-    z = ws.y1 @ vq
-    rhs = np.einsum("npr,nr->rp", w3, z).reshape(-1)
-    return s, rhs
-
-
-def _outcome_system(ws: _Workspace, pred, out, m: int, lam: float):
-    """Normal equations (A, rhs) for outcome mode m.
-
-    A = D^T D + lam * G (R x R) and rhs = D^T Ym^T (R x Q_m) where D is the
-    explicit design matrix of `build_design_outcome` taken for mode m.
-    """
-    rank = pred[0].shape[1]
-    uq = _khatri_rao(list(pred))
-    t = ws.x1 @ uq
-    others = list(out[:m]) + list(out[m + 1:])
-    wq = _kr_or_ones(others, rank)
-    a = (t.T @ t) * (wq.T @ wq)
-    if lam:
-        g = _gram_product(list(pred) + others, rank)
-        a = a + lam * g
-    d = (t[:, None, :] * wq[None, :, :]).reshape(ws.n * wq.shape[0], rank, order="F")
-    rhs = (ws.y_by_mode(m) @ d).T
-    return a, rhs
+    """`_SweepState.predictor_system` of fixed factors."""
+    return _SweepState(ws, pred, out).predictor_system(l, lam)
 
 
 def _lapack_checked(routine: str, result):
@@ -291,7 +419,12 @@ def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
     message; an augmented-data sweep solves with no penalty of its own.
     """
     low, info = _lapack_checked("potrf", _POTRF(s, lower=1, clean=1))
-    if info > 0:
+    pivots = low.diagonal()
+    # Without a penalty, a rank-deficient system can pass potrf on
+    # round-off alone, with a squared pivot a tiny fraction of its diagonal
+    # entry; the ratio does not change when the system is rescaled by a
+    # diagonal matrix.  A penalty keeps the system definite.
+    if info > 0 or (lam == 0.0 and (pivots * pivots < _PIVOT_FLOOR * s.diagonal()).any()):
         if lam == 0.0:
             raise SingularSystemError(
                 "mode subproblem is singular at lambda=0; "
@@ -300,7 +433,7 @@ def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
         raise SingularSystemError("mode subproblem is numerically singular")
     # OpenBLAS potrf reports success on NaN or inf entries, which reach
     # the factor's diagonal
-    if not np.isfinite(np.diagonal(low)).all():
+    if not np.isfinite(pivots).all():
         raise SingularSystemError("mode subproblem is not finite")
     return _lapack_checked("potrs", _POTRS(low, rhs, lower=1))[0], low
 
@@ -313,58 +446,28 @@ def _lower_transpose_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-# The mode updates return (new factor, Cholesky factor of the system,
-# rhs^T sol); the sampler's full conditionals reuse the first two.  As
-# S sol = rhs, the objective right after the update is
-# ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.  problem_lam,
-# when given, is the penalty the singular message reports against.
-def _update_predictor(ws, pred, out, l, lam, problem_lam=None):
-    s, rhs = _predictor_system(ws, pred, out, l, lam)
-    sol, low = _spd_solve(s, rhs, lam if problem_lam is None else problem_lam)
-    return sol.reshape(ws.in_dims[l], pred[0].shape[1], order="F"), low, float(rhs @ sol)
-
-
-def _update_outcome(ws, pred, out, m, lam, problem_lam=None):
-    a, rhs = _outcome_system(ws, pred, out, m, lam)
-    sol, low = _spd_solve(a, rhs, lam if problem_lam is None else problem_lam)
-    return sol.T, low, float(np.vdot(rhs, sol))
-
-
-def _prediction_matrix(x1, pred, out, rank):
-    return (x1 @ _khatri_rao(list(pred))) @ _kr_or_ones(list(out), rank).T
-
-
-def _objective_arrays(ws, pred, out, lam) -> float:
-    rank = pred[0].shape[1]
-    resid = ws.y1 - _prediction_matrix(ws.x1, pred, out, rank)
-    rss = float(np.sum(resid * resid))
-    if lam:
-        return rss + lam * _squared_norm(list(pred) + list(out))
-    return rss
-
-
 # =====================================================================
 # public single-step operations
 # =====================================================================
 
 
-def _checked_workspace(x: DenseTensor, y: DenseTensor, b: CpCoefficients):
-    """(workspace, predictor factors, outcome factors) once x and y fit b's dims."""
+def _checked_state(x: DenseTensor, y: DenseTensor, b: CpCoefficients) -> _SweepState:
+    """A fresh sweep state of b's factors on x and y once they fit b's dims."""
     if x.dims[0] != y.dims[0]:
         raise ValueError(f"x has {x.dims[0]} observations but y has {y.dims[0]}")
     if x.dims[1:] != b.in_dims:
         raise ValueError(f"x trailing dims {x.dims[1:]} do not match coefficients {b.in_dims}")
     if y.dims[1:] != b.out_dims:
         raise ValueError(f"y trailing dims {y.dims[1:]} do not match coefficients {b.out_dims}")
-    return _Workspace(x.array, y.array), list(b.predictor_factors), list(b.outcome_factors)
+    return _SweepState(_Workspace(x.array, y.array), b.predictor_factors, b.outcome_factors)
 
 
 def objective(x: DenseTensor, y: DenseTensor, b: CpCoefficients, lam: float = 0.0) -> float:
     """Penalized residual sum of squares ||Y - <X,B>||_F^2 + lam * ||B||_F^2."""
-    ws, pred, out = _checked_workspace(x, y, b)
+    state = _checked_state(x, y, b)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be finite and non-negative")
-    return _objective_arrays(ws, pred, out, lam)
+    return state.objective(lam)
 
 
 def build_design_predictor(x: DenseTensor, b: CpCoefficients, mode: int) -> np.ndarray:
@@ -425,20 +528,20 @@ def update_predictor_factor(
     x: DenseTensor, y: DenseTensor, b: CpCoefficients, mode: int, lam: float = 0.0
 ) -> np.ndarray:
     """Exact ridge update of one predictor factor, all others held fixed."""
-    ws, pred, out = _checked_workspace(x, y, b)
-    if not 0 <= mode < len(pred):
+    state = _checked_state(x, y, b)
+    if not 0 <= mode < len(state.pred):
         raise ValueError(f"predictor mode {mode} out of range")
-    return _update_predictor(ws, pred, out, mode, lam)[0]
+    return state.update(mode, lam, lam)[0]
 
 
 def update_outcome_factor(
     x: DenseTensor, y: DenseTensor, b: CpCoefficients, mode: int, lam: float = 0.0
 ) -> np.ndarray:
     """Exact ridge update of one outcome factor, all others held fixed."""
-    ws, pred, out = _checked_workspace(x, y, b)
-    if not 0 <= mode < len(out):
+    state = _checked_state(x, y, b)
+    if not 0 <= mode < len(state.out):
         raise ValueError(f"outcome mode {mode} out of range")
-    return _update_outcome(ws, pred, out, mode, lam)[0]
+    return state.update(len(state.pred) + mode, lam, lam)[0]
 
 
 # =====================================================================
@@ -479,7 +582,7 @@ def _init_factors(cfg: FitConfig, in_dims, out_dims, start: int):
 
 def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult:
     """One seeded run of annealed sweeps; the result carries no offsets."""
-    pred, out = _init_factors(cfg, ws.in_dims, ws.out_dims, start)
+    state = _SweepState(ws, *_init_factors(cfg, ws.in_dims, ws.out_dims, start))
     schedule = _lambda_schedule(cfg)
     yy = float(np.vdot(ws.y1, ws.y1))
     trace, subtrace = [], []
@@ -501,14 +604,13 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
             ulam = 0.0
         else:
             uws, ulam = ws, lam_t
-        gains = []
-        for l in range(len(pred)):
-            pred[l], _, gain = _update_predictor(uws, pred, out, l, ulam, cfg.lam)
-            gains.append(gain)
-        for m in range(len(out)):
-            out[m], _, gain = _update_outcome(uws, pred, out, m, ulam, cfg.lam)
-            gains.append(gain)
-        obj = _objective_arrays(ws, pred, out, cfg.lam)
+        # a state's products are those of its workspace: the oracle updates
+        # on augmented data and evaluates its objective on the plain data
+        if state.ws is not uws:
+            state = _SweepState(uws, state.pred, state.out)
+        gains = state.sweep(ulam, cfg.lam, lambda mode, mean, low: mean)
+        plain = state if state.ws is ws else _SweepState(ws, state.pred, state.out)
+        obj = plain.objective(cfg.lam)
         trace.append(obj)
         if not annealing:
             subtrace += [yy - gain for gain in gains]
@@ -516,7 +618,7 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
                 converged = True
                 break
             prev = obj
-    return FitResult(coefficients=CpCoefficients(pred, out), objective_trace=trace,
+    return FitResult(coefficients=CpCoefficients(state.pred, state.out), objective_trace=trace,
                      substep_trace=subtrace, converged=converged, iterations=len(trace),
                      x_offsets=None, y_offsets=None)
 
@@ -582,7 +684,7 @@ def _predictions(x_new: DenseTensor, coefficient_sets, x_offsets, y_offsets) -> 
     The sets must share dims and rank.  Centering offsets, when not None,
     are removed from x_new once and added back to every set's prediction.
     Batches of sets go through stacked matmuls that give each set exactly
-    the bits of its own `_prediction_matrix`.
+    the bits of its own (X1 KR(pred)) KR(out)^T.
     """
     b0 = coefficient_sets[0]
     if x_new.dims[1:] != b0.in_dims:

@@ -5,14 +5,17 @@ prior on each factor is the Gaussian implied by the ridge penalty at the
 given lambda (flat when lambda = 0), and sigma^2 carries the scale prior
 1/sigma^2.  Conditioned on the other factors and sigma^2, each factor is
 multivariate normal with mean equal to the corresponding penalized
-least-squares update, so the sampler reuses the exact system builders of
-the fitting module; sigma^2 given everything else is inverse gamma.  The
-chain starts at the penalized least-squares solution, which is the
-posterior mode, so no burn-in is needed by default.  Predictions from the
-draws go through the same function as `fitting.predict`, evaluated for all
-draws into one (draws, N, *out_dims) array; `posterior_predictive` adds the
-noise to that array in place and `credible_intervals` reads it a block of
-cells at a time, so a chain's predictive stack exists once in memory.
+least-squares update, so an iteration runs the fitting module's sweep,
+with its shared sweep state, and takes a draw where ALS takes the mean;
+the chain keeps one state, whose cached products carry the bits of
+per-call builds.  sigma^2 given everything else is inverse gamma, with
+the residual taken from the same state.  The chain starts at the
+penalized least-squares solution, which is the posterior mode, so no
+burn-in is needed by default.  Predictions from the draws go through the
+same function as `fitting.predict`, evaluated for all draws into one
+(draws, N, *out_dims) array; `posterior_predictive` adds the noise to
+that array in place and `credible_intervals` reads it a block of cells at
+a time, so a chain's predictive stack exists once in memory.
 """
 
 from __future__ import annotations
@@ -26,12 +29,10 @@ from .coefficients import CpCoefficients, normalize
 from .fitting import (
     FitConfig,
     FitResult,
-    _checked_workspace,
+    _checked_state,
     _lower_transpose_solve,
-    _objective_arrays,
     _predictions,
-    _update_outcome,
-    _update_predictor,
+    _SweepState,
     _Workspace,
     fit,
 )
@@ -159,8 +160,8 @@ def draw_sigma2(x: DenseTensor, y: DenseTensor, b: CpCoefficients, rng) -> float
     The full conditional under the 1/sigma^2 scale prior is inverse gamma
     with shape N*Q/2 and rate ||Y - <X,B>||_F^2 / 2.
     """
-    ws, pred, out = _checked_workspace(x, y, b)
-    return _draw_sigma2_rss(_objective_arrays(ws, pred, out, 0.0), ws.n * ws.q, rng)
+    state = _checked_state(x, y, b)
+    return _draw_sigma2_rss(state.rss(), state.ws.n * state.ws.q, rng)
 
 
 def _draw_sigma2_rss(rss: float, nq: int, rng: np.random.Generator) -> float:
@@ -186,20 +187,13 @@ def conditional_factor_params(
     covariance is sigma2 times the inverse of the update's system matrix
     (Kronecker-expanded over rows for outcome modes).
     """
-    ws, pred, out = _checked_workspace(x, y, b)
+    state = _checked_state(x, y, b)
     if not 0 <= mode < b.order:
         raise ValueError(f"mode {mode} out of range for order {b.order}")
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError("sigma2 must be finite and non-negative")
-    return _conditional_ws(ws, pred, out, mode, lam, sigma2)
-
-
-def _conditional_ws(ws, pred, out, mode, lam, sigma2) -> FactorConditional:
-    if mode < len(pred):
-        mean, low, _ = _update_predictor(ws, pred, out, mode, lam)
-        return FactorConditional(mean, low, float(sigma2), False)
-    mean, low, _ = _update_outcome(ws, pred, out, mode - len(pred), lam)
-    return FactorConditional(mean, low, float(sigma2), True)
+    mean, low, _ = state.update(mode, lam, lam)
+    return FactorConditional(mean, low, float(sigma2), mode >= len(state.pred))
 
 
 def gibbs(
@@ -230,23 +224,21 @@ def gibbs(
         ya = ya - mode_fit.y_offsets
     ws = _Workspace(xa, ya)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CHAIN_STREAM)))
-    pred = [f.copy() for f in b0.predictor_factors]
-    out = [f.copy() for f in b0.outcome_factors]
+    state = _SweepState(ws, [f.copy() for f in b0.predictor_factors],
+                        [f.copy() for f in b0.outcome_factors])
+    n_pred = len(state.pred)
     nq = ws.n * ws.q
     kept_b, kept_s2 = [], []
     total = cfg.burn_in + cfg.n_samples * cfg.thin
     for it in range(1, total + 1):
-        rss = _objective_arrays(ws, pred, out, 0.0)
-        sigma2 = _draw_sigma2_rss(rss, nq, rng)
-        for mode in range(len(pred) + len(out)):
-            cond = _conditional_ws(ws, pred, out, mode, cfg.lam, sigma2)
-            drawn = cond.sample(rng)
-            if mode < len(pred):
-                pred[mode] = drawn
-            else:
-                out[mode - len(pred)] = drawn
+        sigma2 = _draw_sigma2_rss(state.rss(), nq, rng)
+
+        def draw(mode, mean, low):
+            return FactorConditional(mean, low, sigma2, mode >= n_pred).sample(rng)
+
+        state.sweep(cfg.lam, cfg.lam, draw)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            drawn_b = CpCoefficients(pred, out)
+            drawn_b = CpCoefficients(state.pred, state.out)
             if cfg.normalize_draws:
                 # transform only the retained copy; the chain state is untouched
                 drawn_b = normalize(drawn_b).coefficients

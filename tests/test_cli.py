@@ -15,7 +15,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from mwreg import DenseTensor, read_tensor, write_tensor, read_draws, read_model
+from mwreg import DenseTensor, FitConfig, fit, read_tensor, write_tensor, read_draws, read_model
 from mwreg.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -200,6 +200,19 @@ class TestGibbs:
         assert code == 0
         draws, _, _ = read_draws(out)
         assert len(draws) == 1
+
+    def test_mode_fit_reported_on_stderr(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "d.json")
+        code = main(["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
+                     "--lambda", "0.5", "--samples", "3", "--seed", "2", "--out", out])
+        assert code == 0
+        cap = capsys.readouterr()
+        mode = fit(read_tensor(TINY_X), read_tensor(TINY_Y), FitConfig(rank=1, lam=0.5, seed=2))
+        assert cap.err.splitlines() == [
+            f"mode iterations {mode.iterations}",
+            f"mode converged {str(mode.converged).lower()}",
+        ]
+        assert [line.split()[0] for line in cap.out.splitlines()] == ["samples", "sigma2", "draws"]
 
     def test_same_seed_byte_identical(self, tmp_path):
         d1 = os.path.join(tmp_path, "d1.json")

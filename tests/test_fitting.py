@@ -31,7 +31,14 @@ from mwreg import (
     update_predictor_factor,
     vec,
 )
-from mwreg.fitting import _augment_arrays, _predictor_system, _spd_solve, _Workspace
+from mwreg.fitting import (
+    _augment_arrays,
+    _init_factors,
+    _lambda_schedule,
+    _predictor_system,
+    _spd_solve,
+    _Workspace,
+)
 
 
 def _random_instance(rng, n, in_dims, out_dims, rank, noise=0.5):
@@ -339,6 +346,127 @@ class TestSystemsBitForBit:
         for lam in (0.0, 0.5):
             with pytest.raises(SingularSystemError, match="not finite"):
                 _spd_solve(s, np.ones(s.shape[0]), lam)
+
+
+def _per_call_kr(factors, rank):
+    return khatri_rao(factors) if factors else np.ones((1, rank))
+
+
+def _per_call_gram_product(factors, rank):
+    g = np.ones((rank, rank))
+    for f in factors:
+        g = g * (f.T @ f)
+    return g
+
+
+def _per_call_outcome_system(ws, pred, out, m, lam):
+    """Outcome-mode normal equations with every product built for this call."""
+    rank = pred[0].shape[1]
+    t = ws.x1 @ khatri_rao(pred)
+    others = list(out[:m]) + list(out[m + 1:])
+    wq = _per_call_kr(others, rank)
+    a = (t.T @ t) * (wq.T @ wq)
+    if lam:
+        a = a + lam * _per_call_gram_product(list(pred) + others, rank)
+    d = (t[:, None, :] * wq[None, :, :]).reshape(ws.n * wq.shape[0], rank, order="F")
+    return a, (ws.y_by_mode(m) @ d).T
+
+
+def _per_call_update(ws, pred, out, mode, lam, problem_lam):
+    """(new factor, Cholesky factor, rhs^T sol) of one mode, nothing shared."""
+    rank = pred[0].shape[1]
+    if mode < len(pred):
+        s, rhs = _kron_predictor_system(ws, pred, out, mode, lam)
+        sol, low = _spd_solve(s, rhs, problem_lam)
+        return sol.reshape(ws.in_dims[mode], rank, order="F"), low, float(rhs @ sol)
+    a, rhs = _per_call_outcome_system(ws, pred, out, mode - len(pred), lam)
+    sol, low = _spd_solve(a, rhs, problem_lam)
+    return sol.T, low, float(np.vdot(rhs, sol))
+
+
+def _per_call_objective(ws, pred, out, lam):
+    rank = pred[0].shape[1]
+    resid = ws.y1 - (ws.x1 @ khatri_rao(pred)) @ _per_call_kr(out, rank).T
+    rss = float(np.sum(resid * resid))
+    if lam:
+        return rss + lam * float(np.sum(_per_call_gram_product(list(pred) + list(out), rank)))
+    return rss
+
+
+def _per_call_sweep(ws, pred, out, lam, problem_lam, take):
+    """Update every factor in turn from per-call systems; returns the gains."""
+    gains = []
+    for mode in range(len(pred) + len(out)):
+        mean, low, gain = _per_call_update(ws, pred, out, mode, lam, problem_lam)
+        new = take(mode, mean, low)
+        if mode < len(pred):
+            pred[mode] = new
+        else:
+            out[mode - len(pred)] = new
+        gains.append(gain)
+    return gains
+
+
+def _per_call_als(ws, cfg, augment):
+    """First start of `fit` (or of the oracle) with nothing shared between calls."""
+    pred, out = _init_factors(cfg, ws.in_dims, ws.out_dims, 0)
+    schedule = _lambda_schedule(cfg)
+    yy = float(np.vdot(ws.y1, ws.y1))
+    trace, subtrace, prev = [], [], None
+    for it in range(cfg.max_iters):
+        annealing = it < len(schedule)
+        lam_t = schedule[it] if annealing else cfg.lam
+        uws, ulam = ws, lam_t
+        if augment:
+            ulam = 0.0
+            if lam_t:
+                uws = _Workspace(*_augment_arrays(ws.xarr, ws.yarr, lam_t))
+        gains = _per_call_sweep(uws, pred, out, ulam, cfg.lam, lambda mode, mean, low: mean)
+        obj = _per_call_objective(ws, pred, out, cfg.lam)
+        trace.append(obj)
+        if not annealing:
+            subtrace += [yy - gain for gain in gains]
+            if prev is not None and prev - obj <= cfg.rel_tol * max(1.0, abs(prev)):
+                break
+            prev = obj
+    return pred + out, trace, subtrace
+
+
+_SWEEP_SHAPES = [(in_dims, out_dims) for in_dims in ((4,), (3, 4), (2, 3, 2))
+                 for out_dims in ((), (3,), (2, 3))]
+
+
+class TestSharedSweepProducts:
+    """ALS sweeps share each Khatri-Rao, Gram and X KR product between the
+    factor updates; they must carry the bits of products built per call."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("in_dims,out_dims", _SWEEP_SHAPES)
+    def test_fit_equals_per_call_sweeps(self, in_dims, out_dims, lam):
+        rng = np.random.default_rng(42)
+        # a rank-2 CP form of a coefficient vector has no unique factors
+        rank = 1 if len(in_dims) + len(out_dims) == 1 else 2
+        x, y, _ = _random_instance(rng, 20, in_dims, out_dims, rank)
+        cfg = FitConfig(rank=rank, lam=lam, seed=3, max_iters=7, anneal_steps=3,
+                        center_data=False)
+        res = fit(x, y, cfg)
+        factors, trace, subtrace = _per_call_als(_Workspace(x.array, y.array), cfg, False)
+        assert np.array_equal(res.objective_trace, trace)
+        assert np.array_equal(res.substep_trace, subtrace)
+        for got, want in zip(res.coefficients.factors, factors, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_oracle_equals_per_call_sweeps(self):
+        rng = np.random.default_rng(43)
+        x, y, _ = _random_instance(rng, 12, (3, 2), (2, 2), 2)
+        cfg = FitConfig(rank=2, lam=0.7, seed=4, max_iters=6, anneal_steps=2,
+                        center_data=False)
+        res = fit_augmented_oracle(x, y, cfg)
+        factors, trace, subtrace = _per_call_als(_Workspace(x.array, y.array), cfg, True)
+        assert np.array_equal(res.objective_trace, trace)
+        assert np.array_equal(res.substep_trace, subtrace)
+        for got, want in zip(res.coefficients.factors, factors, strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestFit:

@@ -38,7 +38,9 @@ from mwreg import (
     update_outcome_factor,
     update_predictor_factor,
 )
-from mwreg.posterior import _point_predictions
+from mwreg.fitting import _Workspace
+from mwreg.posterior import _CHAIN_STREAM, FactorConditional, _point_predictions
+from test_fitting import _SWEEP_SHAPES, _per_call_objective, _per_call_sweep
 
 
 def _random_instance(rng, n, in_dims, out_dims, rank, noise=0.5):
@@ -224,6 +226,47 @@ class TestConditionalFactorParams:
         for step in steps:
             with pytest.raises(ValueError, match="y trailing dims"):
                 step()
+
+
+def _per_call_chain(ws, b0, cfg):
+    """`gibbs` without burn-in or thinning, with nothing shared between calls."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CHAIN_STREAM)))
+    pred = [f.copy() for f in b0.predictor_factors]
+    out = [f.copy() for f in b0.outcome_factors]
+    states, sigma2s = [], []
+    for _ in range(cfg.n_samples):
+        rss = _per_call_objective(ws, pred, out, 0.0)
+        sigma2 = float(1.0 / rng.gamma(0.5 * ws.n * ws.q, 2.0 / rss))
+
+        def draw(mode, mean, low):
+            return FactorConditional(mean, low, sigma2, mode >= len(pred)).sample(rng)
+
+        _per_call_sweep(ws, pred, out, cfg.lam, cfg.lam, draw)
+        states.append(pred + out)
+        sigma2s.append(sigma2)
+    return states, sigma2s
+
+
+class TestSharedSweepProducts:
+    """Gibbs iterations share each Khatri-Rao, Gram and X KR product between
+    the conditional draws; they must carry the bits of per-call products."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize("in_dims,out_dims", _SWEEP_SHAPES)
+    def test_chain_equals_per_call_draws(self, in_dims, out_dims, lam):
+        rng = np.random.default_rng(44)
+        rank = 1 if len(in_dims) + len(out_dims) == 1 else 2
+        x, y, _ = _random_instance(rng, 20, in_dims, out_dims, rank)
+        mode_fit = fit(x, y, FitConfig(rank=rank, lam=lam, seed=5, center_data=False))
+        cfg = GibbsConfig(rank=rank, n_samples=6, lam=lam, seed=5, center_data=False)
+        draws = gibbs(x, y, cfg, mode_fit=mode_fit)
+        states, sigma2s = _per_call_chain(
+            _Workspace(x.array, y.array), mode_fit.coefficients, cfg
+        )
+        assert np.array_equal(draws.sigma2s, sigma2s)
+        for b, factors in zip(draws.coefficients, states, strict=True):
+            for got, want in zip(b.factors, factors, strict=True):
+                assert np.array_equal(got, want)
 
 
 def _cov_at_unit(x, y, b):
