@@ -5,13 +5,14 @@ K, the K dims, then the values in first-index-fastest order, 8 to a line,
 printed with 17 significant digits so every finite double round-trips
 bit-exactly.  The writer emits exactly the bytes of formatting each value
 with "%.17g", but formats a block of lines with one `%` operation; the
-reader is a correctly rounded decimal parse.  CSV files are accepted for
-order-2 tensors (rows are mode 1).  Model and draw files are JSON, written
-by the C encoder of `json.dumps`; Python's float repr is
-shortest-round-trip, so these round-trip bit-exactly as well.  A model
-file's fit and a draws file's "mode" block hold the same fit record.  A
-file that parses but lacks a key or holds a value of the wrong type or
-shape is rejected with a ValueError naming the file.
+reader is a correctly rounded decimal parse, run on fixed-size chunks of
+text.  CSV files are accepted for order-2 tensors (rows are mode 1).
+Model and draw files are JSON, written by the C encoder of `json.dumps`;
+Python's float repr is shortest-round-trip, so these round-trip
+bit-exactly as well.  A model file's fit and a draws file's "mode" block
+hold the same fit record.  A file that parses but lacks a key or holds a
+value of the wrong type or shape is rejected with a ValueError naming the
+file.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _MAGIC = "mwt 1"
 _VALUES_PER_LINE = 8
 _LINE = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
 _BLOCK_VALUES = 1024 * _VALUES_PER_LINE
+# characters of a tensor file's values parsed at once
+_READ_CHUNK = 1 << 20
 
 
 def write_tensor(path: str, t: DenseTensor) -> None:
@@ -81,7 +84,7 @@ def read_tensor(path: str) -> DenseTensor:
         try:
             order = int(fh.readline())
             dims = tuple(int(v) for v in fh.readline().split())
-            values = np.array(fh.read().split(), dtype=float)
+            values = _parse_values(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed tensor file: {exc}") from None
     if order < 1 or len(dims) != order:
@@ -95,6 +98,25 @@ def read_tensor(path: str) -> DenseTensor:
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: values must be finite")
     return DenseTensor.from_values(dims, values)
+
+
+def _parse_values(fh) -> np.ndarray:
+    """The whitespace-separated floats left in fh, as one array.
+
+    The text is read _READ_CHUNK characters at a time and cut after its
+    last newline (or space), so no token is split.  Each piece goes
+    through the `np.array(piece.split(), dtype=float)` conversion of a
+    whole-file parse, so only one piece's str objects exist at a time.
+    """
+    pieces, carry = [], ""
+    while True:
+        chunk = fh.read(_READ_CHUNK)
+        text = carry + chunk
+        cut = (text.rfind("\n") + 1 or text.rfind(" ") + 1) if chunk else len(text)
+        carry = text[cut:]
+        pieces.append(np.array(text[:cut].split(), dtype=float))
+        if not chunk:
+            return np.concatenate(pieces)
 
 
 def _read_csv(path: str) -> DenseTensor:

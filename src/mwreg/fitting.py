@@ -30,8 +30,10 @@ A cached product is built from the same operands, in the same memory
 layout and multiplication order, as a per-call build, because BLAS
 results depend on operand layout; the sweeps therefore keep their bits.
 The public single-step functions build a fresh state per call.
-The prediction function evaluates many coefficient sets through stacked
-matrix products that repeat each set's own products bit for bit.
+The prediction code evaluates many coefficient sets through stacked
+matrix products that repeat each set's own products bit for bit, on row
+tiles at fixed offsets, so a row's prediction has the same bits whichever
+rows a caller asks for.
 """
 
 from __future__ import annotations
@@ -73,8 +75,14 @@ _POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty
 # (8 seeds) stayed above 1e-5.
 _PIVOT_FLOOR = 1e-8
 
-# coefficient sets per stacked matmul in `_predictions`
+# coefficient sets per stacked matmul in `_Predictions`
 _PREDICTION_BATCH = 32
+# rows per prediction tile.  BLAS kernels block the rows of a product, so
+# a row's bits can depend on which rows share the call; tiles that start at
+# multiples of 16 rows gave OpenBLAS's bits of one product over all rows
+# (checked on 1 to 5000 rows, 1 to 3 predictor modes, 0 to 3 outcome modes
+# and ranks 1 to 5), while 1- to 7-row slices did not
+_PREDICTION_ROWS = 16
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -213,27 +221,6 @@ def _kr_or_ones(factors, rank: int) -> np.ndarray:
     if factors:
         return _khatri_rao(factors)
     return np.ones((1, rank))
-
-
-def _stacked_kr_or_ones(factor_lists, rank: int) -> np.ndarray:
-    """`_kr_or_ones` of each set's factor list, stacked along a new first axis.
-
-    Each set's matrix keeps the memory layout `_kr_or_ones` gives it (C
-    order for one factor, Fortran order for more), since BLAS results
-    depend on operand layout; a stacked matmul then repeats every set's
-    own product bit for bit.  With no factors the ones row is shared.
-    """
-    n_modes = len(factor_lists[0])
-    if n_modes == 0:
-        return np.ones((1, 1, rank))
-    if n_modes == 1:
-        return np.stack([fs[0] for fs in factor_lists])
-    # built as (sets, R, rows), later factors' indices slower, then transposed
-    kr = np.stack([fs[0].T for fs in factor_lists])
-    for k in range(1, n_modes):
-        nxt = np.stack([fs[k].T for fs in factor_lists])
-        kr = (nxt[:, :, :, None] * kr[:, :, None, :]).reshape(len(factor_lists), rank, -1)
-    return kr.transpose(0, 2, 1)
 
 
 class _SweepState:
@@ -678,48 +665,110 @@ def fit_augmented_oracle(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitR
     return _fit(x, y, cfg, augment=cfg.lam > 0.0)
 
 
-def _predictions(x_new: DenseTensor, coefficient_sets, x_offsets, y_offsets) -> np.ndarray:
-    """Noiseless predictions of each coefficient set, shape (sets, N, *out_dims).
+class _Predictions:
+    """Noiseless predictions of many coefficient sets on the rows of x_new.
 
     The sets must share dims and rank.  Centering offsets, when not None,
-    are removed from x_new once and added back to every set's prediction.
-    Batches of sets go through stacked matmuls that give each set exactly
-    the bits of its own (X1 KR(pred)) KR(out)^T.
+    are removed from x_new and added back to every set's prediction.  Each
+    mode's factors of all sets are stacked once; a batch of sets' Khatri-Rao
+    products is formed from those stacks, and stacked matmuls give each set
+    exactly the bits of its own (X1 KR(pred)) KR(out)^T.  The products run
+    on tiles of _PREDICTION_ROWS rows that start at multiples of it,
+    whichever rows are asked for, so a row's bits never depend on the
+    request: `predict`, the posterior-predictive blocks and `dic` agree bit
+    for bit.
     """
-    b0 = coefficient_sets[0]
-    if x_new.dims[1:] != b0.in_dims:
-        raise ValueError(
-            f"x trailing dims {x_new.dims[1:]} do not match coefficients {b0.in_dims}"
-        )
-    for k, b in enumerate(coefficient_sets):
-        if (b.in_dims, b.out_dims, b.rank) != (b0.in_dims, b0.out_dims, b0.rank):
+
+    def __init__(self, x_new: DenseTensor, coefficient_sets, x_offsets, y_offsets):
+        b0 = coefficient_sets[0]
+        if x_new.dims[1:] != b0.in_dims:
             raise ValueError(
-                f"coefficient set {k} has dims {b.in_dims} -> {b.out_dims} at rank {b.rank}, "
-                f"set 0 has {b0.in_dims} -> {b0.out_dims} at rank {b0.rank}"
+                f"x trailing dims {x_new.dims[1:]} do not match coefficients {b0.in_dims}"
             )
-    xa = x_new.array
-    if x_offsets is not None:
-        xa = xa - x_offsets
-    n = x_new.dims[0]
-    x1 = xa.reshape(n, -1, order="F")
-    out_dims = b0.out_dims
-    # a C-order (N, Q) row read with reversed outcome modes is its order="F" reshape
-    reverse = (0, 1) + tuple(range(len(out_dims) + 1, 1, -1))
-    stack = np.empty((len(coefficient_sets), n) + out_dims)
-    for t0 in range(0, len(coefficient_sets), _PREDICTION_BATCH):
-        batch = coefficient_sets[t0:t0 + _PREDICTION_BATCH]
-        u = _stacked_kr_or_ones([b.predictor_factors for b in batch], b0.rank)
-        v = _stacked_kr_or_ones([b.outcome_factors for b in batch], b0.rank)
-        pm = (x1 @ u) @ v.transpose(0, 2, 1)
-        rows = pm.reshape((len(batch), n) + out_dims[::-1]).transpose(reverse)
-        if y_offsets is None:
-            stack[t0:t0 + len(batch)] = rows
-        else:
-            np.add(rows, y_offsets, out=stack[t0:t0 + len(batch)])
-    return stack
+        for k, b in enumerate(coefficient_sets):
+            if (b.in_dims, b.out_dims, b.rank) != (b0.in_dims, b0.out_dims, b0.rank):
+                raise ValueError(
+                    f"coefficient set {k} has dims {b.in_dims} -> {b.out_dims} at rank {b.rank}, "
+                    f"set 0 has {b0.in_dims} -> {b0.out_dims} at rank {b0.rank}"
+                )
+        self.x, self.x_offsets, self.y_offsets = x_new, x_offsets, y_offsets
+        self.n, self.sets, self.rank = x_new.dims[0], len(coefficient_sets), b0.rank
+        self.out_dims = b0.out_dims
+        self._pred = _mode_stacks([b.predictor_factors for b in coefficient_sets])
+        self._out = _mode_stacks([b.outcome_factors for b in coefficient_sets])
+
+    def tiles(self, r0: int, r1: int):
+        """Yield (t0, t1, s0, s1, pm) per batch of sets and tile of rows covering r0..r1.
+
+        pm holds the predictions of sets t0..t1 on rows s0..s1 without the
+        y offsets, shape (t1 - t0, s1 - s0, cells), cells first-index-fastest.
+        """
+        x1s = []
+        for s0 in range(r0 - r0 % _PREDICTION_ROWS, r1, _PREDICTION_ROWS):
+            s1 = min(s0 + _PREDICTION_ROWS, self.n)
+            xa = self.x.array[s0:s1]
+            if self.x_offsets is not None:
+                xa = xa - self.x_offsets
+            x1s.append((s0, s1, xa.reshape(s1 - s0, -1, order="F")))
+        for t0 in range(0, self.sets, _PREDICTION_BATCH):
+            t1 = min(t0 + _PREDICTION_BATCH, self.sets)
+            u = _batch_kr(self._pred, self.rank, t0, t1)
+            vt = _batch_kr(self._out, self.rank, t0, t1).transpose(0, 2, 1)
+            for s0, s1, x1 in x1s:
+                yield t0, t1, s0, s1, (x1 @ u) @ vt
+
+    def batches(self):
+        """Yield (t0, t1, preds) per batch of sets, preds of shape (t1 - t0, N, *out_dims)."""
+        out_dims = self.out_dims
+        # a C-order (N, Q) row read with reversed outcome modes is its order="F" reshape
+        reverse = (0, 1) + tuple(range(len(out_dims) + 1, 1, -1))
+        for t0, t1, s0, s1, pm in self.tiles(0, self.n):
+            if s0 == 0:
+                preds = np.empty((t1 - t0, self.n) + out_dims)
+            rows = pm.reshape((t1 - t0, s1 - s0) + out_dims[::-1]).transpose(reverse)
+            if self.y_offsets is None:
+                preds[:, s0:s1] = rows
+            else:
+                np.add(rows, self.y_offsets, out=preds[:, s0:s1])
+            if s1 == self.n:
+                yield t0, t1, preds
+
+
+def _mode_stacks(factor_lists) -> list:
+    """Per mode, the factors of every set stacked along a new first axis.
+
+    One mode stacks the factors as they are (np.stack keeps each one's
+    memory layout, which a matmul's bits depend on); with more modes each
+    factor is stored transposed, (R, rows), and contiguous for `_batch_kr`'s
+    elementwise products, whose bits do not depend on layout.
+    """
+    if len(factor_lists[0]) == 1:
+        return [np.stack([fs[0] for fs in factor_lists])]
+    return [np.ascontiguousarray(np.stack([fs[k].T for fs in factor_lists]))
+            for k in range(len(factor_lists[0]))]
+
+
+def _batch_kr(stacks, rank: int, t0: int, t1: int) -> np.ndarray:
+    """Khatri-Rao products of sets t0..t1, stacked along a new first axis.
+
+    BLAS results depend on operand layout, so the layouts are fixed: one
+    factor is used as stacked, and more give each set a Fortran-ordered
+    matrix.  With no factors the ones row is shared.
+    """
+    if not stacks:
+        return np.ones((1, 1, rank))
+    if len(stacks) == 1:
+        return stacks[0][t0:t1]
+    # built as (sets, R, rows), later factors' indices slower, then transposed;
+    # einsum forms the same products as broadcasting, in fewer inner loops
+    kr = stacks[0][t0:t1]
+    for nxt in stacks[1:]:
+        kr = np.einsum("sri,srj->srij", nxt[t0:t1], kr).reshape(t1 - t0, rank, -1)
+    return kr.transpose(0, 2, 1)
 
 
 def predict(x_new: DenseTensor, result: FitResult) -> DenseTensor:
     """Predicted response <X_new, B> with the fit's centering offsets reapplied."""
-    stack = _predictions(x_new, [result.coefficients], result.x_offsets, result.y_offsets)
-    return DenseTensor(stack[0])
+    preds = _Predictions(x_new, [result.coefficients], result.x_offsets, result.y_offsets)
+    _, _, one = next(preds.batches())
+    return DenseTensor(one[0])

@@ -12,15 +12,23 @@ per-call builds.  sigma^2 given everything else is inverse gamma, with
 the residual taken from the same state.  The chain starts at the
 penalized least-squares solution, which is the posterior mode, so no
 burn-in is needed by default.  Predictions from the draws go through the
-same function as `fitting.predict`, evaluated for all draws into one
-(draws, N, *out_dims) array; `posterior_predictive` adds the noise to
-that array in place and `credible_intervals` reads it a block of cells at
-a time, so a chain's predictive stack exists once in memory.
+same tiled prediction code as `fitting.predict`, with its bits, and are
+evaluated a block of test rows at a time: one private block routine
+yields (rows, cells, draws) arrays of point predictions plus noise.  The
+noise is read in observation-major order, as if drawn by one
+rng.standard_normal((N, cells, draws)) call with cells first-index-fastest,
+so the numbers do not depend on the block size.  `posterior_predictive`
+copies the blocks into the (draws, N, *out_dims) array it returns;
+`simulation.run_cell` and `mwreg gibbs` take intervals through a fused
+routine that sorts each block where it was built, so they hold draws x 16
+rows x cells values instead of draws x N x cells.  `dic` reads the draws'
+predictions a batch at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +39,7 @@ from .fitting import (
     FitResult,
     _checked_state,
     _lower_transpose_solve,
-    _predictions,
+    _Predictions,
     _SweepState,
     _Workspace,
     fit,
@@ -55,6 +63,9 @@ _CHAIN_STREAM = 1
 
 # response cells whose draws `credible_intervals` transposes and sorts at once
 _INTERVAL_BLOCK = 128
+# test rows per predictive block, a multiple of fitting's prediction tile;
+# a block holds rows x cells x draws values
+_PREDICTIVE_ROWS = 16
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -247,13 +258,52 @@ def gibbs(
     return PosteriorDraws(kept_b, np.array(kept_s2), mode_fit)
 
 
-def _point_predictions(x_new: DenseTensor, draws: PosteriorDraws) -> np.ndarray:
-    """Stack of noiseless predictions, shape (draws, N, *out_dims).
+def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
+    """Predictive values of x_new's rows, a block of rows at a time.
 
-    The same path as `fitting.predict`, with the mode fit's offsets.
+    Checks the draws and dims before it returns an iterator of
+    (r0, r1, block), with block of shape (r1 - r0, cells, draws): the point
+    prediction of each draw (`fitting.predict`'s bits, offsets reapplied)
+    plus its noise.  Cells are in first-index-fastest order.  The noise is
+    sqrt(sigma2_t) times rng.standard_normal((N, cells, draws)), read a row
+    at a time, so every block size reads the same numbers.  One buffer
+    holds every block in turn: a block is overwritten by the next.
     """
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(rng)
+    if not len(draws.coefficients):
+        raise ValueError("draws are empty")
     mode = draws.mode
-    return _predictions(x_new, draws.coefficients, mode.x_offsets, mode.y_offsets)
+    preds = _Predictions(x_new, draws.coefficients, mode.x_offsets, mode.y_offsets)
+    sd = np.sqrt(np.asarray(draws.sigma2s, dtype=float))
+    if sd.shape != (preds.sets,):
+        raise ValueError(f"{sd.size} sigma2 values for {preds.sets} coefficient sets")
+    return _noisy_blocks(preds, sd, rng)
+
+
+def _noisy_blocks(preds: _Predictions, sd: np.ndarray, rng: np.random.Generator):
+    cells = prod(preds.out_dims)
+    y_cells = None
+    if preds.y_offsets is not None:
+        y_cells = preds.y_offsets.ravel(order="F")
+    buffer = np.empty((min(_PREDICTIVE_ROWS, preds.n), cells, preds.sets))
+    for r0 in range(0, preds.n, _PREDICTIVE_ROWS):
+        r1 = min(r0 + _PREDICTIVE_ROWS, preds.n)
+        block = buffer[:r1 - r0]
+        for row in block:
+            rng.standard_normal(out=row)
+            row *= sd
+        # noise + prediction has the bits of prediction + noise
+        for t0, t1, s0, s1, pm in preds.tiles(r0, r1):
+            a, b = max(s0, r0), min(s1, r1)
+            point = pm[:, a - s0:b - s0]
+            if y_cells is not None:
+                # in place while the cells are contiguous, before the transposed add
+                point += y_cells
+            block[a - r0:b - r0, :, t0:t1] += point.transpose(1, 2, 0)
+        if not np.isfinite(block).all():
+            raise ValueError("predictive draws must be finite")
+        yield r0, r1, block
 
 
 def posterior_predictive(
@@ -263,22 +313,50 @@ def posterior_predictive(
 
     Returns an array of shape (draws, N, *out_dims) whose row t is the
     point prediction under sample t's coefficients (centering offsets
-    reapplied) plus iid N(0, sigma2_t) noise, drawn sample by sample in
-    row order.
+    reapplied) plus iid N(0, sigma2_t) noise.  The noise is read in
+    observation-major order: sqrt(sigma2_t) times entry (n, c, t) of
+    rng.standard_normal((N, cells, draws)), with the cells c of a response
+    in first-index-fastest order.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    if not len(draws.coefficients):
-        raise ValueError("draws are empty")
-    stack = _point_predictions(x_new, draws)
-    noise = np.empty(stack.shape[1:])
-    for row, sigma2 in zip(stack, draws.sigma2s):
-        rng.standard_normal(out=noise)
-        noise *= np.sqrt(sigma2)
-        row += noise
-        if not np.isfinite(row).all():
-            raise ValueError("predictive draws must be finite")
+    blocks = _predictive_blocks(x_new, draws, rng)
+    out_dims = draws.coefficients[0].out_dims
+    m = len(out_dims)
+    stack = np.empty((len(draws.coefficients), x_new.dims[0]) + out_dims)
+    # a block's (rows, *reversed out_dims, sets) axes in the stack's order
+    to_stack = (m + 1, 0) + tuple(range(m, 0, -1))
+    for r0, r1, block in blocks:
+        by_mode = block.reshape((r1 - r0,) + out_dims[::-1] + (block.shape[-1],))
+        stack[:, r0:r1] = by_mode.transpose(to_stack)
     return stack
+
+
+def _interval_checks(n_draws: int, level: float) -> None:
+    if n_draws < 2:
+        raise ValueError("need at least two draws for an interval")
+    if not 0.0 <= level < 1.0:
+        raise ValueError("level must be in [0, 1)")
+
+
+def _sorted_ends(block: np.ndarray, level: float) -> np.ndarray:
+    """Equal-tailed interval ends of each row of a (cells, draws) block.
+
+    Sorts block in place and returns (cells, 2) lower and upper ends, the
+    (1-level)/2 and 1-(1-level)/2 quantiles of np.quantile's default linear
+    method: the order statistics around the virtual index (n - 1) * q,
+    interpolated exactly as numpy's _lerp does.
+    """
+    n = block.shape[1]
+    alpha = 0.5 * (1.0 - level)
+    virtual = (n - 1) * np.array([alpha, 1.0 - alpha])
+    below = np.floor(virtual).astype(np.intp)
+    above = np.minimum(below + 1, n - 1)
+    gamma = virtual - below
+    block.sort(axis=1)
+    a, b = block[:, below], block[:, above]
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
+    return q
 
 
 def credible_intervals(draws: np.ndarray, level: float = 0.95):
@@ -288,37 +366,47 @@ def credible_intervals(draws: np.ndarray, level: float = 0.95):
     posterior_predictive; returns (lo, hi) DenseTensors of shape dims
     holding the (1-level)/2 and 1-(1-level)/2 sample quantiles cell-wise.
     The quantiles equal np.quantile's over the first axis bit for bit;
-    they are taken over contiguous transposed blocks of cells instead of a
+    they are taken over transposed copies of blocks of cells instead of a
     copy of all draws.
     """
     stack = np.asarray(draws, dtype=float)
     if stack.ndim < 2 or stack.size == 0:
         raise ValueError("draws must be a non-empty array of shape (draws, *dims)")
-    if stack.shape[0] < 2:
-        raise ValueError("need at least two draws for an interval")
-    if not 0.0 <= level < 1.0:
-        raise ValueError("level must be in [0, 1)")
-    alpha = 0.5 * (1.0 - level)
-    n = stack.shape[0]
-    # np.quantile's default linear method: the order statistics around the
-    # virtual index (n - 1) * q, interpolated exactly as numpy's _lerp does
-    virtual = (n - 1) * np.array([alpha, 1.0 - alpha])
-    below = np.floor(virtual).astype(np.intp)
-    above = np.minimum(below + 1, n - 1)
-    gamma = virtual - below
-    cells = stack.reshape(n, -1)
-    lo, hi = np.empty((2, cells.shape[1]))
+    _interval_checks(stack.shape[0], level)
+    cells = stack.reshape(stack.shape[0], -1)
+    ends = np.empty((cells.shape[1], 2))
     for c0 in range(0, cells.shape[1], _INTERVAL_BLOCK):
-        block = np.ascontiguousarray(cells[:, c0:c0 + _INTERVAL_BLOCK].T)
+        # a copy even when the transposed slice is contiguous: the sort is in place
+        block = cells[:, c0:c0 + _INTERVAL_BLOCK].T.copy()
         if not np.isfinite(block).all():
             raise ValueError("draws must be finite")
-        block.sort(axis=1)
-        a, b = block[:, below], block[:, above]
-        diff = b - a
-        q = a + diff * gamma
-        np.subtract(b, diff * (1 - gamma), out=q, where=gamma >= 0.5)
-        lo[c0:c0 + _INTERVAL_BLOCK], hi[c0:c0 + _INTERVAL_BLOCK] = q.T
-    return DenseTensor(lo.reshape(stack.shape[1:])), DenseTensor(hi.reshape(stack.shape[1:]))
+        ends[c0:c0 + _INTERVAL_BLOCK] = _sorted_ends(block, level)
+    lo, hi = ends.T.reshape((2,) + stack.shape[1:])
+    return DenseTensor(lo), DenseTensor(hi)
+
+
+def _predictive_intervals(x_new: DenseTensor, draws: PosteriorDraws, rng, level: float):
+    """credible_intervals(posterior_predictive(x_new, draws, rng), level), bit for bit.
+
+    Each block of predictive values is sorted where it was built, so no
+    (draws, N, *out_dims) array exists.  The errors are those of the
+    composition, in its order.
+    """
+    blocks = _predictive_blocks(x_new, draws, rng)
+    try:
+        _interval_checks(len(draws.coefficients), level)
+    except ValueError:
+        # the composition builds, and checks, every block before these checks
+        for _ in blocks:
+            pass
+        raise
+    n, out_dims = x_new.dims[0], draws.coefficients[0].out_dims
+    ends = np.empty((n, prod(out_dims), 2))
+    for r0, r1, block in blocks:
+        ends[r0:r1] = _sorted_ends(block.reshape(-1, block.shape[-1]), level).reshape(r1 - r0, -1, 2)
+    # cells are in first-index-fastest order, as an order="F" reshape reads them
+    lo, hi = (ends[..., k].reshape((n,) + out_dims, order="F") for k in (0, 1))
+    return DenseTensor(np.ascontiguousarray(lo)), DenseTensor(np.ascontiguousarray(hi))
 
 
 def dic(x: DenseTensor, y: DenseTensor, draws: PosteriorDraws) -> float:
@@ -327,23 +415,30 @@ def dic(x: DenseTensor, y: DenseTensor, draws: PosteriorDraws) -> float:
     Deviance is -2 log N(Y | prediction, sigma2 I).  Returns Dbar + pD
     where Dbar is the posterior mean deviance and pD = Dbar minus the
     deviance at the posterior mean prediction and posterior mean sigma2.
+    The draws' predictions are taken a batch at a time; their mean adds
+    them in draw order, as a mean over the first axis of a stack of all of
+    them does, so it has that mean's bits.
     """
     if len(draws.coefficients) < 2:
         raise ValueError("need at least two draws")
-    stack = _point_predictions(x, draws)
+    mode = draws.mode
+    preds = _Predictions(x, draws.coefficients, mode.x_offsets, mode.y_offsets)
     yarr = y.array
-    if yarr.shape != stack.shape[1:]:
+    if yarr.shape != (preds.n,) + preds.out_dims:
         raise ValueError(
-            f"y dims {yarr.shape} do not match predictions {stack.shape[1:]}"
+            f"y dims {yarr.shape} do not match predictions {(preds.n,) + preds.out_dims}"
         )
     nq = yarr.size
-    devs = np.empty(stack.shape[0])
-    for t in range(stack.shape[0]):
-        rss = float(np.sum((yarr - stack[t]) ** 2))
-        s2 = draws.sigma2s[t]
-        devs[t] = nq * np.log(2.0 * np.pi * s2) + rss / s2
+    devs = np.empty(preds.sets)
+    total = np.zeros(yarr.shape)
+    for t0, _, batch in preds.batches():
+        for t, pred in enumerate(batch, t0):
+            rss = float(np.sum((yarr - pred) ** 2))
+            s2 = draws.sigma2s[t]
+            devs[t] = nq * np.log(2.0 * np.pi * s2) + rss / s2
+            total += pred
     dbar = float(devs.mean())
-    mean_pred = stack.mean(axis=0)
+    mean_pred = total / preds.sets
     mean_s2 = float(draws.sigma2s.mean())
     rss_hat = float(np.sum((yarr - mean_pred) ** 2))
     dhat = nq * np.log(2.0 * np.pi * mean_s2) + rss_hat / mean_s2

@@ -33,15 +33,15 @@ GOLDEN_SIGMA2 = [
     2.1177922450156847, 1.3410943626241276, 1.322351294658508, 1.568701045856864,
 ]
 GOLDEN_LO = [
-    2.986120763532938, -7.074693680385997, -3.534307654731565, -1.1896634809834663,
-    -3.93946472036877, 0.6495666286819046, -0.9902556397474878, -2.204648688907272,
+    2.8141366628142728, -6.20427091467762, -3.5811162888738814, -1.1152897061876217,
+    -4.552344891122613, 0.007873502059323061, -0.5687633887161868, -2.099688346310502,
 ]
 GOLDEN_HI = [
-    6.310404943565415, -2.9219365082023296, -0.018053830544282244, 2.885946271132719,
-    -0.1680343078715742, 3.8417001054676554, 1.17942175105629, 1.0774311967595458,
+    6.698948392368068, -4.159778074748923, -0.34093843280130715, 1.6990810220331618,
+    -0.4284719863036505, 3.854149292596908, 2.0150452968673975, 0.42990265427970836,
 ]
 # run_cell on the grids/smoke.json shape: rpe, coverage, relative length
-GOLDEN_CELL = (0.6764107015740317, 0.9025, 2.9564043245628566)
+GOLDEN_CELL = (0.6764107015740317, 0.92, 2.9639084561290536)
 # rank-4 fit of _data() stopped by max_iters=14 before converging: the
 # explicit sweep-end objectives and the factors, pinned bit for bit
 GOLDEN_SWEEP_OBJECTIVES = [

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import tempfile
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from mwreg import (
     write_tensor,
 )
 from mwreg.cli import _PREDICTIVE_STREAM, _interval_rows, main
+import mwreg.fileio as fileio
 from mwreg.fileio import _BLOCK_VALUES
 
 
@@ -310,6 +313,108 @@ class TestRoundTripProperties:
             for fa, fb in zip(a.factors, b.factors, strict=True):
                 assert _same_bits(fa, fb)
         _assert_same_fit(mode, back.mode)
+
+
+def _whole_text_values(text):
+    """The values after the three header lines, parsed from the whole text at once."""
+    return np.array(text.split("\n", 3)[3].split(), dtype=float)
+
+
+class TestChunkedReader:
+    # chunk sizes that cut inside tokens, between tokens and inside line ends
+    CHUNKS = (1, 2, 3, 5, 7, 16)
+
+    def test_chunk_boundaries_mid_token_and_mid_line(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(40)
+        texts = [
+            # odd spacing, a tab, CRLF line ends, a short last line without a newline
+            "mwt 1\n2\n3 2\n1.5  -2.25e-3\t3\r\n4.125 5e10\n   -0.0",
+            # one long line with no newline at all
+            "mwt 1\n1\n6\n" + " ".join(repr(v) for v in rng.standard_normal(6).tolist()),
+        ]
+        written = os.path.join(tmp_path, "w.mwt")
+        write_tensor(written, DenseTensor(_edge_array(rng, 21).reshape(3, 7)))
+        with open(written) as fh:
+            texts.append(fh.read())
+        for k, text in enumerate(texts):
+            path = os.path.join(tmp_path, f"t{k}.mwt")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            want = read_tensor(path)
+            assert _same_bits(want.array.ravel(order="F"), _whole_text_values(text.replace("\r", "")))
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
+                got = read_tensor(path)
+                assert got.dims == want.dims
+                assert _same_bits(got.array, want.array)
+            monkeypatch.undo()
+
+    @settings(max_examples=30, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
+                      elements=_FINITE), st.sampled_from(CHUNKS))
+    def test_round_trip_at_small_chunks(self, arr, chunk):
+        t = DenseTensor(arr)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_READ_CHUNK", chunk):
+            path = os.path.join(tmp, "t.mwt")
+            write_tensor(path, t)
+            back = read_tensor(path)
+        assert back.dims == t.dims
+        assert _same_bits(back.array, t.array)
+
+    @pytest.mark.parametrize("chunk", (7, 1 << 20))
+    def test_reads_from_a_pipe(self, tmp_path, monkeypatch, chunk):
+        # a FIFO reports no size, so a reader that trusted one would lose the values
+        monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
+        t = DenseTensor(np.arange(24.0).reshape(2, 3, 4) / 7.0 - 1.5)
+        path = os.path.join(tmp_path, "t.mwt")
+        write_tensor(path, t)
+        with open(path) as fh:
+            text = fh.read()
+        fifo = os.path.join(tmp_path, "fifo.mwt")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as out:
+                out.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            back = read_tensor(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert back.dims == t.dims
+        assert _same_bits(back.array, t.array)
+
+    @pytest.mark.parametrize("chunk", (3, 1 << 20))
+    def test_malformed_files_keep_their_messages(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
+        cases = {
+            "token.mwt": ("mwt 1\n2\n2 2\n1 2 three 4\n",
+                          "malformed tensor file: could not convert string to float: 'three'"),
+            "few.mwt": ("mwt 1\n2\n2 2\n1 2 3\n", "expected 4 values for dims (2, 2), found 3"),
+            "many.mwt": ("mwt 1\n2\n2 2\n1 2 3 4\n5\n",
+                         "expected 4 values for dims (2, 2), found 5"),
+            "nan.mwt": ("mwt 1\n1\n3\n1 nan 2\n", "values must be finite"),
+            "inf.mwt": ("mwt 1\n1\n2\n1 -inf\n", "values must be finite"),
+            "order.mwt": ("mwt 1\n3\n2 2\n1 2 3 4\n", "dim count 2 does not match order 3"),
+            "dims.mwt": ("mwt 1\n2\n2 0\n\n", "dims must be positive"),
+            # the header's count is checked against the parsed values, never allocated
+            "huge.mwt": ("mwt 1\n3\n100000 100000 100000\n1 2 3\n",
+                         "expected 1000000000000000 values for dims (100000, 100000, 100000), "
+                         "found 3"),
+            # a bad token is reported before a bad header, as a whole-file parse did
+            "both.mwt": ("mwt 1\n3\n2 2\n1 x\n",
+                         "malformed tensor file: could not convert string to float: 'x'"),
+        }
+        for name, (content, message) in cases.items():
+            path = os.path.join(tmp_path, name)
+            with open(path, "w") as fh:
+                fh.write(content)
+            with pytest.raises(ValueError) as info:
+                read_tensor(path)
+            assert str(info.value) == f"{path}: {message}"
 
 
 def _rewrite(path, text):

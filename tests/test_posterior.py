@@ -39,8 +39,15 @@ from mwreg import (
     update_predictor_factor,
 )
 from mwreg.fitting import _Workspace
-from mwreg.posterior import _CHAIN_STREAM, FactorConditional, _point_predictions
+import mwreg.posterior as posterior
+from mwreg.posterior import _CHAIN_STREAM, FactorConditional, _predictive_intervals
 from test_fitting import _SWEEP_SHAPES, _per_call_objective, _per_call_sweep
+
+
+def _point_stack(x_new, draws):
+    """Each draw's `predict`, stacked: shape (draws, N, *out_dims)."""
+    return np.stack([predict(x_new, replace(draws.mode, coefficients=b)).array
+                     for b in draws.coefficients])
 
 
 def _random_instance(rng, n, in_dims, out_dims, rank, noise=0.5):
@@ -350,7 +357,7 @@ class TestGibbs:
         cfg = GibbsConfig(rank=1, n_samples=1200, lam=0.0, seed=7)
         draws = gibbs(x, y, cfg)
         mode_pred = predict(x, draws.mode).array
-        mean_pred = _point_predictions(x, draws).mean(axis=0)
+        mean_pred = _point_stack(x, draws).mean(axis=0)
         rel = np.linalg.norm(mean_pred - mode_pred) / np.linalg.norm(mode_pred)
         assert rel < 0.05
 
@@ -437,46 +444,51 @@ class TestPosteriorPredictive:
         draws = gibbs(x, y, GibbsConfig(rank=1, n_samples=3000, lam=0.5, seed=10))
         x_new = DenseTensor(rng.standard_normal((2, 3)))
         vals = posterior_predictive(x_new, draws, rng=11)
-        point = _point_predictions(x_new, draws)
+        point = _point_stack(x_new, draws)
         want = point.var(axis=0) + draws.sigma2s.mean()
         got = vals.var(axis=0)
         assert np.abs(got - want).max() < 0.15 * want.max()
 
-    def test_predict_is_the_one_draw_stack(self):
+    def test_predict_is_the_zero_variance_draw(self):
         rng = np.random.default_rng(28)
         for out_dims, center in (((2, 2), True), ((), True), ((2,), False)):
             x, y, _ = _random_instance(rng, 12, (3, 2), out_dims, 2)
             res = fit(x, y, FitConfig(rank=2, lam=0.5, seed=3, center_data=center))
-            x_new = DenseTensor(rng.standard_normal((5, 3, 2)))
-            one = PosteriorDraws([res.coefficients], np.ones(1), res)
-            assert np.array_equal(predict(x_new, res).array, _point_predictions(x_new, one)[0])
+            x_new = DenseTensor(rng.standard_normal((37, 3, 2)))
+            one = PosteriorDraws([res.coefficients], np.zeros(1), res)
+            got = posterior_predictive(x_new, one, 0)[0]
+            assert np.array_equal(predict(x_new, res).array, got)
 
     def test_matches_per_draw_loop(self):
-        # more draws than one stacked-matmul batch; one, two and three
-        # predictor modes; centered, uncentered and scalar responses
+        # more draws than one stacked-matmul batch and more test rows than
+        # one predictive block; one, two and three predictor modes;
+        # centered, uncentered and scalar responses
         rng = np.random.default_rng(34)
         cases = (((3,), (2, 3), True), ((3, 2), (2, 3), False), ((3, 2), (), True),
                  ((2, 2, 2), (4,), False), ((2, 2, 2), (2, 2, 2), True))
+        n = 37
         for in_dims, out_dims, center in cases:
             x, y, _ = _random_instance(rng, 20, in_dims, out_dims, 2)
             cfg = GibbsConfig(rank=2, n_samples=45, lam=0.5, seed=4, center_data=center)
             draws = gibbs(x, y, cfg)
-            x_new = DenseTensor(rng.standard_normal((6,) + in_dims))
+            x_new = DenseTensor(rng.standard_normal((n,) + in_dims))
             got = posterior_predictive(x_new, draws, rng=13)
-            assert isinstance(got, np.ndarray) and got.shape == (45, 6) + out_dims
-            assert len(got) == 45 and got[0].size == 6 * int(np.prod(out_dims))
-            noise = np.random.default_rng(13)
+            assert isinstance(got, np.ndarray) and got.shape == (45, n) + out_dims
+            cells = int(np.prod(out_dims))
+            # observation-major noise: row, then cell (first index fastest), then draw
+            z = np.random.default_rng(13).standard_normal((n, cells, 45))
             xa = x_new.array if draws.mode.x_offsets is None else x_new.array - draws.mode.x_offsets
-            x1 = xa.reshape(6, -1, order="F")
+            x1 = xa.reshape(n, -1, order="F")
             for t, (b, s2) in enumerate(zip(draws.coefficients, draws.sigma2s)):
                 point = predict(x_new, replace(draws.mode, coefficients=b)).array
-                # the per-set matricized route, written out
+                # the per-set matricized route over all rows, written out
                 vq = khatri_rao(b.outcome_factors) if out_dims else np.ones((1, 2))
-                pm = ((x1 @ khatri_rao(b.predictor_factors)) @ vq.T).reshape((6,) + out_dims, order="F")
+                pm = ((x1 @ khatri_rao(b.predictor_factors)) @ vq.T).reshape((n,) + out_dims, order="F")
                 if draws.mode.y_offsets is not None:
                     pm = pm + draws.mode.y_offsets
                 assert np.array_equal(point, pm)
-                assert np.array_equal(got[t], point + np.sqrt(s2) * noise.standard_normal(point.shape))
+                noise = np.sqrt(s2) * z[:, :, t].reshape((n,) + out_dims, order="F")
+                assert np.array_equal(got[t], point + noise)
 
     def test_mismatched_sets_rejected(self):
         rng = np.random.default_rng(35)
@@ -570,6 +582,102 @@ class TestCredibleIntervals:
             credible_intervals(np.ones(5), level=0.9)
         with pytest.raises(ValueError, match="finite"):
             credible_intervals(np.array([[1.0], [np.inf], [2.0]]), level=0.9)
+
+    def test_input_is_not_sorted_in_place(self):
+        # one cell: the transposed block is the caller's own memory
+        for draws in (np.array([[3.0], [1.0], [2.0]]), np.array([3.0, 1.0, 2.0, 0.5])[:, None, None]):
+            kept = draws.copy()
+            credible_intervals(draws, level=0.5)
+            assert np.array_equal(draws, kept)
+
+
+def _composition(x_new, draws, seed, level):
+    return credible_intervals(posterior_predictive(x_new, draws, seed), level)
+
+
+def _assert_same_intervals(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert isinstance(g, DenseTensor) and g.dims == w.dims
+        assert np.array_equal(g.array, w.array)
+
+
+class TestPredictiveIntervals:
+    """The fused intervals against credible_intervals(posterior_predictive(...))."""
+
+    # (in_dims, out_dims, center): 1-3 predictor modes, 0-2 outcome modes;
+    # rank 2 except with a single mode, where extra components are not
+    # identified and the conditionals are singular
+    CASES = (((4,), (), True), ((4,), (3,), False), ((3, 2), (2, 3), True),
+             ((3, 2), (), False), ((2, 2, 2), (3,), True), ((2, 2, 2), (2, 2), False))
+
+    def _draws(self, rng, in_dims, out_dims, center):
+        rank = 1 if len(in_dims) + len(out_dims) == 1 else 2
+        x, y, _ = _random_instance(rng, 20, in_dims, out_dims, rank)
+        cfg = GibbsConfig(rank=rank, n_samples=45, lam=0.5, seed=3, center_data=center)
+        return gibbs(x, y, cfg)
+
+    def test_equals_composition(self):
+        # 45 draws is a multiple of no batch; 1 and 37 test rows
+        rng = np.random.default_rng(64)
+        for in_dims, out_dims, center in self.CASES:
+            draws = self._draws(rng, in_dims, out_dims, center)
+            for n in (1, 37):
+                x_new = DenseTensor(rng.standard_normal((n,) + in_dims))
+                for level in (0.0, 0.9):
+                    got = _predictive_intervals(x_new, draws, np.random.default_rng(9), level)
+                    _assert_same_intervals(got, _composition(x_new, draws, 9, level))
+                    assert got[0].dims == (n,) + out_dims
+
+    def test_block_size_invariance(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        for in_dims, out_dims, center in self.CASES[2:4]:
+            draws = self._draws(rng, in_dims, out_dims, center)
+            x_new = DenseTensor(rng.standard_normal((37,) + in_dims))
+            stack = posterior_predictive(x_new, draws, 5)
+            ivals = _predictive_intervals(x_new, draws, 5, 0.9)
+            for rows in (1, 37):
+                monkeypatch.setattr(posterior, "_PREDICTIVE_ROWS", rows)
+                assert np.array_equal(posterior_predictive(x_new, draws, 5), stack)
+                _assert_same_intervals(_predictive_intervals(x_new, draws, 5, 0.9), ivals)
+            monkeypatch.undo()
+
+    def test_errors_match_composition(self):
+        rng = np.random.default_rng(62)
+        x, y, draws = _tiny_draws(rng, t=3)
+        x_new = DenseTensor(rng.standard_normal((4, 3)))
+        b0 = draws.coefficients[0]
+        wider = CpCoefficients([rng.standard_normal((3, 1))], [rng.standard_normal((3, 1))])
+        late_inf = rng.standard_normal((40, 3))
+        late_inf[37] = 1.7e308  # its predictions overflow
+        late_inf = DenseTensor(late_inf)
+        cases = [
+            (x_new, PosteriorDraws([], np.array([]), draws.mode), 0.9, "draws are empty"),
+            (DenseTensor(rng.standard_normal((4, 5))), draws, 0.9, "do not match coefficients"),
+            (x_new, PosteriorDraws([b0, wider, b0], draws.sigma2s, draws.mode), 0.9,
+             "coefficient set 1 has dims"),
+            (x_new, PosteriorDraws([b0], np.ones(1), draws.mode), 0.9, "at least two draws"),
+            (x_new, draws, 1.0, "level must be in [0, 1)"),
+            (x_new, draws, -0.1, "level must be in [0, 1)"),
+            (x_new, PosteriorDraws([b0, b0, b0], np.array([1.0, np.inf, 1.0]), draws.mode), 0.9,
+             "predictive draws must be finite"),
+            # a draw without a variance
+            (x_new, PosteriorDraws([b0, b0, b0], np.ones(2), draws.mode), 0.9,
+             "2 sigma2 values for 3 coefficient sets"),
+            # two faults: the composition reports the non-finite draws first
+            (x_new, PosteriorDraws([b0, b0, b0], np.array([1.0, np.inf, 1.0]), draws.mode), 1.0,
+             "predictive draws must be finite"),
+            (x_new, PosteriorDraws([b0], np.array([np.nan]), draws.mode), 0.9,
+             "predictive draws must be finite"),
+            # a non-finite test row in the third block of rows, with a bad level
+            (late_inf, draws, -0.1, "predictive draws must be finite"),
+        ]
+        for xn, d, level, message in cases:
+            with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+                _composition(xn, d, 0, level)
+            with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+                _predictive_intervals(xn, d, 0, level)
+            assert str(got.value) == str(want.value)
+            assert message in str(got.value)
 
 
 class TestDic:
