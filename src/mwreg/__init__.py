@@ -13,7 +13,6 @@ from .coefficients import (
     DegenerateComponentError,
     NormalizedForm,
     normalize,
-    nuclear_balance,
 )
 from .fileio import (
     read_draws,
@@ -27,11 +26,8 @@ from .fitting import (
     FitConfig,
     FitResult,
     SingularSystemError,
-    build_design_outcome,
-    build_design_predictor,
     center,
     fit,
-    fit_augmented_oracle,
     objective,
     predict,
     update_outcome_factor,
@@ -65,10 +61,7 @@ from .tensors import (
     DenseTensor,
     contract,
     cp_compose,
-    frob_norm,
-    hadamard,
     khatri_rao,
-    kron,
     outer,
     unfold,
     vec,
@@ -84,25 +77,18 @@ __all__ = [
     "cp_compose",
     "khatri_rao",
     "contract",
-    "hadamard",
-    "kron",
-    "frob_norm",
     "CpCoefficients",
     "NormalizedForm",
     "DegenerateComponentError",
     "normalize",
-    "nuclear_balance",
     "FitConfig",
     "FitResult",
     "SingularSystemError",
     "center",
     "objective",
-    "build_design_predictor",
-    "build_design_outcome",
     "update_predictor_factor",
     "update_outcome_factor",
     "fit",
-    "fit_augmented_oracle",
     "predict",
     "GibbsConfig",
     "PosteriorDraws",

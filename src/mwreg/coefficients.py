@@ -10,8 +10,6 @@ least-squares updates and the posterior conditionals tractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import prod
 
 import numpy as np
 
@@ -22,7 +20,6 @@ __all__ = [
     "NormalizedForm",
     "DegenerateComponentError",
     "normalize",
-    "nuclear_balance",
 ]
 
 
@@ -242,25 +239,3 @@ def _fix_signs(factors) -> None:
         if col[peak] < 0.0:
             first[:, r] = -col
             last[:, r] = -last[:, r]
-
-
-def nuclear_balance(b: CpCoefficients) -> tuple:
-    """Both sides of the order-2 norm-balance identity.
-
-    For an order-2 coefficient set with orthogonal factor columns, the sum
-    of squared factor Frobenius norms equals twice the nuclear norm of the
-    materialized matrix.  Returns (sum of squared factor norms, twice the
-    nuclear norm); raises if the input is not order 2 or not orthogonal.
-    """
-    if b.order != 2:
-        raise ValueError("norm balance is defined for order-2 coefficients")
-    for f in b.factors:
-        g = f.T @ f
-        norms = np.sqrt(np.diag(g))
-        bound = 1e-8 * np.maximum(np.outer(norms, norms), 1e-300)
-        off = g - np.diag(np.diag(g))
-        if np.any(np.abs(off) > bound):
-            raise ValueError("factor columns must be orthogonal; pass through normalize first")
-    sum_sq = sum(float(np.sum(f * f)) for f in b.factors)
-    nuclear = float(np.linalg.svd(b.materialize().array, compute_uv=False).sum())
-    return sum_sq, 2.0 * nuclear

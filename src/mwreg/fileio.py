@@ -178,6 +178,8 @@ def _fit_from(d: dict) -> FitResult:
     if d.get("x_offsets") is not None:
         x_off = np.asarray(d["x_offsets"], dtype=float).reshape(b.in_dims, order="F")
         y_off = np.asarray(d["y_offsets"], dtype=float).reshape(b.out_dims, order="F")
+        if not (np.isfinite(x_off).all() and np.isfinite(y_off).all()):
+            raise ValueError("offsets must be finite")
     return FitResult(
         coefficients=b,
         objective_trace=[float(d["objective"])],

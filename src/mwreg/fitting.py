@@ -6,14 +6,13 @@ solves its ridge subproblem exactly, so at fixed lambda a full sweep never
 increases the penalized objective.  The penalty is annealed down from a
 large start value over the first sweeps, which keeps early iterations away
 from degenerate configurations, then held at its target until the
-objective stabilizes.  `fit` and the augmented-data reference
-`fit_augmented_oracle` share one best-of-starts driver, and `predict` and
-the posterior's point predictions share one prediction function.
+objective stabilizes.  `fit` keeps the best of several seeded runs of
+one sweep loop, and `predict` and the posterior's point predictions share
+one prediction function.
 
 The objective after a factor update comes free from the update's normal
-equations S sol = rhs: it is ||Y||^2 - rhs^T sol, on the augmented data
-too, whose appended rows of Y are zero.  The sub-step trace records that
-value, equal to the explicit objective up to round-off of order
+equations S sol = rhs: it is ||Y||^2 - rhs^T sol.  The sub-step trace
+records that value, equal to the explicit objective up to round-off of order
 eps * ||Y||^2; the residual is rebuilt once per sweep, for the explicit
 sweep-end objective that the convergence test and best-of-starts use.
 
@@ -39,7 +38,7 @@ rows a caller asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -54,12 +53,9 @@ __all__ = [
     "SingularSystemError",
     "center",
     "objective",
-    "build_design_predictor",
-    "build_design_outcome",
     "update_predictor_factor",
     "update_outcome_factor",
     "fit",
-    "fit_augmented_oracle",
     "predict",
 ]
 
@@ -136,7 +132,7 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Output of `fit` and `fit_augmented_oracle`.
+    """Output of `fit`.
 
     objective_trace holds the penalized objective at the target lambda
     after each sweep, evaluated explicitly from the residual.
@@ -293,8 +289,9 @@ class _SweepState:
         """Normal equations (S, rhs) for predictor mode l.
 
         S = C^T C + lam * (G (x) I) and rhs = C^T vec(Y) where C is the
-        explicit design matrix of `build_design_predictor`; the flat index
-        is p + P_l * r, i.e. blocked by component.  C^T C = (W^T W) *
+        design matrix whose block r holds X contracted with the mode-omitted
+        rank-1 term of component r, so that C vec(U_l) = vec(<X, B>); the
+        flat index is p + P_l * r, i.e. blocked by component.  C^T C = (W^T W) *
         (V^T V (x) 1), so both Kronecker products are applied in place on
         the (R, P_l, R, P_l) view of W^T W instead of being built.
         """
@@ -320,8 +317,9 @@ class _SweepState:
     def outcome_system(self, m: int, lam: float):
         """Normal equations (A, rhs) for outcome mode m.
 
-        A = D^T D + lam * G (R x R) and rhs = D^T Ym^T (R x Q_m) where D is
-        the explicit design matrix of `build_design_outcome` taken for mode m.
+        A = D^T D + lam * G (R x R) and rhs = D^T Ym^T (R x Q_m) where
+        column r of D is X contracted with the rank-1 term of component r
+        over every mode but outcome mode m.
         """
         ws, rank = self.ws, self.rank
         n_pred = len(self.pred)
@@ -386,11 +384,6 @@ _PREDICTOR_PRODUCTS = ("_x_kr_pred", "_x_kr_pred_gram")
 _OUTCOME_PRODUCTS = ("_kr_out", "_kr_out_gram", "_y_kr_out")
 
 
-def _predictor_system(ws: _Workspace, pred, out, l: int, lam: float):
-    """`_SweepState.predictor_system` of fixed factors."""
-    return _SweepState(ws, pred, out).predictor_system(l, lam)
-
-
 def _lapack_checked(routine: str, result):
     """(output, info) of a LAPACK call once info reports no argument error."""
     value, info = result
@@ -403,7 +396,8 @@ def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
     """Solve the SPD system via Cholesky; returns (solution, lower factor).
 
     lam is the problem's penalty, which picks the advice of the singular
-    message; an augmented-data sweep solves with no penalty of its own.
+    message.  While `fit` anneals it differs from the penalty s was built
+    with, which is that sweep's lambda_t.
     """
     low, info = _lapack_checked("potrf", _POTRF(s, lower=1, clean=1))
     pivots = low.diagonal()
@@ -455,60 +449,6 @@ def objective(x: DenseTensor, y: DenseTensor, b: CpCoefficients, lam: float = 0.
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be finite and non-negative")
     return state.objective(lam)
-
-
-def build_design_predictor(x: DenseTensor, b: CpCoefficients, mode: int) -> np.ndarray:
-    """Explicit design matrix C (N*Q x R*P_mode) for one predictor mode.
-
-    Block r holds the contraction of X with the mode-omitted rank-1 term of
-    component r, unfolded so that C @ vec(U_mode) = vec(<X, B>_L).  Built
-    definitionally (outer products, tensordot, unfold); the fitting loop
-    assembles C^T C without materializing C, and the two routes are checked
-    against each other in the tests.
-    """
-    L = len(b.predictor_factors)
-    if not 0 <= mode < L:
-        raise ValueError(f"predictor mode {mode} out of range for {L} modes")
-    if x.dims[1:] != b.in_dims:
-        raise ValueError(f"x trailing dims {x.dims[1:]} do not match coefficients {b.in_dims}")
-    xp = np.moveaxis(x.array, 1 + mode, 1)
-    pl = b.in_dims[mode]
-    n = x.dims[0]
-    others = [f for k, f in enumerate(b.predictor_factors) if k != mode]
-    blocks = []
-    for r in range(b.rank):
-        cols = [f[:, r] for f in others] + [f[:, r] for f in b.outcome_factors]
-        if cols:
-            rank1 = reduce(np.multiply.outer, cols)
-            cr = np.tensordot(xp, rank1, axes=L - 1)
-        else:
-            cr = xp
-        blocks.append(np.moveaxis(cr, 1, 0).reshape(pl, -1, order="F").T)
-    return np.hstack(blocks)
-
-
-def build_design_outcome(x: DenseTensor, b: CpCoefficients) -> np.ndarray:
-    """Explicit design matrix D (N * prod(Q_1..Q_{M-1}) x R) for the last outcome mode.
-
-    Column r is the vectorization of the contraction of X with the rank-1
-    term of component r taken over all predictor modes and all outcome
-    modes but the last; the last outcome factor solves R separate
-    regressions of the correspondingly unfolded response on D.
-    """
-    if not b.outcome_factors:
-        raise ValueError("the outcome design needs at least one outcome mode")
-    if x.dims[1:] != b.in_dims:
-        raise ValueError(f"x trailing dims {x.dims[1:]} do not match coefficients {b.in_dims}")
-    L = len(b.predictor_factors)
-    cols = []
-    for r in range(b.rank):
-        parts = [f[:, r] for f in b.predictor_factors] + [
-            f[:, r] for f in b.outcome_factors[:-1]
-        ]
-        rank1 = reduce(np.multiply.outer, parts)
-        dr = np.tensordot(x.array, rank1, axes=L)
-        cols.append(np.asarray(dr).ravel(order="F"))
-    return np.column_stack(cols)
 
 
 def update_predictor_factor(
@@ -567,7 +507,7 @@ def _init_factors(cfg: FitConfig, in_dims, out_dims, start: int):
     return pred, out
 
 
-def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult:
+def _als(ws: _Workspace, cfg: FitConfig, start: int) -> FitResult:
     """One seeded run of annealed sweeps; the result carries no offsets."""
     state = _SweepState(ws, *_init_factors(cfg, ws.in_dims, ws.out_dims, start))
     schedule = _lambda_schedule(cfg)
@@ -575,29 +515,11 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
     trace, subtrace = [], []
     converged = False
     prev = None
-    aws, aws_lam = None, None
     for it in range(cfg.max_iters):
         annealing = it < len(schedule)
-        lam_t = schedule[it] if annealing else cfg.lam
-        if augment:
-            # same sweep on lambda_t-augmented data with no penalty
-            if lam_t == 0.0:
-                uws = ws
-            else:
-                if aws_lam != lam_t:
-                    aws = _Workspace(*_augment_arrays(ws.xarr, ws.yarr, lam_t))
-                    aws_lam = lam_t
-                uws = aws
-            ulam = 0.0
-        else:
-            uws, ulam = ws, lam_t
-        # a state's products are those of its workspace: the oracle updates
-        # on augmented data and evaluates its objective on the plain data
-        if state.ws is not uws:
-            state = _SweepState(uws, state.pred, state.out)
-        gains = state.sweep(ulam, cfg.lam, lambda mode, mean, low: mean)
-        plain = state if state.ws is ws else _SweepState(ws, state.pred, state.out)
-        obj = plain.objective(cfg.lam)
+        gains = state.sweep(schedule[it] if annealing else cfg.lam, cfg.lam,
+                            lambda mode, mean, low: mean)
+        obj = state.objective(cfg.lam)
         trace.append(obj)
         if not annealing:
             subtrace += [yy - gain for gain in gains]
@@ -610,8 +532,14 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int, augment: bool) -> FitResult
                      x_offsets=None, y_offsets=None)
 
 
-def _fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig, augment: bool) -> FitResult:
-    """Best of cfg.n_starts runs by final objective; the first start wins a tie."""
+def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
+    """Fit the rank-R ridge-penalized coefficient array by mode-wise sweeps.
+
+    Keeps the best of cfg.n_starts seeded runs by final objective; the
+    first start wins a tie.  Identical data and config give a
+    bit-identical result.  Raises SingularSystemError when a lambda=0
+    subproblem is rank deficient instead of silently pseudo-inverting.
+    """
     _validate_data(x, y)
     x_off = y_off = None
     if cfg.center_data:
@@ -619,50 +547,10 @@ def _fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig, augment: bool) -> FitRe
     ws = _Workspace(x.array, y.array)
     best = None
     for start in range(cfg.n_starts):
-        result = _als(ws, cfg, start, augment)
+        result = _als(ws, cfg, start)
         if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
             best = result
     return replace(best, x_offsets=x_off, y_offsets=y_off)
-
-
-def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
-    """Fit the rank-R ridge-penalized coefficient array by mode-wise sweeps.
-
-    Identical data and config give a bit-identical result.  Raises
-    SingularSystemError when a lambda=0 subproblem is rank deficient
-    instead of silently pseudo-inverting.
-    """
-    return _fit(x, y, cfg, augment=False)
-
-
-def _augment_arrays(xarr: np.ndarray, yarr: np.ndarray, lam: float):
-    in_dims = xarr.shape[1:]
-    p = prod(in_dims)
-    slices = np.sqrt(lam) * np.eye(p).reshape((p,) + in_dims, order="F")
-    xa = np.concatenate([xarr, slices], axis=0)
-    ya = np.concatenate([yarr, np.zeros((p,) + yarr.shape[1:])], axis=0)
-    return xa, ya
-
-
-_ORACLE_LIMIT = 2_000_000
-
-
-def fit_augmented_oracle(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
-    """Reference fit that realizes the ridge penalty by data augmentation.
-
-    Appends sqrt(lambda) times identity slices to X and zero slices to Y
-    and runs plain least-squares sweeps on the augmented data, which is
-    algebraically the same update as `fit`.  Both run through one
-    best-of-starts driver, so initialization, annealing and the reported
-    objective trace match and paired runs agree sweep by sweep.  With
-    lam=0 the augmentation is skipped and the run is identical to `fit`.
-    Small instances only.
-    """
-    p, q = prod(x.dims[1:]), prod(y.dims[1:])
-    if (x.dims[0] + p) * max(p, q) > _ORACLE_LIMIT:
-        raise ValueError("augmented oracle is limited to small instances")
-    # lam=0 slices are all zero, so the plain path is the same problem
-    return _fit(x, y, cfg, augment=cfg.lam > 0.0)
 
 
 class _Predictions:

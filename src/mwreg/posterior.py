@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import CpCoefficients, normalize
 from .fitting import (
@@ -144,14 +143,6 @@ class FactorConditional:
     system_chol: np.ndarray
     sigma2: float
     is_outcome: bool
-
-    def covariance(self) -> np.ndarray:
-        """Dense covariance of the stacked factor entries (tests only)."""
-        low = self.system_chol
-        inv = scipy.linalg.cho_solve((low, True), np.eye(low.shape[0]), check_finite=False)
-        if self.is_outcome:
-            return self.sigma2 * np.kron(inv, np.eye(self.mean.shape[0]))
-        return self.sigma2 * inv
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One factor draw: mean plus sigma * L^{-T} z."""

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .coefficients import CpCoefficients
-from .fitting import FitConfig, FitResult, fit, predict
+from .fitting import FitConfig, fit, predict
 from .posterior import GibbsConfig, _predictive_intervals, gibbs
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401

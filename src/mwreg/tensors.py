@@ -24,9 +24,6 @@ __all__ = [
     "cp_compose",
     "khatri_rao",
     "contract",
-    "hadamard",
-    "kron",
-    "frob_norm",
 ]
 
 
@@ -194,28 +191,3 @@ def contract(a: DenseTensor, b: DenseTensor, n_modes: int) -> DenseTensor:
     if (a.order - n_modes) + (b.order - n_modes) < 1:
         raise ValueError("contraction would leave an order-0 result")
     return DenseTensor(np.tensordot(a.array, b.array, axes=n_modes))
-
-
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return arr
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Entrywise product of two equal-shape matrices."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"shape mismatch for entrywise product: {am.shape} vs {bm.shape}")
-    return am * bm
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def frob_norm(t: DenseTensor) -> float:
-    """Frobenius norm: square root of the sum of squared entries."""
-    return float(np.linalg.norm(t.array))

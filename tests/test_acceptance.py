@@ -23,11 +23,11 @@ from mwreg import (
     gibbs,
     khatri_rao,
     normalize,
-    nuclear_balance,
     run_cell,
     update_outcome_factor,
     update_predictor_factor,
 )
+from reference import nuclear_balance
 
 IN_DIMS = (15, 20)
 OUT_DIMS = (5, 10)

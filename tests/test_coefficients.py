@@ -14,11 +14,11 @@ from mwreg import (
     DenseTensor,
     contract,
     normalize,
-    nuclear_balance,
     outer,
     unfold,
     vec,
 )
+from reference import nuclear_balance
 
 
 def _random_b(rng, in_dims, out_dims, rank):

@@ -17,12 +17,12 @@ from mwreg import (
     SimSpec,
     credible_intervals,
     fit,
-    fit_augmented_oracle,
     gibbs,
     posterior_predictive,
     run_cell,
     simulate,
 )
+from reference import fit_augmented_oracle
 
 GOLDEN_FIT_OBJECTIVE = 70.25624970479046
 GOLDEN_SIGMA2 = [

@@ -484,7 +484,10 @@ class TestModelFormat:
         short_factor = _edited(
             path, lambda p: p["coefficients"]["predictor_factors"][0].update(values=[1.0])
         )
-        for text in ('{"format":"mwreg-model"}', "[]", '{"format":', short_factor):
+        nan_offset = _edited(path, lambda p: p["x_offsets"].__setitem__(1, float("nan")))
+        inf_offset = _edited(path, lambda p: p["y_offsets"].__setitem__(0, float("inf")))
+        for text in ('{"format":"mwreg-model"}', "[]", '{"format":', short_factor, nan_offset,
+                     inf_offset):
             _rewrite(path, text)
             with pytest.raises(ValueError, match=re.escape(path) + ": malformed model file"):
                 read_model(path)
@@ -534,7 +537,8 @@ class TestDrawsFormat:
     def test_malformed_content_rejected(self, tmp_path):
         path = self._draws_file(tmp_path)
         no_mode = _edited(path, lambda p: p.pop("mode"))
-        for text in ('{"format":"mwreg-draws"}', "[]", "{", no_mode):
+        inf_offset = _edited(path, lambda p: p["mode"]["y_offsets"].__setitem__(0, float("-inf")))
+        for text in ('{"format":"mwreg-draws"}', "[]", "{", no_mode, inf_offset):
             self._rejects(path, text, "")
 
     def test_sigma2_length_must_match_samples(self, tmp_path):

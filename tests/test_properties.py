@@ -3,27 +3,38 @@
 The example-based tests pin hand-derived cases; these check the algebraic
 invariants the package rests on for every shape hypothesis draws: the
 first-index-fastest layout, the CP/Khatri-Rao identity, the normalization
-map and the exit code of an unpenalized fit whose system is rank deficient.
+map, the exit code of an unpenalized fit whose system is rank deficient,
+and the exit code of a command given a corrupted input file.
 """
 
+import functools
+import json
 import os
 import tempfile
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mwreg import (
     CpCoefficients,
     DenseTensor,
+    FitConfig,
     FitResult,
+    GibbsConfig,
     cp_compose,
+    fit,
+    gibbs,
     khatri_rao,
     normalize,
     predict,
+    read_draws,
     unfold,
     vec,
+    write_draws,
+    write_model,
     write_tensor,
 )
 from mwreg.cli import main
@@ -39,6 +50,15 @@ def _factor_lists(draw, min_modes=1, max_modes=4):
     dims = draw(st.lists(st.integers(1, 4), min_size=min_modes, max_size=max_modes))
     factors = [draw(hnp.arrays(float, (d, rank), elements=_VALUES)) for d in dims]
     return factors, draw(st.integers(1, len(dims)))
+
+
+@st.composite
+def _normalize_cases(draw):
+    """(factors, number of predictor modes, x) with x shaped for those modes."""
+    factors, n_pred = draw(_factor_lists(min_modes=2))
+    in_dims = tuple(f.shape[0] for f in factors[:n_pred])
+    x = draw(hnp.arrays(float, (draw(st.integers(1, 5)),) + in_dims, elements=_VALUES))
+    return factors, n_pred, x
 
 
 class TestLayoutProperties:
@@ -76,9 +96,13 @@ class TestCpProperties:
         assert np.all(np.abs(got - want) <= 1e-13 * bound)
 
     @settings(max_examples=40, deadline=None)
-    @given(_factor_lists(min_modes=2), st.integers(1, 5), st.data())
-    def test_normalize_is_idempotent_and_keeps_predictions(self, drawn, n, data):
-        factors, n_pred = drawn
+    @given(_normalize_cases())
+    # x * 2 is two subnormal steps; after rebalancing each Khatri-Rao product
+    # is 2**0.5, and x * 2**0.5 rounds to one step, which times 2**0.5 stays one
+    @example(([np.array([[1.0]]), np.array([[2.0]]), np.array([[0.0], [1.0]]),
+               np.array([[1.0]])], 2, np.full((1, 1, 1), 5e-324)))
+    def test_normalize_is_idempotent_and_keeps_predictions(self, case):
+        factors, n_pred, xarr = case
         # a zero column at order 3 and above is rejected by design
         assume(all(np.linalg.norm(f, axis=0).min() > 1e-3 for f in factors))
         b = CpCoefficients(factors[:n_pred], factors[n_pred:])
@@ -86,7 +110,8 @@ class TestCpProperties:
         twice = normalize(once).coefficients
         for f1, f2 in zip(once.factors, twice.factors, strict=True):
             assert np.array_equal(f1, f2)
-        x = DenseTensor(data.draw(hnp.arrays(float, (n,) + b.in_dims, elements=_VALUES)))
+        x = DenseTensor(xarr)
+        n = xarr.shape[0]
 
         def predicted(coefficients):
             res = FitResult(coefficients, [0.0], [], True, 1, None, None)
@@ -101,8 +126,40 @@ class TestCpProperties:
         else:
             terms = terms.sum(axis=1, keepdims=True)
         spectral = np.linalg.norm(b.matricize(), 2) * x1.sum(axis=1, keepdims=True)
-        bound = 1e-12 * (terms + spectral).reshape(predicted(b).shape, order="F")
+        shape = predicted(b).shape
+        bound = 1e-12 * (terms + spectral).reshape(shape, order="F")
+        # that bound is 0 on subnormal x; the subnormal steps of both
+        # predictions are allowed on top
+        steps = _subnormal_half_steps(x1, b) + _subnormal_half_steps(x1, once)
+        whole = np.ceil(steps / 2).reshape(shape, order="F")
+        bound += np.finfo(float).smallest_subnormal * whole
         assert np.all(np.abs(predicted(once) - predicted(b)) <= bound)
+
+
+def _kr_half_steps(factors) -> tuple:
+    """(|KR(factors)|, bound on its subnormal rounding in half steps)."""
+    mag, err = np.abs(factors[0]), np.zeros(factors[0].shape)
+    for f in factors[1:]:
+        mag, err = khatri_rao([mag, np.abs(f)]), khatri_rao([err, np.abs(f)]) + 1.0
+    return mag, err
+
+
+def _subnormal_half_steps(x1, c) -> np.ndarray:
+    """Bound, in half subnormal steps, on the subnormal rounding of X1 KR(U) KR(V)^T.
+
+    A product that lands in the subnormal range rounds by up to half a
+    step whatever its size, so a relative bound misses it.  Each product
+    of the Khatri-Rao products, of X1 @ KR(U) and of its product with
+    KR(V)^T adds one half step, which the later products scale by the
+    magnitudes they multiply it with; x1 holds |X1|.
+    """
+    mu, eu = _kr_half_steps(c.predictor_factors)
+    if c.outcome_factors:
+        mv, ev = _kr_half_steps(c.outcome_factors)
+    else:
+        mv, ev = np.ones((1, c.rank)), np.zeros((1, c.rank))
+    mt, et = x1 @ mu, x1 @ eu + x1.shape[1]
+    return et @ mv.T + mt @ ev.T + c.rank
 
 
 class TestExitCodeProperties:
@@ -121,3 +178,128 @@ class TestExitCodeProperties:
                          "--anneal-steps", str(anneal), "--no-center",
                          "--out", os.path.join(tmp, "m.json")])
         assert code == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["x.mwt", "y.mwt", "model.json", "draws.json"]), st.data())
+    def test_corrupted_input_file_exits_2(self, name, data):
+        corrupt = _corrupt_json if name.endswith(".json") else _corrupt_tensor
+        fault, text = corrupt(data.draw, _valid_files()[name])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = functools.partial(os.path.join, tmp)
+            for valid, valid_text in _valid_files().items():
+                with open(path(valid), "w") as fh:
+                    fh.write(valid_text)
+            with open(path("bad"), "w") as fh:
+                fh.write(text)
+            if name == "draws.json":
+                # no command reads a draws file: read_draws raises the
+                # ValueError that main reports with exit code 2
+                with pytest.raises(ValueError):
+                    read_draws(path("bad"))
+                return
+            given_as = {"--model": "model.json", "--x": "x.mwt", "--y": "y.mwt", "--x-new": "x.mwt"}
+            flag = data.draw(st.sampled_from([f for f, n in given_as.items() if n == name]))
+            given_as[flag] = "bad"
+
+            def flags(*names):
+                return [arg for f in names for arg in (f, path(given_as[f]))]
+
+            if flag == "--model" or (flag == "--x" and data.draw(st.booleans())):
+                argv = ["predict", "--out", path("p.mwt")] + flags("--model", "--x")
+            else:
+                argv = ["gibbs", "--rank", "2", "--lambda", "0.5", "--samples", "3",
+                        "--out", path("d.json")] + flags("--x", "--y", "--x-new")
+            code = main(argv)
+        assert code == 2, fault
+
+
+_VALUE_FAULTS = ("dropped value", "extra value", "non-numeric token", "non-finite token")
+_BAD_TOKENS = ("abc", "1.2.3", "--1", "0x10", "1e", "1,5")
+_NON_FINITE = ("inf", "-inf", "nan", "Infinity", "-NaN")
+# keys a reader may find absent: the format version, and x_offsets, whose
+# absence marks an uncentered fit
+_OPTIONAL_KEYS = ("version", "x_offsets")
+
+
+@functools.cache
+def _valid_files() -> dict:
+    """The texts of a predictor and a response .mwt, a model and a draws file."""
+    rng = np.random.default_rng(5)
+    x = DenseTensor(rng.standard_normal((8, 3, 2)))
+    y = DenseTensor(rng.standard_normal((8, 2)))
+    names = ("x.mwt", "y.mwt", "model.json", "draws.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in names]
+        write_tensor(paths[0], x)
+        write_tensor(paths[1], y)
+        write_model(paths[2], fit(x, y, FitConfig(rank=2, lam=0.5)), 0.5, 0)
+        write_draws(paths[3], gibbs(x, y, GibbsConfig(rank=2, n_samples=3, lam=0.5)), 0.5, 0)
+        texts = []
+        for p in paths:
+            with open(p) as fh:
+                texts.append(fh.read())
+    return dict(zip(names, texts))
+
+
+def _corrupt_tensor(draw, text: str) -> tuple:
+    """(fault, text) of a .mwt file with one value or header dim spoiled."""
+    lines = text.split("\n")
+    header, tokens = lines[:3], " ".join(lines[3:]).split()
+    fault = draw(st.sampled_from(_VALUE_FAULTS + ("header dims",)))
+    i = draw(st.integers(0, len(tokens) - 1))
+    if fault == "dropped value":
+        del tokens[i]
+    elif fault == "extra value":
+        tokens.insert(i, "0.5")
+    elif fault == "non-numeric token":
+        tokens[i] = draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "non-finite token":
+        tokens[i] = draw(st.sampled_from(_NON_FINITE))
+    else:
+        dims = header[2].split()
+        j = draw(st.integers(0, len(dims) - 1))
+        dims[j] = str(int(dims[j]) + draw(st.integers(1, 3)))
+        header[2] = " ".join(dims)
+    rows = [" ".join(tokens[k:k + 8]) for k in range(0, len(tokens), 8)]
+    return fault, "\n".join(header + rows) + "\n"
+
+
+def _entries(node):
+    """(container, key, child) of every dict entry and list item, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield node, key, child
+        yield from _entries(child)
+
+
+def _corrupt_json(draw, text: str) -> tuple:
+    """(fault, text) of a JSON file cut short, missing a key or with one value spoiled."""
+    fault = draw(st.sampled_from(_VALUE_FAULTS + ("truncated", "key removed")))
+    if fault == "truncated":
+        # every cut before the closing brace leaves invalid JSON
+        return fault, text[:draw(st.integers(0, text.rindex("}") - 1))]
+    doc = json.loads(text)
+    if fault == "key removed":
+        keys = [(c, k) for c, k, _ in _entries(doc)
+                if isinstance(c, dict) and k not in _OPTIONAL_KEYS]
+        container, key = draw(st.sampled_from(keys))
+        del container[key]
+        return fault, json.dumps(doc)
+    arrays = [v for _, _, v in _entries(doc)
+              if isinstance(v, list) and v and all(isinstance(e, float) for e in v)]
+    values = draw(st.sampled_from(arrays))
+    i = draw(st.integers(0, len(values) - 1))
+    if fault == "dropped value":
+        del values[i]
+    elif fault == "extra value":
+        values.insert(i, 0.5)
+    elif fault == "non-numeric token":
+        values[i] = draw(st.sampled_from(_BAD_TOKENS))
+    else:
+        values[i] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return fault, json.dumps(doc)

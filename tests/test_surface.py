@@ -1,0 +1,70 @@
+"""The package's source has no dead imports, and its public API is the
+union of its library modules' own.
+
+Neither pyflakes nor ruff is a dependency of the project, so the
+unused-import check parses `src/mwreg/*.py` with `ast`.  A name the
+benchmark rebinds to a timing wrapper (`perfbench/spans.py`, `_REBIND`) is
+looked up as a module global at call time, so importing it is a use even
+where the module never calls it.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import mwreg
+from test_bench_contract import _rebind_table
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "mwreg"
+_REBIND = _rebind_table()
+# every module but the command-line front end re-exports its __all__
+_LIBRARY = sorted(p.stem for p in _SRC.glob("*.py") if p.stem not in ("__init__", "cli"))
+
+
+def _imported_names(tree):
+    """(bound name, line) of every import statement, `__future__` excluded."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree) -> set:
+    """Names loaded anywhere in the module, plus those its __all__ exports."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(_SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    modname = "mwreg" if path.stem == "__init__" else f"mwreg.{path.stem}"
+    keep = _used_names(tree) | set(_REBIND.get(modname, ()))
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in keep]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_package_all_is_the_union_of_the_library_modules():
+    assert len(set(mwreg.__all__)) == len(mwreg.__all__), "mwreg.__all__ repeats a name"
+    union = set()
+    for stem in _LIBRARY:
+        union |= set(importlib.import_module(f"mwreg.{stem}").__all__)
+    assert set(mwreg.__all__) == union | {"__version__"}
+
+
+@pytest.mark.parametrize("stem", _LIBRARY)
+def test_exported_names_resolve(stem):
+    module = importlib.import_module(f"mwreg.{stem}")
+    for name in module.__all__:
+        assert hasattr(module, name), f"mwreg.{stem}.{name} does not exist"
+        assert getattr(mwreg, name) is getattr(module, name), f"mwreg.{name} is not mwreg.{stem}.{name}"

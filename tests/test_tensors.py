@@ -13,10 +13,7 @@ from mwreg import (
     DenseTensor,
     contract,
     cp_compose,
-    frob_norm,
-    hadamard,
     khatri_rao,
-    kron,
     outer,
     unfold,
     vec,
@@ -315,26 +312,3 @@ class TestContract:
         b = DenseTensor(np.ones(3))
         with pytest.raises(ValueError):
             contract(a, b, 1)
-
-
-class TestSmallHelpers:
-    def test_hadamard(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[2.0, 0.0], [1.0, 1.0]])
-        assert hadamard(a, b).tolist() == [[2.0, 0.0], [3.0, 4.0]]
-
-    def test_hadamard_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-    def test_kron_block_diagonal(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        k = kron(np.eye(2), m)
-        assert np.array_equal(k[:2, :2], m)
-        assert np.array_equal(k[2:, 2:], m)
-        assert not k[:2, 2:].any()
-        assert not k[2:, :2].any()
-
-    def test_frob_norm(self):
-        t = DenseTensor(np.ones((2, 3)))
-        assert frob_norm(t) == pytest.approx(np.sqrt(6.0), rel=1e-15)
