@@ -5,7 +5,11 @@ can also be supplied through a config file of key=value lines (keys are
 the long flag names with underscores); explicit flags win.  MWR_SEED in
 the environment provides the default seed.  Exit codes are stable for
 scripting: 0 success, 1 usage, 2 data or shape problems, 3 numerical
-failure.
+failure.  The range of each setting is checked once, where it is owned:
+FitConfig (fit and every cv candidate, all built before cv prints its
+header), GibbsConfig (gibbs) and SimSpec (simulate); the command line
+reports a failed check as a usage error with the config's own message.
+Only the settings no config holds (--folds, --parallel) are checked here.
 """
 
 from __future__ import annotations
@@ -212,20 +216,21 @@ def _parse(argv):
 # ---------------------------------------------------------------------
 
 
-def _fit_config(args, rank: int) -> FitConfig:
-    if rank < 1:
-        raise UsageError("--rank must be at least 1")
-    if args.lam < 0 or not np.isfinite(args.lam):
-        raise UsageError("--lambda must be finite and non-negative")
-    if args.max_iters < 1:
-        raise UsageError("--max-iters must be at least 1")
-    if not args.tol > 0:
-        raise UsageError("--tol must be positive")
-    if args.anneal_steps < 0:
-        raise UsageError("--anneal-steps must be non-negative")
-    if args.restarts < 1:
-        raise UsageError("--restarts must be at least 1")
-    return FitConfig(
+def _config(kind, **fields):
+    """kind(**fields), the config's own range errors raised as usage errors."""
+    try:
+        return kind(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def cmd_fit(args) -> None:
+    x = read_tensor(_require(args, "x", "--x"))
+    y = read_tensor(_require(args, "y", "--y"))
+    rank = _require(args, "rank", "--rank")
+    out = _require(args, "out", "--out")
+    cfg = _config(
+        FitConfig,
         rank=rank,
         lam=args.lam,
         max_iters=args.max_iters,
@@ -235,14 +240,6 @@ def _fit_config(args, rank: int) -> FitConfig:
         center_data=not args.no_center,
         n_starts=args.restarts,
     )
-
-
-def cmd_fit(args) -> None:
-    x = read_tensor(_require(args, "x", "--x"))
-    y = read_tensor(_require(args, "y", "--y"))
-    rank = _require(args, "rank", "--rank")
-    out = _require(args, "out", "--out")
-    cfg = _fit_config(args, rank)
     result = fit(x, y, cfg)
     write_model(out, result, cfg.lam, cfg.seed)
     print(f"objective {result.objective_trace[-1]:.17g}")
@@ -274,19 +271,8 @@ def cmd_gibbs(args) -> None:
     y = read_tensor(_require(args, "y", "--y"))
     rank = _require(args, "rank", "--rank")
     out = _require(args, "out", "--out")
-    if rank < 1:
-        raise UsageError("--rank must be at least 1")
-    if args.lam < 0 or not np.isfinite(args.lam):
-        raise UsageError("--lambda must be finite and non-negative")
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if args.burn_in < 0:
-        raise UsageError("--burn-in must be non-negative")
-    if args.thin < 1:
-        raise UsageError("--thin must be at least 1")
-    if not 0.0 < args.level < 1.0:
-        raise UsageError("--level must be in (0, 1)")
-    cfg = GibbsConfig(
+    cfg = _config(
+        GibbsConfig,
         rank=rank,
         n_samples=args.samples,
         lam=args.lam,
@@ -337,10 +323,8 @@ def cmd_cv(args) -> None:
     lams = _parse_list(_require(args, "lambdas", "--lambdas"), float, "lambda")
     if not ranks or not lams:
         raise UsageError("--ranks and --lambdas must be non-empty")
-    if any(r < 1 for r in ranks):
-        raise UsageError("candidate ranks must be at least 1")
-    if any(l < 0 for l in lams):
-        raise UsageError("candidate lambdas must be non-negative")
+    cfgs = [_config(FitConfig, rank=rank, lam=lam, seed=args.seed, center_data=not args.no_center)
+            for rank in ranks for lam in lams]
     n = x.dims[0]
     if args.folds < 2:
         raise UsageError("--folds must be at least 2")
@@ -351,23 +335,20 @@ def cmd_cv(args) -> None:
     folds = np.array_split(perm, args.folds)
     print("rank,lambda,mean_rpe")
     best = None
-    for rank in ranks:
-        for lam in lams:
-            scores = []
-            for hold in folds:
-                mask = np.ones(n, dtype=bool)
-                mask[hold] = False
-                x_tr = DenseTensor(x.array[mask])
-                y_tr = DenseTensor(y.array[mask])
-                cfg = FitConfig(rank=rank, lam=lam, seed=args.seed,
-                                center_data=not args.no_center)
-                res = fit(x_tr, y_tr, cfg)
-                y_hat = predict(DenseTensor(x.array[~mask]), res)
-                scores.append(rpe(DenseTensor(y.array[~mask]), y_hat))
-            mean = float(np.mean(scores))
-            print(f"{rank},{lam:g},{mean:.6g}")
-            if best is None or mean < best[2]:
-                best = (rank, lam, mean)
+    for cfg in cfgs:
+        scores = []
+        for hold in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[hold] = False
+            x_tr = DenseTensor(x.array[mask])
+            y_tr = DenseTensor(y.array[mask])
+            res = fit(x_tr, y_tr, cfg)
+            y_hat = predict(DenseTensor(x.array[~mask]), res)
+            scores.append(rpe(DenseTensor(y.array[~mask]), y_hat))
+        mean = float(np.mean(scores))
+        print(f"{cfg.rank},{cfg.lam:g},{mean:.6g}")
+        if best is None or mean < best[2]:
+            best = (cfg.rank, cfg.lam, mean)
     print(f"selected rank={best[0]} lambda={best[1]:g} (mean_rpe={best[2]:.6g})")
 
 
@@ -387,19 +368,17 @@ def _sim_spec_from_args(args) -> SimSpec:
     rank = _require(args, "rank", "--rank")
     in_dims = _parse_dims(_require(args, "in_dims", "--in-dims"))
     out_dims = _parse_dims(args.out_dims) if args.out_dims else ()
-    try:
-        return SimSpec(
-            n=n,
-            in_dims=in_dims,
-            out_dims=out_dims,
-            rank=rank,
-            snr=args.snr,
-            seed=args.seed,
-            correlation=args.correlation,
-            rho=args.rho,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _config(
+        SimSpec,
+        n=n,
+        in_dims=in_dims,
+        out_dims=out_dims,
+        rank=rank,
+        snr=args.snr,
+        seed=args.seed,
+        correlation=args.correlation,
+        rho=args.rho,
+    )
 
 
 def cmd_simulate(args) -> None:

@@ -11,8 +11,8 @@ Model and draw files are JSON, written by the C encoder of `json.dumps`;
 Python's float repr is shortest-round-trip, so these round-trip
 bit-exactly as well.  A model file's fit and a draws file's "mode" block
 hold the same fit record.  A file that parses but lacks a key or holds a
-value of the wrong type or shape is rejected with a ValueError naming the
-file.
+value of the wrong type or shape (a true or false where a number belongs,
+too) is rejected with a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -107,14 +107,23 @@ def _parse_values(fh) -> np.ndarray:
     last newline (or space), so no token is split.  Each piece goes
     through the `np.array(piece.split(), dtype=float)` conversion of a
     whole-file parse, so only one piece's str objects exist at a time.
+    That conversion follows Python's float grammar, which allows digit
+    grouping ("5_0" is 50.0); the writer never emits an underscore, so a
+    piece holding one is refused, after one scan of its text.
     """
     pieces, carry = [], ""
     while True:
         chunk = fh.read(_READ_CHUNK)
         text = carry + chunk
         cut = (text.rfind("\n") + 1 or text.rfind(" ") + 1) if chunk else len(text)
-        carry = text[cut:]
-        pieces.append(np.array(text[:cut].split(), dtype=float))
+        carry, piece = text[cut:], text[:cut]
+        if "_" in piece:
+            # the first token refused by either rule, so every chunk size names the same one
+            for token in piece.split():
+                if "_" in token:
+                    raise ValueError(f"could not convert string to float: {token!r}")
+                float(token)
+        pieces.append(np.array(piece.split(), dtype=float))
         if not chunk:
             return np.concatenate(pieces)
 
@@ -136,9 +145,23 @@ def _factor_list(factors) -> list:
     ]
 
 
+def _number(value, kind=float):
+    """A JSON number as kind; true and false, which Python counts as ints, are refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, found {value!r:.40}")
+    return kind(value)
+
+
+def _numbers(values) -> np.ndarray:
+    """A JSON list of numbers as a float array."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise TypeError("expected a list of numbers")
+    return np.asarray(values, dtype=float)
+
+
 def _factors_from(items, rank: int) -> list:
     return [
-        np.asarray(d["values"], dtype=float).reshape(int(d["rows"]), rank, order="F")
+        _numbers(d["values"]).reshape(_number(d["rows"], int), rank, order="F")
         for d in items
     ]
 
@@ -152,7 +175,7 @@ def _coeff_dict(b: CpCoefficients) -> dict:
 
 
 def _coeff_from(d: dict) -> CpCoefficients:
-    rank = int(d["rank"])
+    rank = _number(d["rank"], int)
     return CpCoefficients(
         _factors_from(d["predictor_factors"], rank),
         _factors_from(d["outcome_factors"], rank),
@@ -176,16 +199,16 @@ def _fit_from(d: dict) -> FitResult:
     b = _coeff_from(d["coefficients"])
     x_off = y_off = None
     if d.get("x_offsets") is not None:
-        x_off = np.asarray(d["x_offsets"], dtype=float).reshape(b.in_dims, order="F")
-        y_off = np.asarray(d["y_offsets"], dtype=float).reshape(b.out_dims, order="F")
+        x_off = _numbers(d["x_offsets"]).reshape(b.in_dims, order="F")
+        y_off = _numbers(d["y_offsets"]).reshape(b.out_dims, order="F")
         if not (np.isfinite(x_off).all() and np.isfinite(y_off).all()):
             raise ValueError("offsets must be finite")
     return FitResult(
         coefficients=b,
-        objective_trace=[float(d["objective"])],
+        objective_trace=[_number(d["objective"])],
         substep_trace=[],
         converged=bool(d["converged"]),
-        iterations=int(d["iterations"]),
+        iterations=_number(d["iterations"], int),
         x_offsets=x_off,
         y_offsets=y_off,
     )
@@ -193,7 +216,7 @@ def _fit_from(d: dict) -> FitResult:
 
 def _draws_from(d: dict) -> PosteriorDraws:
     samples = [_coeff_from(c) for c in d["samples"]]
-    sigma2s = np.asarray(d["sigma2"], dtype=float)
+    sigma2s = _numbers(d["sigma2"])
     if sigma2s.shape != (len(samples),):
         raise ValueError(f"sigma2 holds {sigma2s.size} values for {len(samples)} samples")
     if not np.all(np.isfinite(sigma2s) & (sigma2s > 0.0)):
@@ -230,7 +253,7 @@ def _read_json(path: str, kind: str, parse) -> tuple:
         if not isinstance(payload, dict):
             raise TypeError(f"top level is a JSON {type(payload).__name__}, not an object")
         if payload.get("format") == f"mwreg-{kind}":
-            return parse(payload), float(payload["lam"]), int(payload["seed"])
+            return parse(payload), _number(payload["lam"]), _number(payload["seed"], int)
     except KeyError as exc:
         raise ValueError(f"{path}: malformed {kind} file: missing key {exc}") from None
     except (TypeError, AttributeError, ValueError, OverflowError) as exc:

@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _FIT_STREAM = 0
+# the annealed penalty starts this many times above max(lam, 1)
+_ANNEAL_START = 100.0
 
 # double-precision LAPACK routines, looked up once instead of per solve
 _POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
@@ -91,13 +93,14 @@ class FitConfig:
 
     rank is the CP rank R of the coefficient array and lam the ridge
     penalty.  The penalty is annealed geometrically over the first
-    anneal_steps sweeps starting at anneal_start_factor * max(lam, 1);
-    a lam of 0 instead descends from an absolute 1.0 over those sweeps
-    and then drops to 0.
+    anneal_steps sweeps starting at 100 * max(lam, 1); a lam of 0 instead
+    descends from an absolute 1.0 to 0.01 over those sweeps and then drops
+    to 0.
     Convergence is declared when the relative drop of the penalized
     objective between post-annealing sweeps falls below rel_tol.  Factors
-    start as seeded standard normals scaled by init_scale; n_starts > 1
-    reruns from fresh seeds and keeps the best final objective.
+    start as seeded standard normals; n_starts > 1 reruns from fresh seeds
+    and keeps the best final objective.  Every setting is range-checked
+    here, and the command line reports these checks' messages.
     """
 
     rank: int
@@ -105,29 +108,28 @@ class FitConfig:
     max_iters: int = 500
     rel_tol: float = 1e-8
     anneal_steps: int = 10
-    anneal_start_factor: float = 100.0
     seed: int = 0
-    init_scale: float = 1.0
     center_data: bool = True
     n_starts: int = 1
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("lam must be finite and non-negative")
+        _check_lam(self.lam)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError("rel_tol must be positive")
         if self.anneal_steps < 0:
             raise ValueError("anneal_steps must be non-negative")
-        if not (np.isfinite(self.anneal_start_factor) and self.anneal_start_factor > 0.0):
-            raise ValueError("anneal_start_factor must be positive")
-        if not (np.isfinite(self.init_scale) and self.init_scale > 0.0):
-            raise ValueError("init_scale must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+
+
+def _check_lam(lam: float) -> None:
+    """The one rule on a ridge penalty, shared by the configs and single steps."""
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lam must be finite and non-negative")
 
 
 @dataclass
@@ -160,15 +162,8 @@ def center(x: DenseTensor, y: DenseTensor):
     Returns (centered x, centered y, (x offsets, y offsets)); the offsets
     have the trailing dims of x and y.  Requires at least two observations.
     """
-    if x.dims[0] != y.dims[0]:
-        raise ValueError(
-            f"x has {x.dims[0]} observations but y has {y.dims[0]}"
-        )
-    if x.dims[0] < 2:
-        raise ValueError("centering needs at least two observations")
-    x_off = x.array.mean(axis=0)
-    y_off = y.array.mean(axis=0)
-    return DenseTensor(x.array - x_off), DenseTensor(y.array - y_off), (x_off, y_off)
+    ws = _Workspace(x.array, y.array, centered=True)
+    return DenseTensor(ws.xarr), DenseTensor(ws.yarr), ws.offsets
 
 
 # =====================================================================
@@ -177,13 +172,27 @@ def center(x: DenseTensor, y: DenseTensor):
 
 
 class _Workspace:
-    """Unfoldings of one (already centered) dataset, cached per mode."""
+    """Unfoldings of one dataset, cached per mode.
 
-    def __init__(self, xarr: np.ndarray, yarr: np.ndarray):
+    The one check that x and y have the same observation count.  With
+    centered, the per-cell means over the observation mode are removed
+    first and kept as offsets (None otherwise).
+    """
+
+    def __init__(self, xarr: np.ndarray, yarr: np.ndarray, centered: bool = False):
         if xarr.shape[0] != yarr.shape[0]:
             raise ValueError(
                 f"x has {xarr.shape[0]} observations but y has {yarr.shape[0]}"
             )
+        self.offsets = None
+        if centered:
+            if xarr.shape[0] < 2:
+                raise ValueError("centering needs at least two observations")
+            self.offsets = (xarr.mean(axis=0), yarr.mean(axis=0))
+            xarr, yarr = xarr - self.offsets[0], yarr - self.offsets[1]
+            # a mean of huge values can overflow
+            if not (np.isfinite(xarr).all() and np.isfinite(yarr).all()):
+                raise ValueError("tensor values must be finite")
         self.xarr = xarr
         self.yarr = yarr
         self.n = xarr.shape[0]
@@ -434,20 +443,18 @@ def _lower_transpose_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _checked_state(x: DenseTensor, y: DenseTensor, b: CpCoefficients) -> _SweepState:
     """A fresh sweep state of b's factors on x and y once they fit b's dims."""
-    if x.dims[0] != y.dims[0]:
-        raise ValueError(f"x has {x.dims[0]} observations but y has {y.dims[0]}")
-    if x.dims[1:] != b.in_dims:
-        raise ValueError(f"x trailing dims {x.dims[1:]} do not match coefficients {b.in_dims}")
-    if y.dims[1:] != b.out_dims:
-        raise ValueError(f"y trailing dims {y.dims[1:]} do not match coefficients {b.out_dims}")
-    return _SweepState(_Workspace(x.array, y.array), b.predictor_factors, b.outcome_factors)
+    ws = _Workspace(x.array, y.array)
+    if ws.in_dims != b.in_dims:
+        raise ValueError(f"x trailing dims {ws.in_dims} do not match coefficients {b.in_dims}")
+    if ws.out_dims != b.out_dims:
+        raise ValueError(f"y trailing dims {ws.out_dims} do not match coefficients {b.out_dims}")
+    return _SweepState(ws, b.predictor_factors, b.outcome_factors)
 
 
 def objective(x: DenseTensor, y: DenseTensor, b: CpCoefficients, lam: float = 0.0) -> float:
     """Penalized residual sum of squares ||Y - <X,B>||_F^2 + lam * ||B||_F^2."""
     state = _checked_state(x, y, b)
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError("lam must be finite and non-negative")
+    _check_lam(lam)
     return state.objective(lam)
 
 
@@ -456,6 +463,7 @@ def update_predictor_factor(
 ) -> np.ndarray:
     """Exact ridge update of one predictor factor, all others held fixed."""
     state = _checked_state(x, y, b)
+    _check_lam(lam)
     if not 0 <= mode < len(state.pred):
         raise ValueError(f"predictor mode {mode} out of range")
     return state.update(mode, lam, lam)[0]
@@ -466,6 +474,7 @@ def update_outcome_factor(
 ) -> np.ndarray:
     """Exact ridge update of one outcome factor, all others held fixed."""
     state = _checked_state(x, y, b)
+    _check_lam(lam)
     if not 0 <= mode < len(state.out):
         raise ValueError(f"outcome mode {mode} out of range")
     return state.update(len(state.pred) + mode, lam, lam)[0]
@@ -476,24 +485,17 @@ def update_outcome_factor(
 # =====================================================================
 
 
-def _validate_data(x: DenseTensor, y: DenseTensor) -> None:
-    if x.order < 2:
-        raise ValueError("x must have an observation mode plus at least one predictor mode")
-    if x.dims[0] != y.dims[0]:
-        raise ValueError(f"x has {x.dims[0]} observations but y has {y.dims[0]}")
-
-
 def _lambda_schedule(cfg: FitConfig):
     steps = cfg.anneal_steps
     if steps == 0:
         return []
     if cfg.lam > 0.0:
-        start = cfg.anneal_start_factor * max(cfg.lam, 1.0)
+        start = _ANNEAL_START * max(cfg.lam, 1.0)
         end = cfg.lam
     else:
         # unpenalized target: decay from absolute 1.0, then drop to 0
         start = 1.0
-        end = 1.0 / cfg.anneal_start_factor
+        end = 1.0 / _ANNEAL_START
     if start <= end:
         return [cfg.lam] * steps
     ratio = (end / start) ** (1.0 / steps)
@@ -502,8 +504,8 @@ def _lambda_schedule(cfg: FitConfig):
 
 def _init_factors(cfg: FitConfig, in_dims, out_dims, start: int):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _FIT_STREAM, start)))
-    pred = [cfg.init_scale * rng.standard_normal((d, cfg.rank)) for d in in_dims]
-    out = [cfg.init_scale * rng.standard_normal((d, cfg.rank)) for d in out_dims]
+    pred = [rng.standard_normal((d, cfg.rank)) for d in in_dims]
+    out = [rng.standard_normal((d, cfg.rank)) for d in out_dims]
     return pred, out
 
 
@@ -540,16 +542,15 @@ def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
     bit-identical result.  Raises SingularSystemError when a lambda=0
     subproblem is rank deficient instead of silently pseudo-inverting.
     """
-    _validate_data(x, y)
-    x_off = y_off = None
-    if cfg.center_data:
-        x, y, (x_off, y_off) = center(x, y)
-    ws = _Workspace(x.array, y.array)
+    if x.order < 2:
+        raise ValueError("x must have an observation mode plus at least one predictor mode")
+    ws = _Workspace(x.array, y.array, cfg.center_data)
     best = None
     for start in range(cfg.n_starts):
         result = _als(ws, cfg, start)
         if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
             best = result
+    x_off, y_off = ws.offsets or (None, None)
     return replace(best, x_offsets=x_off, y_offsets=y_off)
 
 

@@ -32,10 +32,11 @@ from math import prod
 
 import numpy as np
 
-from .coefficients import CpCoefficients, normalize
+from .coefficients import CpCoefficients
 from .fitting import (
     FitConfig,
     FitResult,
+    _check_lam,
     _checked_state,
     _lower_transpose_solve,
     _Predictions,
@@ -78,10 +79,12 @@ class GibbsConfig:
     n_samples is the number of retained draws after burn_in, keeping every
     thin-th iteration.  rank and lam describe the model whose posterior is
     sampled; the chain initializes at the matching penalized least-squares
-    solution, so the burn_in default is 0.  normalize_draws applies the
-    balancing, ordering and sign transform to each retained draw; it
-    changes factor summaries but no prediction, and is off by default
-    because predictive quantities do not need identified components.
+    solution, so the burn_in default is 0.  The sampler does not read
+    credible_level; it is checked here for callers that form intervals at
+    that level.  Retained draws are the chain's states as they are;
+    `normalize` identifies one where a factor summary needs it.  Every
+    setting is range-checked here, and the command line reports these
+    checks' messages.
     """
 
     rank: int
@@ -92,15 +95,13 @@ class GibbsConfig:
     seed: int = 0
     credible_level: float = 0.95
     center_data: bool = True
-    normalize_draws: bool = False
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError("lam must be finite and non-negative")
+        _check_lam(self.lam)
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.thin < 1:
@@ -192,6 +193,7 @@ def conditional_factor_params(
     state = _checked_state(x, y, b)
     if not 0 <= mode < b.order:
         raise ValueError(f"mode {mode} out of range for order {b.order}")
+    _check_lam(lam)
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError("sigma2 must be finite and non-negative")
     mean, low, _ = state.update(mode, lam, lam)
@@ -240,11 +242,7 @@ def gibbs(
 
         state.sweep(cfg.lam, cfg.lam, draw)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            drawn_b = CpCoefficients(state.pred, state.out)
-            if cfg.normalize_draws:
-                # transform only the retained copy; the chain state is untouched
-                drawn_b = normalize(drawn_b).coefficients
-            kept_b.append(drawn_b)
+            kept_b.append(CpCoefficients(state.pred, state.out))
             kept_s2.append(sigma2)
     return PosteriorDraws(kept_b, np.array(kept_s2), mode_fit)
 

@@ -27,7 +27,6 @@ from mwreg.fitting import (
     _init_factors,
     _lambda_schedule,
     _SweepState,
-    _validate_data,
     _Workspace,
 )
 from mwreg.posterior import FactorConditional
@@ -92,7 +91,6 @@ def fit_augmented_oracle(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitR
     `fit`.  Small instances only: the augmented X has prod(in_dims) extra
     slices.
     """
-    _validate_data(x, y)
     x_off = y_off = None
     if cfg.center_data:
         x, y, (x_off, y_off) = center(x, y)

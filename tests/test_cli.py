@@ -330,6 +330,47 @@ class TestCv:
         assert code == 1
 
 
+# (command, flag, invalid values, the owning config's message); each flag
+# takes 0, a negative, nan and inf where they apply to its type and range
+_BAD_SETTINGS = [
+    ("fit", "--rank", ("0", "-1"), "rank must be at least 1"),
+    ("fit", "--lambda", ("-0.5", "nan", "inf"), "lam must be finite and non-negative"),
+    ("fit", "--max-iters", ("0", "-1"), "max_iters must be at least 1"),
+    ("fit", "--tol", ("0", "-1e-8", "nan", "inf"), "rel_tol must be positive"),
+    ("fit", "--anneal-steps", ("-1",), "anneal_steps must be non-negative"),
+    ("fit", "--restarts", ("0", "-1"), "n_starts must be at least 1"),
+    ("gibbs", "--rank", ("0", "-1"), "rank must be at least 1"),
+    ("gibbs", "--lambda", ("-0.5", "nan", "inf"), "lam must be finite and non-negative"),
+    ("gibbs", "--samples", ("0", "-1"), "n_samples must be at least 1"),
+    ("gibbs", "--burn-in", ("-1",), "burn_in must be non-negative"),
+    ("gibbs", "--thin", ("0", "-1"), "thin must be at least 1"),
+    ("gibbs", "--level", ("0", "-0.5", "1", "nan", "inf"), "credible_level must be in (0, 1)"),
+    # a bad candidate after a good one: every candidate is checked before any output
+    ("cv", "--ranks", ("0", "-1", "1,0"), "rank must be at least 1"),
+    ("cv", "--lambdas", ("-0.5", "nan", "inf", "0.5,nan"), "lam must be finite and non-negative"),
+    ("cv", "--folds", ("0", "-1"), "--folds must be at least 2"),
+]
+_VALID_ARGS = {
+    "fit": ["--rank", "1", "--lambda", "0.5"],
+    "gibbs": ["--rank", "1", "--lambda", "0.5", "--samples", "5"],
+    "cv": ["--ranks", "1", "--lambdas", "0.5", "--folds", "2"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(c, f, v, m, id=f"{c} {f}={v}") for c, f, values, m in _BAD_SETTINGS for v in values
+])
+def test_invalid_setting_is_usage_error(tmp_path, capsys, command, flag, value, message):
+    out = [] if command == "cv" else ["--out", os.path.join(tmp_path, "out.json")]
+    code = main([command, "--x", TINY_X, "--y", TINY_Y, *_VALID_ARGS[command], *out,
+                 f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
 class TestSimulate:
     def test_writes_three_tensors(self, tmp_path, capsys):
         prefix = os.path.join(tmp_path, "sim")

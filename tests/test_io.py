@@ -404,6 +404,14 @@ class TestChunkedReader:
             "huge.mwt": ("mwt 1\n3\n100000 100000 100000\n1 2 3\n",
                          "expected 1000000000000000 values for dims (100000, 100000, 100000), "
                          "found 3"),
+            # digit grouping, which Python's float grammar allows
+            "underscore.mwt": ("mwt 1\n1\n3\n1 5_0 2\n",
+                               "malformed tensor file: could not convert string to float: '5_0'"),
+            # the first refused token is named, whichever rule refuses it
+            "first.mwt": ("mwt 1\n1\n3\nx 5_0 2\n",
+                          "malformed tensor file: could not convert string to float: 'x'"),
+            "later.mwt": ("mwt 1\n1\n3\n1_0\n2 x\n",
+                          "malformed tensor file: could not convert string to float: '1_0'"),
             # a bad token is reported before a bad header, as a whole-file parse did
             "both.mwt": ("mwt 1\n3\n2 2\n1 x\n",
                          "malformed tensor file: could not convert string to float: 'x'"),
@@ -486,8 +494,14 @@ class TestModelFormat:
         )
         nan_offset = _edited(path, lambda p: p["x_offsets"].__setitem__(1, float("nan")))
         inf_offset = _edited(path, lambda p: p["y_offsets"].__setitem__(0, float("inf")))
+        # JSON booleans, which Python counts as the ints 1 and 0, where numbers belong
+        true_value = _edited(
+            path, lambda p: p["coefficients"]["predictor_factors"][0]["values"].__setitem__(0, True)
+        )
+        true_rank = _edited(path, lambda p: p["coefficients"].update(rank=True))
+        false_offset = _edited(path, lambda p: p["x_offsets"].__setitem__(0, False))
         for text in ('{"format":"mwreg-model"}', "[]", '{"format":', short_factor, nan_offset,
-                     inf_offset):
+                     inf_offset, true_value, true_rank, false_offset):
             _rewrite(path, text)
             with pytest.raises(ValueError, match=re.escape(path) + ": malformed model file"):
                 read_model(path)

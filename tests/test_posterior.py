@@ -381,24 +381,6 @@ class TestGibbs:
         mcse = batches.std(axis=0, ddof=1) / np.sqrt(20)
         assert np.all(np.abs(samples.mean(axis=0) - ridge) < 3 * mcse)
 
-    def test_normalize_draws_flag(self):
-        rng = np.random.default_rng(22)
-        x, y, _ = _random_instance(rng, 15, (3, 2), (2,), 2)
-        raw = gibbs(x, y, GibbsConfig(rank=2, n_samples=6, lam=0.5, seed=9))
-        tidy = gibbs(
-            x, y,
-            GibbsConfig(rank=2, n_samples=6, lam=0.5, seed=9, normalize_draws=True),
-        )
-        assert np.array_equal(raw.sigma2s, tidy.sigma2s)
-        for br, bt in zip(raw.coefficients, tidy.coefficients):
-            assert np.allclose(
-                br.materialize().array, bt.materialize().array, atol=1e-8
-            )
-            norms = np.stack([np.linalg.norm(f, axis=0) for f in bt.factors])
-            scales = norms.prod(axis=0) ** (1.0 / 3.0)
-            assert np.allclose(norms, scales, atol=1e-8 * scales.max())
-            assert np.all(np.diff(scales) <= 1e-12)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GibbsConfig(rank=0)
@@ -410,6 +392,24 @@ class TestGibbs:
             GibbsConfig(rank=1, burn_in=-1)
         with pytest.raises(ValueError):
             GibbsConfig(rank=1, credible_level=1.0)
+
+
+# the public single-step functions, each at mode 0, taking (x, y, b, lam)
+_SINGLE_STEPS = {
+    "objective": objective,
+    "update_predictor_factor": lambda x, y, b, lam: update_predictor_factor(x, y, b, 0, lam),
+    "update_outcome_factor": lambda x, y, b, lam: update_outcome_factor(x, y, b, 0, lam),
+    "conditional_factor_params":
+        lambda x, y, b, lam: conditional_factor_params(x, y, b, 0, lam, 1.0),
+}
+
+
+@pytest.mark.parametrize("lam", [-0.01, float("nan"), float("inf")])
+@pytest.mark.parametrize("step", sorted(_SINGLE_STEPS))
+def test_single_steps_refuse_the_lambdas_the_configs_refuse(step, lam):
+    x, y, b = _random_instance(np.random.default_rng(23), 8, (3, 2), (2,), 2)
+    with pytest.raises(ValueError, match=r"^lam must be finite and non-negative$"):
+        _SINGLE_STEPS[step](x, y, b, lam)
 
 
 def _tiny_draws(rng, t=4, sigma2=1.0):

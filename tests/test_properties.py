@@ -214,7 +214,8 @@ class TestExitCodeProperties:
 
 
 _VALUE_FAULTS = ("dropped value", "extra value", "non-numeric token", "non-finite token")
-_BAD_TOKENS = ("abc", "1.2.3", "--1", "0x10", "1e", "1,5")
+# "5_0" is 50.0 to Python's float grammar, which allows digit grouping
+_BAD_TOKENS = ("abc", "1.2.3", "--1", "0x10", "1e", "1,5", "5_0")
 _NON_FINITE = ("inf", "-inf", "nan", "Infinity", "-NaN")
 # keys a reader may find absent: the format version, and x_offsets, whose
 # absence marks an uncentered fit
@@ -279,7 +280,7 @@ def _entries(node):
 
 def _corrupt_json(draw, text: str) -> tuple:
     """(fault, text) of a JSON file cut short, missing a key or with one value spoiled."""
-    fault = draw(st.sampled_from(_VALUE_FAULTS + ("truncated", "key removed")))
+    fault = draw(st.sampled_from(_VALUE_FAULTS + ("truncated", "key removed", "number made true")))
     if fault == "truncated":
         # every cut before the closing brace leaves invalid JSON
         return fault, text[:draw(st.integers(0, text.rindex("}") - 1))]
@@ -289,6 +290,13 @@ def _corrupt_json(draw, text: str) -> tuple:
                 if isinstance(c, dict) and k not in _OPTIONAL_KEYS]
         container, key = draw(st.sampled_from(keys))
         del container[key]
+        return fault, json.dumps(doc)
+    if fault == "number made true":
+        # JSON's true is an int to Python; "converged" is the one boolean field
+        numbers = [(c, k) for c, k, v in _entries(doc)
+                   if type(v) in (int, float) and k not in _OPTIONAL_KEYS]
+        container, key = draw(st.sampled_from(numbers))
+        container[key] = True
         return fault, json.dumps(doc)
     arrays = [v for _, _, v in _entries(doc)
               if isinstance(v, list) and v and all(isinstance(e, float) for e in v)]

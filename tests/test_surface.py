@@ -1,21 +1,24 @@
-"""The package's source has no dead imports, and its public API is the
-union of its library modules' own.
+"""The package's source has no dead imports or dead config fields, and its
+public API is the union of its library modules' own.
 
 Neither pyflakes nor ruff is a dependency of the project, so the
 unused-import check parses `src/mwreg/*.py` with `ast`.  A name the
 benchmark rebinds to a timing wrapper (`perfbench/spans.py`, `_REBIND`) is
 looked up as a module global at call time, so importing it is a use even
-where the module never calls it.
+where the module never calls it.  A config field that no caller in the
+package or the benchmark sets is a knob nothing turns; the same parse finds
+the keywords each config is built with.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import mwreg
-from test_bench_contract import _rebind_table
+from test_bench_contract import _BENCH, _rebind_table
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "mwreg"
 _REBIND = _rebind_table()
@@ -68,3 +71,41 @@ def test_exported_names_resolve(stem):
     for name in module.__all__:
         assert hasattr(module, name), f"mwreg.{stem}.{name} does not exist"
         assert getattr(mwreg, name) is getattr(module, name), f"mwreg.{name} is not mwreg.{stem}.{name}"
+
+
+_CONFIGS = {"FitConfig": mwreg.FitConfig, "GibbsConfig": mwreg.GibbsConfig}
+
+
+def _called_name(node):
+    """The name a call target or argument ends in: `FitConfig` or `mw.FitConfig`."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _config_keywords(paths) -> dict:
+    """Per config, the keywords of every call in paths that builds it.
+
+    A call builds a config when it calls the class, or passes the class as
+    its first argument, as the command line's `_config(FitConfig, ...)` does.
+    """
+    passed = {name: set() for name in _CONFIGS}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node.func)
+            if name not in passed and node.args:
+                name = _called_name(node.args[0])
+            if name in passed:
+                passed[name] |= {kw.arg for kw in node.keywords}
+    return passed
+
+
+@pytest.mark.parametrize("config", sorted(_CONFIGS))
+def test_every_config_field_is_set_by_some_caller(config):
+    passed = _config_keywords(sorted(_SRC.glob("*.py")) + [_BENCH / "run.py"])[config]
+    unset = [f.name for f in dataclasses.fields(_CONFIGS[config]) if f.name not in passed]
+    assert not unset, f"no caller in src/mwreg or perfbench/run.py sets {config} field(s) {unset}"
