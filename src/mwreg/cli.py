@@ -30,7 +30,8 @@ from .fileio import (
     write_tensor,
 )
 from .fitting import FitConfig, SingularSystemError, fit, predict
-from .posterior import DegeneratePosteriorError, GibbsConfig, _predictive_intervals, dic, gibbs
+from .posterior import (DegeneratePosteriorError, GibbsConfig, _interval_scores,
+                        _predictive_intervals, dic, gibbs)
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
 from .simulation import SimSpec, expand_grid, rpe, run_grid, simulate, write_results_csv
@@ -310,10 +311,9 @@ def cmd_gibbs(args) -> None:
         y_new = read_tensor(args.y_new)
         if y_new.dims != lo.dims:
             raise ValueError(f"y-new dims {y_new.dims} do not match intervals {lo.dims}")
-        ya = y_new.array
-        covered = (ya >= lo.array) & (ya <= hi.array)
-        print(f"coverage {float(covered.mean()):.6g}")
-        print(f"mean relative length {float((hi.array - lo.array).mean() / ya.std()):.6g}")
+        coverage, length = _interval_scores(y_new, lo, hi)
+        print(f"coverage {coverage:.6g}")
+        print(f"mean relative length {length:.6g}")
 
 
 def cmd_cv(args) -> None:

@@ -82,8 +82,8 @@ def read_tensor(path: str) -> DenseTensor:
         if first.strip() != _MAGIC:
             return _read_csv(path)
         try:
-            order = int(fh.readline())
-            dims = tuple(int(v) for v in fh.readline().split())
+            order = _header_int(fh.readline())
+            dims = tuple(_header_int(v) for v in fh.readline().split())
             values = _parse_values(fh)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed tensor file: {exc}") from None
@@ -98,6 +98,13 @@ def read_tensor(path: str) -> DenseTensor:
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: values must be finite")
     return DenseTensor.from_values(dims, values)
+
+
+def _header_int(text: str) -> int:
+    """int(text), without the digit grouping ("1_0" is 10) the writer never emits."""
+    if "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def _parse_values(fh) -> np.ndarray:
@@ -146,9 +153,11 @@ def _factor_list(factors) -> list:
 
 
 def _number(value, kind=float):
-    """A JSON number as kind; true and false, which Python counts as ints, are refused."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, found {value!r:.40}")
+    """A JSON number as kind; true and false, which Python counts as ints, are
+    refused, and so is a number with a fraction or exponent where kind is int."""
+    integral = kind is int
+    if type(value) not in ((int,) if integral else (int, float)):
+        raise TypeError(f"expected {'an integer' if integral else 'a number'}, found {value!r:.40}")
     return kind(value)
 
 
@@ -166,27 +175,26 @@ def _factors_from(items, rank: int) -> list:
     ]
 
 
-def _coeff_dict(b: CpCoefficients) -> dict:
+def _coeff_dict(pred, out) -> dict:
     return {
-        "rank": b.rank,
-        "predictor_factors": _factor_list(b.predictor_factors),
-        "outcome_factors": _factor_list(b.outcome_factors),
+        "rank": pred[0].shape[1],
+        "predictor_factors": _factor_list(pred),
+        "outcome_factors": _factor_list(out),
     }
 
 
-def _coeff_from(d: dict) -> CpCoefficients:
+def _coeff_factors(d: dict) -> tuple:
+    """(predictor factors, outcome factors) of a coefficients record."""
     rank = _number(d["rank"], int)
-    return CpCoefficients(
-        _factors_from(d["predictor_factors"], rank),
-        _factors_from(d["outcome_factors"], rank),
-    )
+    return _factors_from(d["predictor_factors"], rank), _factors_from(d["outcome_factors"], rank)
 
 
 def _fit_dict(result: FitResult) -> dict:
     """Fit record shared by model files and the "mode" block of draws files."""
+    b = result.coefficients
     centered = result.x_offsets is not None
     return {
-        "coefficients": _coeff_dict(result.coefficients),
+        "coefficients": _coeff_dict(b.predictor_factors, b.outcome_factors),
         "x_offsets": result.x_offsets.ravel(order="F").tolist() if centered else None,
         "y_offsets": result.y_offsets.ravel(order="F").tolist() if centered else None,
         "objective": float(result.objective_trace[-1]),
@@ -196,18 +204,21 @@ def _fit_dict(result: FitResult) -> dict:
 
 
 def _fit_from(d: dict) -> FitResult:
-    b = _coeff_from(d["coefficients"])
+    b = CpCoefficients(*_coeff_factors(d["coefficients"]))
     x_off = y_off = None
     if d.get("x_offsets") is not None:
         x_off = _numbers(d["x_offsets"]).reshape(b.in_dims, order="F")
         y_off = _numbers(d["y_offsets"]).reshape(b.out_dims, order="F")
         if not (np.isfinite(x_off).all() and np.isfinite(y_off).all()):
             raise ValueError("offsets must be finite")
+    converged = d["converged"]
+    if type(converged) is not bool:
+        raise TypeError(f"expected true or false, found {converged!r:.40}")
     return FitResult(
         coefficients=b,
         objective_trace=[_number(d["objective"])],
         substep_trace=[],
-        converged=bool(d["converged"]),
+        converged=converged,
         iterations=_number(d["iterations"], int),
         x_offsets=x_off,
         y_offsets=y_off,
@@ -215,21 +226,12 @@ def _fit_from(d: dict) -> FitResult:
 
 
 def _draws_from(d: dict) -> PosteriorDraws:
-    samples = [_coeff_from(c) for c in d["samples"]]
-    sigma2s = _numbers(d["sigma2"])
-    if sigma2s.shape != (len(samples),):
-        raise ValueError(f"sigma2 holds {sigma2s.size} values for {len(samples)} samples")
-    if not np.all(np.isfinite(sigma2s) & (sigma2s > 0.0)):
-        raise ValueError("sigma2 values must be finite and positive")
-    mode = _fit_from(d["mode"])
-    m = mode.coefficients
-    for k, b in enumerate(samples):
-        if (b.in_dims, b.out_dims, b.rank) != (m.in_dims, m.out_dims, m.rank):
-            raise ValueError(
-                f"sample {k} has dims {b.in_dims} -> {b.out_dims} at rank {b.rank}, "
-                f"the mode has {m.in_dims} -> {m.out_dims} at rank {m.rank}"
-            )
-    return PosteriorDraws(coefficients=samples, sigma2s=sigma2s, mode=mode)
+    samples = [_coeff_factors(c) for c in d["samples"]]
+    # per mode, the samples' factors stacked; a sample with another mode
+    # count or factor shape cannot be stacked
+    pred, out = ([np.stack(fs) for fs in zip(*(s[k] for s in samples), strict=True)]
+                 for k in (0, 1))
+    return PosteriorDraws(pred, out, _numbers(d["sigma2"]), _fit_from(d["mode"]))
 
 
 def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None:
@@ -274,8 +276,9 @@ def read_model(path: str) -> tuple:
 def write_draws(path: str, draws: PosteriorDraws, lam: float, seed: int) -> None:
     """Serialize a chain: every retained factor set, sigma2s, and the mode."""
     _write_json(path, "draws", lam, seed, {
-        "sigma2": np.asarray(draws.sigma2s, dtype=float).tolist(),
-        "samples": [_coeff_dict(b) for b in draws.coefficients],
+        "sigma2": draws.sigma2s.tolist(),
+        "samples": [_coeff_dict([s[t] for s in draws.predictor_factors],
+                                [s[t] for s in draws.outcome_factors]) for t in range(len(draws))],
         "mode": _fit_dict(draws.mode),
     })
 

@@ -557,34 +557,26 @@ def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
 class _Predictions:
     """Noiseless predictions of many coefficient sets on the rows of x_new.
 
-    The sets must share dims and rank.  Centering offsets, when not None,
-    are removed from x_new and added back to every set's prediction.  Each
-    mode's factors of all sets are stacked once; a batch of sets' Khatri-Rao
-    products is formed from those stacks, and stacked matmuls give each set
-    exactly the bits of its own (X1 KR(pred)) KR(out)^T.  The products run
-    on tiles of _PREDICTION_ROWS rows that start at multiples of it,
-    whichever rows are asked for, so a row's bits never depend on the
-    request: `predict`, the posterior-predictive blocks and `dic` agree bit
-    for bit.
+    pred and out hold one stack per mode, shape (sets, rows, R), as
+    `posterior.PosteriorDraws` keeps them.  The centering offsets of
+    fitted, when not None, are removed from x_new and added back to every
+    set's prediction.  A batch of sets' Khatri-Rao products is formed from
+    the stacks, and stacked matmuls give each set exactly the bits of its
+    own (X1 KR(pred)) KR(out)^T.  The products run on tiles of
+    _PREDICTION_ROWS rows that start at multiples of it, whichever rows
+    are asked for, so a row's bits never depend on the request: `predict`,
+    the posterior-predictive blocks and `dic` agree bit for bit.
     """
 
-    def __init__(self, x_new: DenseTensor, coefficient_sets, x_offsets, y_offsets):
-        b0 = coefficient_sets[0]
-        if x_new.dims[1:] != b0.in_dims:
-            raise ValueError(
-                f"x trailing dims {x_new.dims[1:]} do not match coefficients {b0.in_dims}"
-            )
-        for k, b in enumerate(coefficient_sets):
-            if (b.in_dims, b.out_dims, b.rank) != (b0.in_dims, b0.out_dims, b0.rank):
-                raise ValueError(
-                    f"coefficient set {k} has dims {b.in_dims} -> {b.out_dims} at rank {b.rank}, "
-                    f"set 0 has {b0.in_dims} -> {b0.out_dims} at rank {b0.rank}"
-                )
-        self.x, self.x_offsets, self.y_offsets = x_new, x_offsets, y_offsets
-        self.n, self.sets, self.rank = x_new.dims[0], len(coefficient_sets), b0.rank
-        self.out_dims = b0.out_dims
-        self._pred = _mode_stacks([b.predictor_factors for b in coefficient_sets])
-        self._out = _mode_stacks([b.outcome_factors for b in coefficient_sets])
+    def __init__(self, x_new: DenseTensor, pred, out, fitted: FitResult):
+        in_dims = tuple(s.shape[1] for s in pred)
+        if x_new.dims[1:] != in_dims:
+            raise ValueError(f"x trailing dims {x_new.dims[1:]} do not match coefficients {in_dims}")
+        self.x, self.x_offsets, self.y_offsets = x_new, fitted.x_offsets, fitted.y_offsets
+        self.n, self.sets, self.rank = x_new.dims[0], pred[0].shape[0], pred[0].shape[2]
+        self.out_dims = tuple(s.shape[1] for s in out)
+        self._pred = _kr_layout(pred)
+        self._out = _kr_layout(out)
 
     def tiles(self, r0: int, r1: int):
         """Yield (t0, t1, s0, s1, pm) per batch of sets and tile of rows covering r0..r1.
@@ -623,18 +615,17 @@ class _Predictions:
                 yield t0, t1, preds
 
 
-def _mode_stacks(factor_lists) -> list:
-    """Per mode, the factors of every set stacked along a new first axis.
+def _kr_layout(stacks) -> list:
+    """The mode stacks in the layout `_batch_kr` reads.
 
-    One mode stacks the factors as they are (np.stack keeps each one's
-    memory layout, which a matmul's bits depend on); with more modes each
-    factor is stored transposed, (R, rows), and contiguous for `_batch_kr`'s
+    One stack is used as it is: its matmul's bits depend on each set's
+    memory layout, which the stack keeps.  With more, each is stored
+    transposed, (sets, R, rows), and contiguous for `_batch_kr`'s
     elementwise products, whose bits do not depend on layout.
     """
-    if len(factor_lists[0]) == 1:
-        return [np.stack([fs[0] for fs in factor_lists])]
-    return [np.ascontiguousarray(np.stack([fs[k].T for fs in factor_lists]))
-            for k in range(len(factor_lists[0]))]
+    if len(stacks) == 1:
+        return list(stacks)
+    return [np.ascontiguousarray(s.transpose(0, 2, 1)) for s in stacks]
 
 
 def _batch_kr(stacks, rank: int, t0: int, t1: int) -> np.ndarray:
@@ -658,6 +649,8 @@ def _batch_kr(stacks, rank: int, t0: int, t1: int) -> np.ndarray:
 
 def predict(x_new: DenseTensor, result: FitResult) -> DenseTensor:
     """Predicted response <X_new, B> with the fit's centering offsets reapplied."""
-    preds = _Predictions(x_new, [result.coefficients], result.x_offsets, result.y_offsets)
+    b = result.coefficients
+    preds = _Predictions(x_new, [np.stack([f]) for f in b.predictor_factors],
+                         [np.stack([f]) for f in b.outcome_factors], result)
     _, _, one = next(preds.batches())
     return DenseTensor(one[0])

@@ -3,31 +3,28 @@
 The likelihood is Y = <X, B>_L + E with iid N(0, sigma^2) errors, the
 prior on each factor is the Gaussian implied by the ridge penalty at the
 given lambda (flat when lambda = 0), and sigma^2 carries the scale prior
-1/sigma^2.  Conditioned on the other factors and sigma^2, each factor is
-multivariate normal with mean equal to the corresponding penalized
-least-squares update, so an iteration runs the fitting module's sweep,
-with its shared sweep state, and takes a draw where ALS takes the mean;
-the chain keeps one state, whose cached products carry the bits of
-per-call builds.  sigma^2 given everything else is inverse gamma, with
-the residual taken from the same state.  The chain starts at the
-penalized least-squares solution, which is the posterior mode, so no
-burn-in is needed by default.  Predictions from the draws go through the
-same tiled prediction code as `fitting.predict`, with its bits, and are
-evaluated a block of test rows at a time: one private block routine
-yields (rows, cells, draws) arrays of point predictions plus noise.  The
-noise is read in observation-major order, as if drawn by one
-rng.standard_normal((N, cells, draws)) call with cells first-index-fastest,
-so the numbers do not depend on the block size.  `posterior_predictive`
-copies the blocks into the (draws, N, *out_dims) array it returns;
-`simulation.run_cell` and `mwreg gibbs` take intervals through a fused
-routine that sorts each block where it was built, so they hold draws x 16
-rows x cells values instead of draws x N x cells.  `dic` reads the draws'
-predictions a batch at a time.
+1/sigma^2.  Each factor's full conditional is normal with the penalized
+least-squares update as its mean, so an iteration runs the fitting
+module's sweep, on one shared sweep state, and takes a draw where ALS
+takes the mean; sigma^2 given the rest is inverse gamma.  The chain
+starts at the posterior mode, the penalized least-squares solution, so
+no burn-in is needed by default.
+
+A chain is a `PosteriorDraws`: one stacked array per mode plus the
+sigma^2 draws, checked once when it is built.  Predictions from it go
+through `fitting.predict`'s tiled code, with its bits, a block of test
+rows at a time; the noise is read in observation-major order, so the
+numbers do not depend on the block size.  `posterior_predictive` returns
+them all as one (draws, N, *out_dims) array; `simulation.run_cell` and
+`mwreg gibbs` take intervals through a fused routine that sorts each
+block where it was built, holding draws x 16 rows x cells values at a
+time.  `dic` reads the draws' predictions a batch at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -110,21 +107,57 @@ class GibbsConfig:
             raise ValueError("credible_level must be in (0, 1)")
 
 
-@dataclass
 class PosteriorDraws:
-    """Retained chain states plus the mode the chain started from.
+    """Retained chain states plus the mode fit the chain started from.
 
-    coefficients[t] and sigma2s[t] form one joint draw.  The mode fit also
-    carries the centering offsets, which predictions from the draws must
-    reuse.
+    predictor_factors and outcome_factors hold one read-only stack per
+    mode, (draws, P_l, R) or (draws, Q_m, R); draw t is entry t of every
+    stack with sigma2s[t], and predictions reuse the mode's centering
+    offsets.  Construction is the one check of a chain: at least one draw,
+    stacks of the mode's dims and rank, finite factors and one finite
+    positive sigma2 per draw.  Stacks are copied in each draw's memory
+    layout, on which the bits of a one-factor mode's predictions depend.
     """
 
-    coefficients: list
-    sigma2s: np.ndarray
-    mode: FitResult
+    def __init__(self, predictor_factors, outcome_factors, sigma2s, mode: FitResult):
+        self.predictor_factors = tuple(map(_frozen, predictor_factors))
+        self.outcome_factors = tuple(map(_frozen, outcome_factors))
+        self.sigma2s = _frozen(sigma2s)
+        self.mode = mode
+        b = mode.coefficients
+        stacks = self.predictor_factors + self.outcome_factors
+        n = len(stacks[0]) if stacks else 0
+        if not n:
+            raise ValueError("draws are empty")
+        shapes = [s.shape for s in stacks]
+        if (len(self.predictor_factors) != len(b.in_dims)
+                or shapes != [(n, d, b.rank) for d in b.in_dims + b.out_dims]):
+            raise ValueError(
+                f"factor stacks of shapes {shapes} are not {n} draws of the mode's "
+                f"{b.in_dims} -> {b.out_dims} at rank {b.rank}"
+            )
+        if self.sigma2s.shape != (n,):
+            raise ValueError(f"{self.sigma2s.size} sigma2 values for {n} draws")
+        if not np.all(np.isfinite(self.sigma2s) & (self.sigma2s > 0.0)):
+            raise ValueError("sigma2 values must be finite and positive")
+        if not all(np.isfinite(s).all() for s in stacks):
+            raise ValueError("factor matrices must be finite")
 
     def __len__(self) -> int:
-        return len(self.coefficients)
+        return len(self.sigma2s)
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """One CpCoefficients per draw, built on first use."""
+        n_pred = len(self.predictor_factors)
+        return tuple(CpCoefficients(fs[:n_pred], fs[n_pred:])
+                     for fs in zip(*self.predictor_factors, *self.outcome_factors))
+
+
+def _frozen(a) -> np.ndarray:
+    arr = np.array(a, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -232,50 +265,47 @@ def gibbs(
                         [f.copy() for f in b0.outcome_factors])
     n_pred = len(state.pred)
     nq = ws.n * ws.q
-    kept_b, kept_s2 = [], []
-    total = cfg.burn_in + cfg.n_samples * cfg.thin
-    for it in range(1, total + 1):
+    # a predictor draw is Fortran-ordered and an outcome draw C-ordered;
+    # the stacks hold each in its own layout
+    stacks = ([np.empty((cfg.n_samples, cfg.rank, d)).transpose(0, 2, 1) for d in ws.in_dims]
+              + [np.empty((cfg.n_samples, d, cfg.rank)) for d in ws.out_dims])
+    sigma2s = np.empty(cfg.n_samples)
+    for it in range(1, cfg.burn_in + cfg.n_samples * cfg.thin + 1):
         sigma2 = _draw_sigma2_rss(state.rss(), nq, rng)
 
         def draw(mode, mean, low):
             return FactorConditional(mean, low, sigma2, mode >= n_pred).sample(rng)
 
         state.sweep(cfg.lam, cfg.lam, draw)
-        if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            kept_b.append(CpCoefficients(state.pred, state.out))
-            kept_s2.append(sigma2)
-    return PosteriorDraws(kept_b, np.array(kept_s2), mode_fit)
+        k = it - cfg.burn_in
+        if k > 0 and k % cfg.thin == 0:
+            factors = state.pred + state.out
+            if not all(np.isfinite(f).all() for f in factors):
+                raise ValueError("factor matrices must be finite")
+            t = k // cfg.thin - 1
+            for stack, f in zip(stacks, factors):
+                stack[t] = f
+            sigma2s[t] = sigma2
+    return PosteriorDraws(stacks[:n_pred], stacks[n_pred:], sigma2s, mode_fit)
 
 
 def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
     """Predictive values of x_new's rows, a block of rows at a time.
 
-    Checks the draws and dims before it returns an iterator of
-    (r0, r1, block), with block of shape (r1 - r0, cells, draws): the point
-    prediction of each draw (`fitting.predict`'s bits, offsets reapplied)
-    plus its noise.  Cells are in first-index-fastest order.  The noise is
-    sqrt(sigma2_t) times rng.standard_normal((N, cells, draws)), read a row
-    at a time, so every block size reads the same numbers.  One buffer
-    holds every block in turn: a block is overwritten by the next.
+    Yields (r0, r1, block), with block of shape (r1 - r0, cells, draws):
+    the point prediction of each draw (`fitting.predict`'s bits, offsets
+    reapplied) plus its noise.  Cells are in first-index-fastest order.
+    The noise is sqrt(sigma2_t) times rng.standard_normal((N, cells,
+    draws)), read a row at a time, so every block size reads the same
+    numbers.  One buffer holds every block in turn: a block is overwritten
+    by the next.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    if not len(draws.coefficients):
-        raise ValueError("draws are empty")
-    mode = draws.mode
-    preds = _Predictions(x_new, draws.coefficients, mode.x_offsets, mode.y_offsets)
-    sd = np.sqrt(np.asarray(draws.sigma2s, dtype=float))
-    if sd.shape != (preds.sets,):
-        raise ValueError(f"{sd.size} sigma2 values for {preds.sets} coefficient sets")
-    return _noisy_blocks(preds, sd, rng)
-
-
-def _noisy_blocks(preds: _Predictions, sd: np.ndarray, rng: np.random.Generator):
-    cells = prod(preds.out_dims)
-    y_cells = None
-    if preds.y_offsets is not None:
-        y_cells = preds.y_offsets.ravel(order="F")
-    buffer = np.empty((min(_PREDICTIVE_ROWS, preds.n), cells, preds.sets))
+    preds = _Predictions(x_new, draws.predictor_factors, draws.outcome_factors, draws.mode)
+    sd = np.sqrt(draws.sigma2s)
+    y_cells = None if preds.y_offsets is None else preds.y_offsets.ravel(order="F")
+    buffer = np.empty((min(_PREDICTIVE_ROWS, preds.n), prod(preds.out_dims), preds.sets))
     for r0 in range(0, preds.n, _PREDICTIVE_ROWS):
         r1 = min(r0 + _PREDICTIVE_ROWS, preds.n)
         block = buffer[:r1 - r0]
@@ -308,9 +338,9 @@ def posterior_predictive(
     in first-index-fastest order.
     """
     blocks = _predictive_blocks(x_new, draws, rng)
-    out_dims = draws.coefficients[0].out_dims
+    out_dims = draws.mode.coefficients.out_dims
     m = len(out_dims)
-    stack = np.empty((len(draws.coefficients), x_new.dims[0]) + out_dims)
+    stack = np.empty((len(draws), x_new.dims[0]) + out_dims)
     # a block's (rows, *reversed out_dims, sets) axes in the stack's order
     to_stack = (m + 1, 0) + tuple(range(m, 0, -1))
     for r0, r1, block in blocks:
@@ -383,19 +413,26 @@ def _predictive_intervals(x_new: DenseTensor, draws: PosteriorDraws, rng, level:
     """
     blocks = _predictive_blocks(x_new, draws, rng)
     try:
-        _interval_checks(len(draws.coefficients), level)
+        _interval_checks(len(draws), level)
     except ValueError:
         # the composition builds, and checks, every block before these checks
         for _ in blocks:
             pass
         raise
-    n, out_dims = x_new.dims[0], draws.coefficients[0].out_dims
+    n, out_dims = x_new.dims[0], draws.mode.coefficients.out_dims
     ends = np.empty((n, prod(out_dims), 2))
     for r0, r1, block in blocks:
         ends[r0:r1] = _sorted_ends(block.reshape(-1, block.shape[-1]), level).reshape(r1 - r0, -1, 2)
     # cells are in first-index-fastest order, as an order="F" reshape reads them
     lo, hi = (ends[..., k].reshape((n,) + out_dims, order="F") for k in (0, 1))
     return DenseTensor(np.ascontiguousarray(lo)), DenseTensor(np.ascontiguousarray(hi))
+
+
+def _interval_scores(y: DenseTensor, lo: DenseTensor, hi: DenseTensor) -> tuple:
+    """(share of y's cells inside their interval, mean length over y's standard deviation)."""
+    ya = y.array
+    covered = (ya >= lo.array) & (ya <= hi.array)
+    return float(covered.mean()), float((hi.array - lo.array).mean() / ya.std())
 
 
 def dic(x: DenseTensor, y: DenseTensor, draws: PosteriorDraws) -> float:
@@ -408,10 +445,9 @@ def dic(x: DenseTensor, y: DenseTensor, draws: PosteriorDraws) -> float:
     them in draw order, as a mean over the first axis of a stack of all of
     them does, so it has that mean's bits.
     """
-    if len(draws.coefficients) < 2:
+    if len(draws) < 2:
         raise ValueError("need at least two draws")
-    mode = draws.mode
-    preds = _Predictions(x, draws.coefficients, mode.x_offsets, mode.y_offsets)
+    preds = _Predictions(x, draws.predictor_factors, draws.outcome_factors, draws.mode)
     yarr = y.array
     if yarr.shape != (preds.n,) + preds.out_dims:
         raise ValueError(

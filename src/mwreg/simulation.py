@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .coefficients import CpCoefficients
 from .fitting import FitConfig, fit, predict
-from .posterior import GibbsConfig, _predictive_intervals, gibbs
+from .posterior import GibbsConfig, _interval_scores, _predictive_intervals, gibbs
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
 from .tensors import DenseTensor
@@ -285,10 +285,9 @@ def run_cell(
             )
             draws = gibbs(x, y, gcfg, mode_fit=res)
             lo, hi = _predictive_intervals(x_new, draws, _substream_rng(spec.seed, rep, _PRED), level)
-            ya = y_new.array
-            covered = (ya >= lo.array) & (ya <= hi.array)
-            covers.append(float(covered.mean()))
-            lengths.append(float((hi.array - lo.array).mean() / ya.std()))
+            cover, length = _interval_scores(y_new, lo, hi)
+            covers.append(cover)
+            lengths.append(length)
     rpes = np.array(rpes)
     rpe_mean, rpe_se = _mean_se(rpes)
     if covers:

@@ -12,7 +12,9 @@ definitions, a quantity the library computes by a faster route:
   design matrices whose normal equations the mode updates solve;
 - `conditional_covariance` gives the dense covariance of a full
   conditional;
-- `nuclear_balance` gives both sides of the order-2 norm-balance identity.
+- `nuclear_balance` gives both sides of the order-2 norm-balance identity;
+- `stacked_draws` builds the `PosteriorDraws` of a list of coefficient
+  sets, one stack per mode, as the chain would hold them.
 """
 
 from dataclasses import replace
@@ -29,7 +31,7 @@ from mwreg.fitting import (
     _SweepState,
     _Workspace,
 )
-from mwreg.posterior import FactorConditional
+from mwreg.posterior import FactorConditional, PosteriorDraws
 
 
 def augment_arrays(xarr: np.ndarray, yarr: np.ndarray, lam: float):
@@ -189,3 +191,13 @@ def nuclear_balance(b: CpCoefficients) -> tuple:
     sum_sq = sum(float(np.sum(f * f)) for f in b.factors)
     nuclear = float(np.linalg.svd(b.materialize().array, compute_uv=False).sum())
     return sum_sq, 2.0 * nuclear
+
+
+def stacked_draws(sets, sigma2s, mode: FitResult) -> PosteriorDraws:
+    """The draws whose draw t is sets[t] with sigma2s[t]; no sets give no stacks."""
+    return PosteriorDraws(
+        [np.stack(fs) for fs in zip(*(b.predictor_factors for b in sets))],
+        [np.stack(fs) for fs in zip(*(b.outcome_factors for b in sets))],
+        sigma2s,
+        mode,
+    )

@@ -4,19 +4,23 @@ The benchmark rebinds module globals (`perfbench/spans.py`, `_REBIND`) to
 timing wrappers and calls the package through `mw.<name>` lookups
 (`perfbench/run.py`).  A refactor that renames or stops calling one of them
 would break the benchmark run, so these tests read both files as source,
-without importing them, and check that each name exists.
+without importing them, and check that each name exists.  The benchmark
+also reads attributes off returned objects; a small file round trip checks
+the ones its output check of `cli_files` reads.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mwreg
 import mwreg.cli  # noqa: F401  (the benchmark imports it the same way)
 
 _BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_RUN_SOURCE = (_BENCH / "run.py").read_text()
 
 
 def _rebind_table() -> dict:
@@ -39,7 +43,7 @@ def _is_mw(node) -> bool:
 
 def _mw_lookups() -> set:
     """Dotted paths such as "simulation.run_cell" looked up on `mw` in run.py."""
-    tree = ast.parse((_BENCH / "run.py").read_text())
+    tree = ast.parse(_RUN_SOURCE)
     inner = set()
     paths = set()
     for node in ast.walk(tree):
@@ -78,3 +82,21 @@ def test_run_lookups_resolve_on_the_package(path):
     for part in path.split("."):
         assert hasattr(obj, part), f"mwreg.{path} does not exist"
         obj = getattr(obj, part)
+
+
+def test_attribute_paths_the_output_check_reads(tmp_path):
+    # `cli_files` checks the files it wrote through these attributes of what
+    # read_model and read_draws return (perfbench/run.py, the output check)
+    rng = np.random.default_rng(0)
+    x = mwreg.DenseTensor(rng.standard_normal((10, 3, 2)))
+    y = mwreg.DenseTensor(rng.standard_normal((10, 2)))
+    model, draws = str(tmp_path / "model.json"), str(tmp_path / "draws.json")
+    mwreg.write_model(model, mwreg.fit(x, y, mwreg.FitConfig(rank=3, lam=0.5)), 0.5, 0)
+    chain = mwreg.gibbs(x, y, mwreg.GibbsConfig(rank=2, n_samples=4, lam=0.5))
+    mwreg.write_draws(draws, chain, 0.5, 0)
+    assert mwreg.read_model(model)[0].coefficients.rank == 3
+    b = mwreg.read_draws(draws)[0].coefficients[0]
+    assert (b.in_dims, b.out_dims) == ((3, 2), (2,))
+    assert len(mwreg.read_draws(draws)[0]) == 4
+    assert "model[0].coefficients" in _RUN_SOURCE and "draws[0].coefficients[0]" in _RUN_SOURCE
+    assert "len(draws[0])" in _RUN_SOURCE

@@ -290,29 +290,35 @@ class TestRoundTripProperties:
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_draws_round_trip_is_bit_exact(self, data):
+        # random draw counts, ranks and dims: 1-3 predictor and 0-2 outcome modes
         mode = data.draw(_fit_records())
         m = mode.coefficients
         n = data.draw(st.integers(1, 4))
-        samples = [
-            CpCoefficients(
-                [data.draw(hnp.arrays(float, (d, m.rank), elements=_FINITE)) for d in m.in_dims],
-                [data.draw(hnp.arrays(float, (d, m.rank), elements=_FINITE)) for d in m.out_dims],
-            )
-            for _ in range(n)
-        ]
+        pred, out = ([data.draw(hnp.arrays(float, (n, d, m.rank), elements=_FINITE)) for d in dims]
+                     for dims in (m.in_dims, m.out_dims))
         positive = st.floats(min_value=5e-324, allow_infinity=False, width=64)
         sigma2s = data.draw(hnp.arrays(float, (n,), elements=positive))
-        draws = PosteriorDraws(coefficients=samples, sigma2s=sigma2s, mode=mode)
+        draws = PosteriorDraws(pred, out, sigma2s, mode)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "draws.json")
             write_draws(path, draws, 0.5, 7)
+            with open(path) as fh:
+                text = fh.read()
             back, _, _ = read_draws(path)
         assert _same_bits(back.sigma2s, sigma2s)
         assert len(back) == n
-        for a, b in zip(samples, back.coefficients):
-            for fa, fb in zip(a.factors, b.factors, strict=True):
-                assert _same_bits(fa, fb)
+        for a, b in zip(pred + out, back.predictor_factors + back.outcome_factors, strict=True):
+            assert _same_bits(a, b)
         _assert_same_fit(mode, back.mode)
+        # the version 1 text: one coefficients record per draw
+        samples = [{"rank": m.rank, **{
+            key: [{"rows": f.shape[0], "values": f.ravel(order="F").tolist()} for f in fs]
+            for key, fs in (("predictor_factors", b.predictor_factors),
+                            ("outcome_factors", b.outcome_factors))}}
+            for b in draws.coefficients]
+        want = {"format": "mwreg-draws", "version": 1, "lam": 0.5, "seed": 7,
+                "sigma2": sigma2s.tolist(), "samples": samples, "mode": json.loads(text)["mode"]}
+        assert text == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _whole_text_values(text):
@@ -407,6 +413,13 @@ class TestChunkedReader:
             # digit grouping, which Python's float grammar allows
             "underscore.mwt": ("mwt 1\n1\n3\n1 5_0 2\n",
                                "malformed tensor file: could not convert string to float: '5_0'"),
+            # ... in the order and dims header lines too
+            "underscore_dims.mwt": ("mwt 1\n1\n1_0\n" + "1 " * 10 + "\n",
+                                    "malformed tensor file: invalid literal for int() with base 10: "
+                                    "'1_0'"),
+            "underscore_order.mwt": ("mwt 1\n1_0\n2\n1 2\n",
+                                     "malformed tensor file: invalid literal for int() with base 10: "
+                                     "'1_0\\n'"),
             # the first refused token is named, whichever rule refuses it
             "first.mwt": ("mwt 1\n1\n3\nx 5_0 2\n",
                           "malformed tensor file: could not convert string to float: 'x'"),
@@ -500,11 +513,27 @@ class TestModelFormat:
         )
         true_rank = _edited(path, lambda p: p["coefficients"].update(rank=True))
         false_offset = _edited(path, lambda p: p["x_offsets"].__setitem__(0, False))
-        for text in ('{"format":"mwreg-model"}', "[]", '{"format":', short_factor, nan_offset,
-                     inf_offset, true_value, true_rank, false_offset):
+        # a boolean that is not one, and integers with a fraction or an exponent
+        string_converged = _edited(path, lambda p: p.update(converged="false"))
+        number_converged = _edited(path, lambda p: p.update(converged=0))
+        fractional = [
+            _edited(path, lambda p: p.update(iterations=p["iterations"] + 0.5)),
+            _edited(path, lambda p: p.update(seed=3.5)),
+            _edited(path, lambda p: p["coefficients"].update(rank=2.0)),
+            _edited(path, lambda p: p["coefficients"]["outcome_factors"][1].update(rows=2.0)),
+        ]
+        for text in ['{"format":"mwreg-model"}', "[]", '{"format":', short_factor, nan_offset,
+                     inf_offset, true_value, true_rank, false_offset, string_converged,
+                     number_converged] + fractional:
             _rewrite(path, text)
             with pytest.raises(ValueError, match=re.escape(path) + ": malformed model file"):
                 read_model(path)
+        _rewrite(path, string_converged)
+        with pytest.raises(ValueError, match="expected true or false, found 'false'"):
+            read_model(path)
+        _rewrite(path, fractional[0])
+        with pytest.raises(ValueError, match=r"expected an integer, found \d+\.5$"):
+            read_model(path)
 
 
 class TestDrawsFormat:
@@ -557,7 +586,10 @@ class TestDrawsFormat:
 
     def test_sigma2_length_must_match_samples(self, tmp_path):
         path = self._draws_file(tmp_path)
-        self._rejects(path, _edited(path, lambda p: p["sigma2"].pop()), "sigma2 holds 3 values")
+        fewer = _edited(path, lambda p: p["sigma2"].pop())
+        more = _edited(path, lambda p: p["sigma2"].extend([1.0, 2.0]))
+        self._rejects(path, fewer, "3 sigma2 values for 4 draws")
+        self._rejects(path, more, "6 sigma2 values for 4 draws")
 
     def test_sigma2_entries_must_be_finite_and_positive(self, tmp_path):
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
@@ -571,8 +603,9 @@ class TestDrawsFormat:
     def test_samples_must_match_the_mode(self, tmp_path):
         path = self._draws_file(tmp_path)
 
-        def shorter_outcome(payload):
-            payload["samples"][2]["outcome_factors"][0] = {"rows": 1, "values": [0.5]}
+        def shorter_outcome(payload, samples=(2,)):
+            for t in samples:
+                payload["samples"][t]["outcome_factors"][0] = {"rows": 1, "values": [0.5]}
 
         def wider_rank(payload):
             sample = payload["samples"][1]
@@ -580,6 +613,24 @@ class TestDrawsFormat:
             for item in sample["predictor_factors"] + sample["outcome_factors"]:
                 item["values"] = item["values"] * 2
 
-        self._rejects(path, _edited(path, shorter_outcome),
-                      re.escape("sample 2 has dims (3,) -> (1,) at rank 1, the mode has (3,) -> (2,)"))
-        self._rejects(path, _edited(path, wider_rank), "sample 1 has dims .* at rank 2")
+        def extra_mode(payload, samples=(3,)):
+            for t in samples:
+                payload["samples"][t]["outcome_factors"].append({"rows": 1, "values": [0.5]})
+
+        every = (0, 1, 2, 3)
+        stack = "all input arrays must have the same shape"
+        cases = [
+            # one sample unlike the others cannot be stacked
+            (shorter_outcome, stack),
+            (wider_rank, stack),
+            (extra_mode, re.escape("zip() argument 4 is longer")),
+            # samples alike, but unlike the mode
+            (lambda p: shorter_outcome(p, every), re.escape(
+                "factor stacks of shapes [(4, 3, 1), (4, 1, 1)] are not 4 draws of the mode's "
+                "(3,) -> (2,) at rank 1")),
+            (lambda p: extra_mode(p, every),
+             re.escape("factor stacks of shapes [(4, 3, 1), (4, 2, 1), (4, 1, 1)]")),
+            (lambda p: p.update(samples=[], sigma2=[]), "draws are empty$"),
+        ]
+        for text, match in [(_edited(path, edit), match) for edit, match in cases]:
+            self._rejects(path, text, match)

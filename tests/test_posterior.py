@@ -6,6 +6,7 @@ and the chain against the closed-form posterior of the single-factor
 ridge model, where the coefficient posterior mean is available exactly.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +40,12 @@ from mwreg import (
 from mwreg.fitting import _Workspace
 import mwreg.posterior as posterior
 from mwreg.posterior import _CHAIN_STREAM, FactorConditional, _predictive_intervals
-from reference import build_design_outcome, build_design_predictor, conditional_covariance
+from reference import (
+    build_design_outcome,
+    build_design_predictor,
+    conditional_covariance,
+    stacked_draws,
+)
 from test_fitting import _SWEEP_SHAPES, _per_call_objective, _per_call_sweep
 
 
@@ -422,13 +428,18 @@ def _tiny_draws(rng, t=4, sigma2=1.0):
         )
         for _ in range(t)
     ]
-    return x, y, PosteriorDraws(bs, np.full(t, sigma2), mode)
+    return x, y, stacked_draws(bs, np.full(t, sigma2), mode)
+
+
+# the smallest positive normal double: its noise, about 1e-154 times a
+# standard normal, is below half an ulp of any prediction above 1e-100
+_TINY = np.finfo(float).tiny
 
 
 class TestPosteriorPredictive:
-    def test_zero_variance_draws_are_point_predictions(self):
+    def test_tiny_variance_draws_are_point_predictions(self):
         rng = np.random.default_rng(23)
-        x, y, draws = _tiny_draws(rng, t=3, sigma2=0.0)
+        x, y, draws = _tiny_draws(rng, t=3, sigma2=_TINY)
         x_new = DenseTensor(rng.standard_normal((5, 3)))
         outs = posterior_predictive(x_new, draws, rng=0)
         assert isinstance(outs, np.ndarray) and outs.shape == (3, 5, 2)
@@ -448,15 +459,17 @@ class TestPosteriorPredictive:
         got = vals.var(axis=0)
         assert np.abs(got - want).max() < 0.15 * want.max()
 
-    def test_predict_is_the_zero_variance_draw(self):
+    def test_predict_is_the_tiny_variance_draw(self):
         rng = np.random.default_rng(28)
         for out_dims, center in (((2, 2), True), ((), True), ((2,), False)):
             x, y, _ = _random_instance(rng, 12, (3, 2), out_dims, 2)
             res = fit(x, y, FitConfig(rank=2, lam=0.5, seed=3, center_data=center))
             x_new = DenseTensor(rng.standard_normal((37, 3, 2)))
-            one = PosteriorDraws([res.coefficients], np.zeros(1), res)
+            one = stacked_draws([res.coefficients], np.full(1, _TINY), res)
             got = posterior_predictive(x_new, one, 0)[0]
-            assert np.array_equal(predict(x_new, res).array, got)
+            want = predict(x_new, res).array
+            assert np.abs(want).min() > 1e-100
+            assert np.array_equal(want, got)
 
     def test_matches_per_draw_loop(self):
         # more draws than one stacked-matmul batch and more test rows than
@@ -489,19 +502,28 @@ class TestPosteriorPredictive:
                 noise = np.sqrt(s2) * z[:, :, t].reshape((n,) + out_dims, order="F")
                 assert np.array_equal(got[t], point + noise)
 
-    def test_mismatched_sets_rejected(self):
+    def test_draws_that_do_not_match_the_mode_are_refused(self):
+        # a draw can no longer differ from the others: each mode is one stack
         rng = np.random.default_rng(35)
         x, y, draws = _tiny_draws(rng, t=3)
-        x_new = DenseTensor(rng.standard_normal((4, 3)))
-        b0 = draws.coefficients[0]
-        wider = CpCoefficients([rng.standard_normal((3, 1))], [rng.standard_normal((3, 1))])
-        rank2 = CpCoefficients([rng.standard_normal((3, 2))], [rng.standard_normal((2, 2))])
-        for odd in (wider, rank2):
-            bad = PosteriorDraws([b0, odd, b0], draws.sigma2s, draws.mode)
-            with pytest.raises(ValueError, match="coefficient set 1 has dims"):
-                posterior_predictive(x_new, bad, rng=0)
-            with pytest.raises(ValueError, match="coefficient set 1 has dims"):
-                dic(x, y, bad)
+        pred, out = draws.predictor_factors, draws.outcome_factors
+        cases = [
+            ([rng.standard_normal((3, 4, 1))], out, "(3, 4, 1), (3, 2, 1)] are not 3 draws"),
+            (pred, [rng.standard_normal((3, 3, 1))], "(3, 3, 1), (3, 3, 1)] are not 3 draws"),
+            ([rng.standard_normal((3, 3, 2))], [rng.standard_normal((3, 2, 2))],
+             "(3, 3, 2), (3, 2, 2)] are not 3 draws of the mode's (3,) -> (2,) at rank 1"),
+            # stacks of different draw counts
+            (pred, [out[0][:2]], "(3, 3, 1), (2, 2, 1)] are not 3 draws"),
+            # a stack too few or too many, and an outcome stack given as a predictor one
+            ([], out, "factor stacks of shapes [(3, 2, 1)] are not 3 draws"),
+            (pred, [], "factor stacks of shapes [(3, 3, 1)] are not 3 draws"),
+            (pred, out + out, "are not 3 draws"),
+            (pred + out, [], "are not 3 draws"),
+        ]
+        for p, o, message in cases:
+            with pytest.raises(ValueError) as info:
+                PosteriorDraws(p, o, draws.sigma2s, draws.mode)
+            assert message in str(info.value)
 
     def test_seed_types_and_determinism(self):
         rng = np.random.default_rng(25)
@@ -515,9 +537,11 @@ class TestPosteriorPredictive:
     def test_empty_draws_rejected(self):
         rng = np.random.default_rng(26)
         x, y, draws = _tiny_draws(rng)
-        empty = PosteriorDraws([], np.array([]), draws.mode)
-        with pytest.raises(ValueError):
-            posterior_predictive(x, empty, rng=0)
+        for p, o in (([], []), ([np.empty((0, 3, 1))], [np.empty((0, 2, 1))])):
+            with pytest.raises(ValueError, match="^draws are empty$"):
+                PosteriorDraws(p, o, np.array([]), draws.mode)
+        with pytest.raises(ValueError, match="^draws are empty$"):
+            stacked_draws([], np.array([]), draws.mode)
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(27)
@@ -644,29 +668,20 @@ class TestPredictiveIntervals:
         rng = np.random.default_rng(62)
         x, y, draws = _tiny_draws(rng, t=3)
         x_new = DenseTensor(rng.standard_normal((4, 3)))
-        b0 = draws.coefficients[0]
-        wider = CpCoefficients([rng.standard_normal((3, 1))], [rng.standard_normal((3, 1))])
+        one = stacked_draws(draws.coefficients[:1], np.ones(1), draws.mode)
         late_inf = rng.standard_normal((40, 3))
         late_inf[37] = 1.7e308  # its predictions overflow
         late_inf = DenseTensor(late_inf)
+        first_inf = DenseTensor(late_inf.array[36:])
         cases = [
-            (x_new, PosteriorDraws([], np.array([]), draws.mode), 0.9, "draws are empty"),
             (DenseTensor(rng.standard_normal((4, 5))), draws, 0.9, "do not match coefficients"),
-            (x_new, PosteriorDraws([b0, wider, b0], draws.sigma2s, draws.mode), 0.9,
-             "coefficient set 1 has dims"),
-            (x_new, PosteriorDraws([b0], np.ones(1), draws.mode), 0.9, "at least two draws"),
+            (x_new, one, 0.9, "at least two draws"),
             (x_new, draws, 1.0, "level must be in [0, 1)"),
             (x_new, draws, -0.1, "level must be in [0, 1)"),
-            (x_new, PosteriorDraws([b0, b0, b0], np.array([1.0, np.inf, 1.0]), draws.mode), 0.9,
-             "predictive draws must be finite"),
-            # a draw without a variance
-            (x_new, PosteriorDraws([b0, b0, b0], np.ones(2), draws.mode), 0.9,
-             "2 sigma2 values for 3 coefficient sets"),
+            (first_inf, draws, 0.9, "predictive draws must be finite"),
             # two faults: the composition reports the non-finite draws first
-            (x_new, PosteriorDraws([b0, b0, b0], np.array([1.0, np.inf, 1.0]), draws.mode), 1.0,
-             "predictive draws must be finite"),
-            (x_new, PosteriorDraws([b0], np.array([np.nan]), draws.mode), 0.9,
-             "predictive draws must be finite"),
+            (first_inf, draws, 1.0, "predictive draws must be finite"),
+            (first_inf, one, 0.9, "predictive draws must be finite"),
             # a non-finite test row in the third block of rows, with a bad level
             (late_inf, draws, -0.1, "predictive draws must be finite"),
         ]
@@ -687,7 +702,7 @@ class TestDic:
         mode = fit(x, y, FitConfig(rank=1, lam=0.5, seed=0, center_data=False))
         b = mode.coefficients
         s2 = 1.3
-        draws = PosteriorDraws([b, b, b], np.full(3, s2), mode)
+        draws = stacked_draws([b, b, b], np.full(3, s2), mode)
         rss = float(np.sum((y.array - x.array @ b.matricize().reshape(3, 2)) ** 2))
         dev = 16 * np.log(2 * np.pi * s2) + rss / s2
         assert dic(x, y, draws) == pytest.approx(dev, rel=1e-10)
@@ -736,3 +751,30 @@ class TestDic:
         x, y, draws = _tiny_draws(rng, t=1)
         with pytest.raises(ValueError):
             dic(x, y, draws)
+
+    def test_draws_without_one_positive_sigma2_each_are_refused(self):
+        # 4 draws given 6 sigma2 values once reached dic, which returned
+        # -252.9 instead of 51.3; a negative value made it NaN
+        rng = np.random.default_rng(32)
+        x, y, draws = _tiny_draws(rng, t=4, sigma2=1.0)
+        pred, out = draws.predictor_factors, draws.outcome_factors
+        cases = [(np.ones(6), "6 sigma2 values for 4 draws"),
+                 (np.ones(3), "3 sigma2 values for 4 draws"),
+                 (np.ones((4, 1)), "4 sigma2 values for 4 draws"),
+                 (np.array([1.0, -1.0, 1.0, 1.0]), "sigma2 values must be finite and positive"),
+                 (np.array([1.0, 0.0, 1.0, 1.0]), "sigma2 values must be finite and positive"),
+                 (np.array([1.0, np.nan, 1.0, 1.0]), "sigma2 values must be finite and positive"),
+                 (np.array([1.0, np.inf, 1.0, 1.0]), "sigma2 values must be finite and positive")]
+        for sigma2s, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                PosteriorDraws(pred, out, sigma2s, draws.mode)
+        assert np.isfinite(dic(x, y, draws))
+
+    def test_non_finite_factors_are_refused(self):
+        rng = np.random.default_rng(33)
+        x, y, draws = _tiny_draws(rng, t=3)
+        for bad in (np.nan, np.inf, -np.inf):
+            out = np.array(draws.outcome_factors[0])
+            out[2, 1, 0] = bad
+            with pytest.raises(ValueError, match="^factor matrices must be finite$"):
+                PosteriorDraws(draws.predictor_factors, [out], draws.sigma2s, draws.mode)

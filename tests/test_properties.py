@@ -24,6 +24,7 @@ from mwreg import (
     FitConfig,
     FitResult,
     GibbsConfig,
+    PosteriorDraws,
     cp_compose,
     fit,
     gibbs,
@@ -134,6 +135,64 @@ class TestCpProperties:
         whole = np.ceil(steps / 2).reshape(shape, order="F")
         bound += np.finfo(float).smallest_subnormal * whole
         assert np.all(np.abs(predicted(once) - predicted(b)) <= bound)
+
+
+_DRAWS_FAULTS = ("stack rows", "stack rank", "stack draws", "stack dropped", "stack added",
+                 "sigma2 count", "sigma2 value", "factor value")
+
+
+@st.composite
+def _draws_cases(draw):
+    """(mode fit, predictor stacks, outcome stacks, sigma2s, fault or None).
+
+    1-3 predictor and 0-2 outcome modes, ranks 1-3 and 1-4 draws; a fault
+    spoils one part of otherwise valid draws.
+    """
+    rank = draw(st.integers(1, 3))
+    in_dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    out_dims = tuple(draw(st.lists(st.integers(1, 4), min_size=0, max_size=2)))
+    mode = FitResult(CpCoefficients([np.ones((d, rank)) for d in in_dims],
+                                    [np.ones((d, rank)) for d in out_dims]),
+                     [0.0], [], True, 1, None, None)
+    n = draw(st.integers(1, 4))
+    stacks = [draw(hnp.arrays(float, (n, d, rank), elements=_VALUES)) for d in in_dims + out_dims]
+    sigma2s = draw(hnp.arrays(float, (n,), elements=st.floats(1e-3, 10.0)))
+    fault = draw(st.sampled_from((None,) + _DRAWS_FAULTS))
+    k = draw(st.integers(0, len(stacks) - 1))
+    if fault in ("stack rows", "stack rank", "stack draws"):
+        shape = list(stacks[k].shape)
+        axis = ("stack draws", "stack rows", "stack rank").index(fault)
+        shape[axis] = draw(st.integers(1 if axis else 0, 6).filter(lambda v: v != shape[axis]))
+        stacks[k] = np.ones(shape)
+    elif fault == "stack dropped":
+        del stacks[k]
+    elif fault == "stack added":
+        stacks.insert(k, np.array(stacks[k]))
+    elif fault == "sigma2 count":
+        sigma2s = np.ones(draw(st.integers(0, 7).filter(lambda m: m != n)))
+    elif fault == "sigma2 value":
+        sigma2s[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [0.0, -0.0, -1e-300, -1.0, np.nan, np.inf, -np.inf]))
+    elif fault == "factor value":
+        stacks[k][draw(st.integers(0, n - 1)), 0, 0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    split = draw(st.integers(0, len(stacks))) if fault == "stack added" else len(in_dims)
+    return mode, stacks[:split], stacks[split:], sigma2s, fault
+
+
+class TestDrawsProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_draws_cases())
+    def test_the_constructor_refuses_every_broken_chain(self, case):
+        mode, pred, out, sigma2s, fault = case
+        if fault is None:
+            draws = PosteriorDraws(pred, out, sigma2s, mode)
+            assert len(draws) == len(sigma2s)
+            for got, want in zip(draws.predictor_factors + draws.outcome_factors, pred + out,
+                                 strict=True):
+                assert np.array_equal(got, want) and not got.flags.writeable
+            return
+        with pytest.raises(ValueError):
+            PosteriorDraws(pred, out, sigma2s, mode)
 
 
 def _kr_half_steps(factors) -> tuple:
@@ -280,7 +339,8 @@ def _entries(node):
 
 def _corrupt_json(draw, text: str) -> tuple:
     """(fault, text) of a JSON file cut short, missing a key or with one value spoiled."""
-    fault = draw(st.sampled_from(_VALUE_FAULTS + ("truncated", "key removed", "number made true")))
+    fault = draw(st.sampled_from(_VALUE_FAULTS + ("truncated", "key removed", "number made true",
+                                                  "integer made fractional", "boolean made a string")))
     if fault == "truncated":
         # every cut before the closing brace leaves invalid JSON
         return fault, text[:draw(st.integers(0, text.rindex("}") - 1))]
@@ -297,6 +357,15 @@ def _corrupt_json(draw, text: str) -> tuple:
                    if type(v) in (int, float) and k not in _OPTIONAL_KEYS]
         container, key = draw(st.sampled_from(numbers))
         container[key] = True
+        return fault, json.dumps(doc)
+    if fault == "integer made fractional":
+        integers = [(c, k) for c, k, v in _entries(doc) if type(v) is int and k not in _OPTIONAL_KEYS]
+        container, key = draw(st.sampled_from(integers))
+        container[key] += 0.5
+        return fault, json.dumps(doc)
+    if fault == "boolean made a string":
+        containers = [c for c, k, _ in _entries(doc) if k == "converged"]
+        draw(st.sampled_from(containers))["converged"] = draw(st.sampled_from(["false", "true"]))
         return fault, json.dumps(doc)
     arrays = [v for _, _, v in _entries(doc)
               if isinstance(v, list) and v and all(isinstance(e, float) for e in v)]
