@@ -42,6 +42,8 @@ _LINE = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
 _BLOCK_VALUES = 1024 * _VALUES_PER_LINE
 # characters of a tensor file's values parsed at once
 _READ_CHUNK = 1 << 20
+# the one model and draws file version, written and read
+_JSON_VERSION = 1
 
 
 def write_tensor(path: str, t: DenseTensor) -> None:
@@ -169,10 +171,14 @@ def _numbers(values) -> np.ndarray:
 
 
 def _factors_from(items, rank: int) -> list:
-    return [
-        _numbers(d["values"]).reshape(_number(d["rows"], int), rank, order="F")
-        for d in items
-    ]
+    factors = []
+    for d in items:
+        rows = _number(d["rows"], int)
+        # reshape would infer a row count of -1
+        if rows < 1:
+            raise ValueError(f"factor rows must be at least 1, found {rows}")
+        factors.append(_numbers(d["values"]).reshape(rows, rank, order="F"))
+    return factors
 
 
 def _coeff_dict(pred, out) -> dict:
@@ -235,7 +241,8 @@ def _draws_from(d: dict) -> PosteriorDraws:
 
 
 def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None:
-    payload = {"format": f"mwreg-{kind}", "version": 1, "lam": float(lam), "seed": int(seed), **body}
+    payload = {"format": f"mwreg-{kind}", "version": _JSON_VERSION, "lam": float(lam),
+               "seed": int(seed), **body}
     # dumps runs the C encoder; dump to a file takes the pure-Python path
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
@@ -246,7 +253,8 @@ def _read_json(path: str, kind: str, parse) -> tuple:
     """(parse(payload), lam, seed) of a JSON file of the given kind.
 
     A structural fault (bad JSON, a missing key, a value of the wrong type
-    or shape) is reported as a ValueError naming the file.
+    or shape) is reported as a ValueError naming the file, and so is a
+    file of another kind or of a version other than _JSON_VERSION.
     """
     with open(path) as fh:
         text = fh.read()
@@ -254,13 +262,18 @@ def _read_json(path: str, kind: str, parse) -> tuple:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise TypeError(f"top level is a JSON {type(payload).__name__}, not an object")
-        if payload.get("format") == f"mwreg-{kind}":
+        if payload.get("format") != f"mwreg-{kind}":
+            fault = f"not a {kind} file"
+        elif (version := _number(payload["version"], int)) != _JSON_VERSION:
+            fault = (f"{kind} file version {version} is not supported; "
+                     f"this reader reads {_JSON_VERSION}")
+        else:
             return parse(payload), _number(payload["lam"]), _number(payload["seed"], int)
     except KeyError as exc:
         raise ValueError(f"{path}: malformed {kind} file: missing key {exc}") from None
     except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {kind} file: {exc}") from None
-    raise ValueError(f"{path}: not a {kind} file")
+    raise ValueError(f"{path}: {fault}")
 
 
 def write_model(path: str, result: FitResult, lam: float, seed: int) -> None:

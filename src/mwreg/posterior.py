@@ -17,12 +17,30 @@ rows at a time; the noise is read in observation-major order, so the
 numbers do not depend on the block size.  `posterior_predictive` returns
 them all as one (draws, N, *out_dims) array; `simulation.run_cell` and
 `mwreg gibbs` take intervals through a fused routine that sorts each
-block where it was built, holding draws x 16 rows x cells values at a
-time.  `dic` reads the draws' predictions a batch at a time.
+block where it was built, holding one or two blocks of draws x 16 rows
+x cells values at a time.  `dic` reads the draws' predictions a batch at
+a time.
+
+The predictive noise is drawn one block ahead on a helper thread, which
+is then the only user of the caller's generator: numpy releases the GIL
+while it fills normals, multiplies matrices and sorts, so the next
+block's noise is drawn while the current block is predicted and sorted.
+The stream is read in the same order, so the numbers are those of one
+thread.  The helper runs only where a CPU is free for it: not in a
+process with one usable CPU, nor in `simulation.run_grid`'s pool workers
+when the pool has more than half as many workers as there are usable
+CPUs.  Otherwise the same producer runs inline.  A call returns, or
+raises, only after its helper has ended, so no helper is alive when
+`run_grid` forks its workers; after an error, the generator may have run
+up to one block past the values used.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -63,6 +81,9 @@ _INTERVAL_BLOCK = 128
 # test rows per predictive block, a multiple of fitting's prediction tile;
 # a block holds rows x cells x draws values
 _PREDICTIVE_ROWS = 16
+# whether predictive noise may be drawn on a helper thread; run_grid's pool
+# workers clear it when the pool leaves no CPU free for the helpers
+_noise_thread = True
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -289,6 +310,74 @@ def gibbs(
     return PosteriorDraws(stacks[:n_pred], stacks[n_pred:], sigma2s, mode_fit)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
+    """Yield (r0, r1, noise) per block of _PREDICTIVE_ROWS of n rows.
+
+    A block holds rng.standard_normal's next (rows, cells, draws) values
+    times sd, the draws' noise scales, so the stream is read in row
+    order.  With a CPU free (`_noise_thread` set and more than one
+    usable CPU), a helper thread fills the next block into a second
+    buffer while the caller holds the current one, and is the only user
+    of rng meanwhile; otherwise one buffer is filled inline.  Either way
+    a block holds its values until the caller asks for the next one.  An
+    error on the helper is raised again here, and the helper is joined on
+    every way out: the end, an error, or the generator's close.  After an
+    error or a close, rng may have run up to one block past the last one
+    yielded.
+    """
+    spans = [(r0, min(r0 + _PREDICTIVE_ROWS, n)) for r0 in range(0, n, _PREDICTIVE_ROWS)]
+    threaded = _noise_thread and _usable_cpus() > 1
+    shape = (min(_PREDICTIVE_ROWS, n), cells, sd.size)
+    buffers = [np.empty(shape) for _ in range(2 if threaded else 1)]
+
+    def fill(k):
+        r0, r1 = spans[k]
+        # a C-ordered fill reads the stream row by row
+        block = buffers[k % len(buffers)][:r1 - r0]
+        rng.standard_normal(out=block)
+        block *= sd
+        return r0, r1, block
+
+    if not threaded:
+        for k in range(len(spans)):
+            yield fill(k)
+        return
+    # a token per buffer the helper may fill, given back when the caller asks
+    # for the next block; a None after the tokens stops the helper
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in buffers:
+        free.put(True)
+
+    def produce():
+        try:
+            for k in range(len(spans)):
+                if free.get() is None:
+                    return
+                filled.put(fill(k))
+        except BaseException as exc:
+            filled.put(exc)
+
+    helper = threading.Thread(target=produce, name="mwreg-predictive-noise", daemon=True)
+    helper.start()
+    try:
+        for _ in spans:
+            item = filled.get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            free.put(True)
+    finally:
+        free.put(None)
+        helper.join()
+
+
 def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
     """Predictive values of x_new's rows, a block of rows at a time.
 
@@ -296,33 +385,32 @@ def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
     the point prediction of each draw (`fitting.predict`'s bits, offsets
     reapplied) plus its noise.  Cells are in first-index-fastest order.
     The noise is sqrt(sigma2_t) times rng.standard_normal((N, cells,
-    draws)), read a row at a time, so every block size reads the same
-    numbers.  One buffer holds every block in turn: a block is overwritten
-    by the next.
+    draws)), read in row order, so every block size reads the same
+    numbers.  `_noise_blocks` draws it, on a helper thread one block
+    ahead where a CPU is free for it, with the same bits either way; the
+    helper is then the only user of rng until the generator ends, and
+    after an error or a close rng may have run up to one block ahead.  A
+    block holds its values until the next one is asked for.  Closing the
+    generator joins the helper, so callers close it on every way out.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     preds = _Predictions(x_new, draws.predictor_factors, draws.outcome_factors, draws.mode)
     sd = np.sqrt(draws.sigma2s)
     y_cells = None if preds.y_offsets is None else preds.y_offsets.ravel(order="F")
-    buffer = np.empty((min(_PREDICTIVE_ROWS, preds.n), prod(preds.out_dims), preds.sets))
-    for r0 in range(0, preds.n, _PREDICTIVE_ROWS):
-        r1 = min(r0 + _PREDICTIVE_ROWS, preds.n)
-        block = buffer[:r1 - r0]
-        for row in block:
-            rng.standard_normal(out=row)
-            row *= sd
-        # noise + prediction has the bits of prediction + noise
-        for t0, t1, s0, s1, pm in preds.tiles(r0, r1):
-            a, b = max(s0, r0), min(s1, r1)
-            point = pm[:, a - s0:b - s0]
-            if y_cells is not None:
-                # in place while the cells are contiguous, before the transposed add
-                point += y_cells
-            block[a - r0:b - r0, :, t0:t1] += point.transpose(1, 2, 0)
-        if not np.isfinite(block).all():
-            raise ValueError("predictive draws must be finite")
-        yield r0, r1, block
+    with closing(_noise_blocks(rng, sd, preds.n, prod(preds.out_dims))) as noise:
+        for r0, r1, block in noise:
+            # noise + prediction has the bits of prediction + noise
+            for t0, t1, s0, s1, pm in preds.tiles(r0, r1):
+                a, b = max(s0, r0), min(s1, r1)
+                point = pm[:, a - s0:b - s0]
+                if y_cells is not None:
+                    # in place while the cells are contiguous, before the transposed add
+                    point += y_cells
+                block[a - r0:b - r0, :, t0:t1] += point.transpose(1, 2, 0)
+            if not np.isfinite(block).all():
+                raise ValueError("predictive draws must be finite")
+            yield r0, r1, block
 
 
 def posterior_predictive(
@@ -337,15 +425,15 @@ def posterior_predictive(
     rng.standard_normal((N, cells, draws)), with the cells c of a response
     in first-index-fastest order.
     """
-    blocks = _predictive_blocks(x_new, draws, rng)
     out_dims = draws.mode.coefficients.out_dims
     m = len(out_dims)
     stack = np.empty((len(draws), x_new.dims[0]) + out_dims)
     # a block's (rows, *reversed out_dims, sets) axes in the stack's order
     to_stack = (m + 1, 0) + tuple(range(m, 0, -1))
-    for r0, r1, block in blocks:
-        by_mode = block.reshape((r1 - r0,) + out_dims[::-1] + (block.shape[-1],))
-        stack[:, r0:r1] = by_mode.transpose(to_stack)
+    with closing(_predictive_blocks(x_new, draws, rng)) as blocks:
+        for r0, r1, block in blocks:
+            by_mode = block.reshape((r1 - r0,) + out_dims[::-1] + (block.shape[-1],))
+            stack[:, r0:r1] = by_mode.transpose(to_stack)
     return stack
 
 
@@ -411,18 +499,19 @@ def _predictive_intervals(x_new: DenseTensor, draws: PosteriorDraws, rng, level:
     (draws, N, *out_dims) array exists.  The errors are those of the
     composition, in its order.
     """
-    blocks = _predictive_blocks(x_new, draws, rng)
-    try:
-        _interval_checks(len(draws), level)
-    except ValueError:
-        # the composition builds, and checks, every block before these checks
-        for _ in blocks:
-            pass
-        raise
     n, out_dims = x_new.dims[0], draws.mode.coefficients.out_dims
-    ends = np.empty((n, prod(out_dims), 2))
-    for r0, r1, block in blocks:
-        ends[r0:r1] = _sorted_ends(block.reshape(-1, block.shape[-1]), level).reshape(r1 - r0, -1, 2)
+    with closing(_predictive_blocks(x_new, draws, rng)) as blocks:
+        try:
+            _interval_checks(len(draws), level)
+        except ValueError:
+            # the composition builds, and checks, every block before these checks
+            for _ in blocks:
+                pass
+            raise
+        ends = np.empty((n, prod(out_dims), 2))
+        for r0, r1, block in blocks:
+            ends[r0:r1] = _sorted_ends(block.reshape(-1, block.shape[-1]),
+                                       level).reshape(r1 - r0, -1, 2)
     # cells are in first-index-fastest order, as an order="F" reshape reads them
     lo, hi = (ends[..., k].reshape((n,) + out_dims, order="F") for k in (0, 1))
     return DenseTensor(np.ascontiguousarray(lo)), DenseTensor(np.ascontiguousarray(hi))

@@ -536,6 +536,47 @@ class TestModelFormat:
             read_model(path)
 
 
+    def test_other_versions_refused(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        x, _, res = _fit_pair(rng)
+        path, x_path = os.path.join(tmp_path, "m.json"), os.path.join(tmp_path, "x.mwt")
+        write_model(path, res, lam=0.5, seed=3)
+        write_tensor(x_path, x)
+        out = os.path.join(tmp_path, "p.mwt")
+        assert main(["predict", "--model", path, "--x", x_path, "--out", out]) == 0
+        texts = {v: _edited(path, lambda p, v=v: p.update(version=v)) for v in (0, 2, 7)}
+        for version, text in texts.items():
+            _rewrite(path, text)
+            message = f"{path}: model file version {version} is not supported; this reader reads 1"
+            with pytest.raises(ValueError) as info:
+                read_model(path)
+            assert str(info.value) == message
+            assert main(["predict", "--model", path, "--x", x_path, "--out", out]) == 2
+            assert message in capsys.readouterr().err
+        # a version that is not a JSON integer is a malformed field
+        for version in (1.0, True, "1"):
+            _rewrite(path, _edited(path, lambda p: p.update(version=version)))
+            malformed = re.escape(path) + ": malformed model file: expected an integer"
+            with pytest.raises(ValueError, match=malformed):
+                read_model(path)
+        _rewrite(path, _edited(path, lambda p: p.pop("version")))
+        with pytest.raises(ValueError, match="malformed model file: missing key 'version'$"):
+            read_model(path)
+
+    def test_factor_rows_below_one_refused(self, tmp_path):
+        # rows -1 used to reach reshape, which inferred the row count
+        rng = np.random.default_rng(11)
+        path = os.path.join(tmp_path, "m.json")
+        write_model(path, _fit_pair(rng)[2], lam=0.5, seed=3)
+        for rows in (-1, 0):
+            _rewrite(path, _edited(
+                path, lambda p: p["coefficients"]["predictor_factors"][0].update(rows=rows)))
+            with pytest.raises(ValueError) as info:
+                read_model(path)
+            assert str(info.value) == (
+                f"{path}: malformed model file: factor rows must be at least 1, found {rows}")
+
+
 class TestDrawsFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -583,6 +624,25 @@ class TestDrawsFormat:
         inf_offset = _edited(path, lambda p: p["mode"]["y_offsets"].__setitem__(0, float("-inf")))
         for text in ('{"format":"mwreg-draws"}', "[]", "{", no_mode, inf_offset):
             self._rejects(path, text, "")
+
+    def test_other_versions_refused(self, tmp_path):
+        path = self._draws_file(tmp_path)
+        read_draws(path)
+        for version in (0, 2):
+            _rewrite(path, _edited(path, lambda p: p.update(version=version)))
+            with pytest.raises(ValueError) as info:
+                read_draws(path)
+            assert str(info.value) == (
+                f"{path}: draws file version {version} is not supported; this reader reads 1")
+
+    def test_factor_rows_below_one_refused(self, tmp_path):
+        path = self._draws_file(tmp_path)
+        for rows in (-1, 0):
+            def edit(payload):
+                payload["samples"][2]["predictor_factors"][0]["rows"] = rows
+
+            self._rejects(path, _edited(path, edit),
+                          f"factor rows must be at least 1, found {rows}$")
 
     def test_sigma2_length_must_match_samples(self, tmp_path):
         path = self._draws_file(tmp_path)

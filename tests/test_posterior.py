@@ -6,7 +6,11 @@ and the chain against the closed-form posterior of the single-factor
 ridge model, where the coefficient posterior mean is available exactly.
 """
 
+import faulthandler
 import re
+import sys
+import threading
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -656,12 +660,15 @@ class TestPredictiveIntervals:
         for in_dims, out_dims, center in self.CASES[2:4]:
             draws = self._draws(rng, in_dims, out_dims, center)
             x_new = DenseTensor(rng.standard_normal((37,) + in_dims))
+            _noise_thread(monkeypatch, False)
             stack = posterior_predictive(x_new, draws, 5)
             ivals = _predictive_intervals(x_new, draws, 5, 0.9)
-            for rows in (1, 37):
-                monkeypatch.setattr(posterior, "_PREDICTIVE_ROWS", rows)
-                assert np.array_equal(posterior_predictive(x_new, draws, 5), stack)
-                _assert_same_intervals(_predictive_intervals(x_new, draws, 5, 0.9), ivals)
+            for rows in (1, 16, 37):
+                for threaded in (False, True):
+                    monkeypatch.setattr(posterior, "_PREDICTIVE_ROWS", rows)
+                    _noise_thread(monkeypatch, threaded)
+                    assert np.array_equal(posterior_predictive(x_new, draws, 5), stack)
+                    _assert_same_intervals(_predictive_intervals(x_new, draws, 5, 0.9), ivals)
             monkeypatch.undo()
 
     def test_errors_match_composition(self):
@@ -692,6 +699,157 @@ class TestPredictiveIntervals:
                 _predictive_intervals(xn, d, 0, level)
             assert str(got.value) == str(want.value)
             assert message in str(got.value)
+
+
+def _noise_thread(monkeypatch, on):
+    """Draw predictive noise on a helper thread (on) or inline, whatever the CPU count."""
+    monkeypatch.setattr(posterior, "_noise_thread", on)
+    monkeypatch.setattr(posterior, "_usable_cpus", lambda: 2)
+
+
+class _BreakingRng:
+    """A generator whose standard_normal raises after `fills` good calls."""
+
+    def __init__(self, fills):
+        self.rng, self.fills = np.random.default_rng(0), fills
+
+    def standard_normal(self, out):
+        if self.fills == 0:
+            raise FloatingPointError("noise stream broke")
+        self.fills -= 1
+        return self.rng.standard_normal(out=out)
+
+
+class TestNoiseThread:
+    """Predictive noise drawn on a helper thread against the same noise drawn inline."""
+
+    @pytest.fixture(autouse=True)
+    def _deadline(self):
+        # a helper that is never joined hangs the caller: fail loudly instead
+        faulthandler.dump_traceback_later(120, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+
+    def _draws(self, rng):
+        x, y, _ = _random_instance(rng, 20, (3, 2), (2, 3), 2)
+        return gibbs(x, y, GibbsConfig(rank=2, n_samples=45, lam=0.5, seed=3))
+
+    def test_threaded_and_inline_give_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        draws = self._draws(rng)
+        for n in (1, 16, 37):
+            x_new = DenseTensor(rng.standard_normal((n, 3, 2)))
+            got = {}
+            for threaded in (False, True):
+                _noise_thread(monkeypatch, threaded)
+                gen = np.random.default_rng(8)
+                stack = posterior_predictive(x_new, draws, gen)
+                got[threaded] = (stack, gen.standard_normal(4),
+                                 _predictive_intervals(x_new, draws, 8, 0.9))
+            (s0, next0, i0), (s1, next1, i1) = got[False], got[True]
+            assert np.array_equal(s0, s1)
+            # the caller's generator is left where an inline run leaves it
+            assert np.array_equal(next0, next1)
+            _assert_same_intervals(i1, i0)
+
+    def test_concurrent_callers_with_frequent_switches(self, monkeypatch):
+        # more callers than CPUs, each with its own helper, handing over a
+        # one-row block at a time
+        rng = np.random.default_rng(75)
+        draws = self._draws(rng)
+        x_new = DenseTensor(rng.standard_normal((37, 3, 2)))
+        monkeypatch.setattr(posterior, "_PREDICTIVE_ROWS", 1)
+        _noise_thread(monkeypatch, False)
+        want = [posterior_predictive(x_new, draws, seed) for seed in range(4)]
+        _noise_thread(monkeypatch, True)
+        got = [None] * 4
+
+        def call(k):
+            got[k] = posterior_predictive(x_new, draws, k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_helper_runs_beside_the_caller_only_when_threaded(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        draws = self._draws(rng)
+        x_new = DenseTensor(rng.standard_normal((37, 3, 2)))
+        base = threading.active_count()
+        for threaded in (False, True):
+            _noise_thread(monkeypatch, threaded)
+            with closing(posterior._predictive_blocks(x_new, draws, 0)) as blocks:
+                next(blocks)
+                # three blocks: the helper is filling the second or waiting to fill the third
+                assert threading.active_count() == base + threaded
+            assert threading.active_count() == base
+        _noise_thread(monkeypatch, True)
+        monkeypatch.setattr(posterior, "_usable_cpus", lambda: 1)
+        with closing(posterior._predictive_blocks(x_new, draws, 0)) as blocks:
+            next(blocks)
+            assert threading.active_count() == base
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        _noise_thread(monkeypatch, True)
+        x, y, draws = _tiny_draws(rng, t=3)
+        one = stacked_draws(draws.coefficients[:1], np.ones(1), draws.mode)
+        # its predictions overflow in the third of five blocks, so the
+        # helper is waiting to fill the fifth when the error comes
+        late_inf = rng.standard_normal((80, 3))
+        late_inf[37] = 1.7e308
+        late_inf = DenseTensor(late_inf)
+        x_new = DenseTensor(rng.standard_normal((40, 3)))
+        base = threading.active_count()
+        posterior_predictive(x_new, draws, 0)
+        _predictive_intervals(x_new, draws, 0, 0.9)
+        assert threading.active_count() == base
+        with pytest.raises(ValueError, match="at least two draws"):
+            _predictive_intervals(x_new, one, 0, 0.9)
+        assert threading.active_count() == base
+        for call in (posterior_predictive, lambda *a: _predictive_intervals(*a, 0.9)):
+            with (np.errstate(over="ignore"),
+                  pytest.raises(ValueError, match="must be finite") as info):
+                call(late_inf, draws, 0)
+            # joined on the way out, not when the traceback's frames are freed
+            assert info.tb is not None and threading.active_count() == base
+        blocks = posterior._predictive_blocks(x_new, draws, 0)
+        next(blocks)
+        assert threading.active_count() == base + 1
+        blocks.close()
+        assert threading.active_count() == base
+
+        # an error in the caller, while it holds the first block
+        def failing_sort(block, level):
+            raise RuntimeError("sort failed")
+
+        monkeypatch.setattr(posterior, "_sorted_ends", failing_sort)
+        with pytest.raises(RuntimeError, match="^sort failed$") as info:
+            _predictive_intervals(x_new, draws, 0, 0.9)
+        assert info.tb is not None and threading.active_count() == base
+
+    def test_helper_errors_reach_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(74)
+        _noise_thread(monkeypatch, True)
+        x, y, draws = _tiny_draws(rng, t=3)
+        x_new = DenseTensor(rng.standard_normal((40, 3)))
+        base = threading.active_count()
+        # in the first block and in the second
+        for fills in (0, 1):
+            for call in (posterior_predictive, lambda *a: _predictive_intervals(*a, 0.9)):
+                with pytest.raises(FloatingPointError, match="^noise stream broke$") as info:
+                    call(x_new, draws, _BreakingRng(fills))
+                assert info.tb is not None and threading.active_count() == base
 
 
 class TestDic:
