@@ -26,13 +26,11 @@ is then the only user of the caller's generator: numpy releases the GIL
 while it fills normals, multiplies matrices and sorts, so the next
 block's noise is drawn while the current block is predicted and sorted.
 The stream is read in the same order, so the numbers are those of one
-thread.  The helper runs only where a CPU is free for it: not in a
-process with one usable CPU, nor in `simulation.run_grid`'s pool workers
-when the pool has more than half as many workers as there are usable
-CPUs.  Otherwise the same producer runs inline.  A call returns, or
+thread.  The helper runs only where the process may use more than one
+CPU; otherwise the same producer runs inline.  A call returns, or
 raises, only after its helper has ended, so no helper is alive when
-`run_grid` forks its workers; after an error, the generator may have run
-up to one block past the values used.
+`simulation.run_grid` forks its workers; after an error, the generator
+may have run up to one block past the values used.
 """
 
 from __future__ import annotations
@@ -81,9 +79,6 @@ _INTERVAL_BLOCK = 128
 # test rows per predictive block, a multiple of fitting's prediction tile;
 # a block holds rows x cells x draws values
 _PREDICTIVE_ROWS = 16
-# whether predictive noise may be drawn on a helper thread; run_grid's pool
-# workers clear it when the pool leaves no CPU free for the helpers
-_noise_thread = True
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -322,18 +317,17 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
 
     A block holds rng.standard_normal's next (rows, cells, draws) values
     times sd, the draws' noise scales, so the stream is read in row
-    order.  With a CPU free (`_noise_thread` set and more than one
-    usable CPU), a helper thread fills the next block into a second
-    buffer while the caller holds the current one, and is the only user
-    of rng meanwhile; otherwise one buffer is filled inline.  Either way
-    a block holds its values until the caller asks for the next one.  An
-    error on the helper is raised again here, and the helper is joined on
-    every way out: the end, an error, or the generator's close.  After an
-    error or a close, rng may have run up to one block past the last one
-    yielded.
+    order.  With more than one usable CPU, a helper thread fills the
+    next block into a second buffer while the caller holds the current
+    one, and is the only user of rng meanwhile; otherwise one buffer is
+    filled inline.  Either way a block holds its values until the caller
+    asks for the next one.  An error on the helper is raised again here,
+    and the helper is joined on every way out: the end, an error, or the
+    generator's close.  After an error or a close, rng may have run up to
+    one block past the last one yielded.
     """
     spans = [(r0, min(r0 + _PREDICTIVE_ROWS, n)) for r0 in range(0, n, _PREDICTIVE_ROWS)]
-    threaded = _noise_thread and _usable_cpus() > 1
+    threaded = _usable_cpus() > 1
     shape = (min(_PREDICTIVE_ROWS, n), cells, sd.size)
     buffers = [np.empty(shape) for _ in range(2 if threaded else 1)]
 
@@ -387,11 +381,12 @@ def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
     The noise is sqrt(sigma2_t) times rng.standard_normal((N, cells,
     draws)), read in row order, so every block size reads the same
     numbers.  `_noise_blocks` draws it, on a helper thread one block
-    ahead where a CPU is free for it, with the same bits either way; the
-    helper is then the only user of rng until the generator ends, and
-    after an error or a close rng may have run up to one block ahead.  A
-    block holds its values until the next one is asked for.  Closing the
-    generator joins the helper, so callers close it on every way out.
+    ahead where more than one CPU is usable, with the same bits either
+    way; the helper is then the only user of rng until the generator
+    ends, and after an error or a close rng may have run up to one block
+    ahead.  A block holds its values until the next one is asked for.
+    Closing the generator joins the helper, so callers close it on every
+    way out.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from . import posterior
 from .coefficients import CpCoefficients
 from .fitting import FitConfig, fit, predict
 from .posterior import GibbsConfig, _interval_scores, _predictive_intervals, gibbs
@@ -335,21 +334,13 @@ def run_grid(cells, max_workers: int = 1):
 
     Results keep the input order.  With max_workers > 1 the cells run in
     a process pool; they are independent, so any schedule gives the same
-    table.  A worker draws predictive noise on a helper thread only when
-    there are at least two usable CPUs per worker; otherwise it draws it
-    inline, with the same bits.
+    table.
     """
     cells = list(cells)
     if max_workers > 1 and len(cells) > 1:
-        noise_thread = posterior._noise_thread and 2 * max_workers <= posterior._usable_cpus()
-        with ProcessPoolExecutor(max_workers=max_workers, initializer=_set_noise_thread,
-                                 initargs=(noise_thread,)) as pool:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_one, cells))
     return [_run_one(c) for c in cells]
-
-
-def _set_noise_thread(on: bool) -> None:
-    posterior._noise_thread = on
 
 
 def expand_grid(grid: dict) -> list:

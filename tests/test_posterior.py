@@ -702,9 +702,8 @@ class TestPredictiveIntervals:
 
 
 def _noise_thread(monkeypatch, on):
-    """Draw predictive noise on a helper thread (on) or inline, whatever the CPU count."""
-    monkeypatch.setattr(posterior, "_noise_thread", on)
-    monkeypatch.setattr(posterior, "_usable_cpus", lambda: 2)
+    """Draw predictive noise on a helper thread (on) or inline, as with two usable CPUs or one."""
+    monkeypatch.setattr(posterior, "_usable_cpus", lambda: 2 if on else 1)
 
 
 class _BreakingRng:
@@ -792,11 +791,6 @@ class TestNoiseThread:
                 next(blocks)
                 # three blocks: the helper is filling the second or waiting to fill the third
                 assert threading.active_count() == base + threaded
-            assert threading.active_count() == base
-        _noise_thread(monkeypatch, True)
-        monkeypatch.setattr(posterior, "_usable_cpus", lambda: 1)
-        with closing(posterior._predictive_blocks(x_new, draws, 0)) as blocks:
-            next(blocks)
             assert threading.active_count() == base
 
     def test_no_thread_outlives_a_call(self, monkeypatch):

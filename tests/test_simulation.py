@@ -8,8 +8,6 @@ procedures, and the factorial counts of the shipped design.
 
 import csv
 import os
-import threading
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -18,22 +16,18 @@ import pytest
 from mwreg import (
     DenseTensor,
     FitConfig,
-    GibbsConfig,
     GridCell,
     SimSpec,
     contract,
     correlated_field,
     expand_grid,
     fit,
-    gibbs,
     rpe,
     run_cell,
     run_grid,
     simulate,
     write_results_csv,
 )
-import mwreg.posterior as posterior
-import mwreg.simulation as simulation
 from mwreg.simulation import _DATA, _FIT, _grid_chol, _field_slices, _substream_int, _test_set
 
 
@@ -269,31 +263,10 @@ class TestRunGrid:
         parallel = run_grid(cells, max_workers=2)
         assert serial == parallel
 
-    def test_pool_workers_draw_noise_inline_without_two_cpus_each(self, monkeypatch):
-        # the cell function runs in the pool's workers, which fork with these patches
-        monkeypatch.setattr(simulation, "_run_one", _noise_helpers_beside_a_block)
-        cells = [GridCell(_small_spec(seed=s), 1, 0.5, replicates=1) for s in (20, 21)]
-        monkeypatch.setattr(posterior, "_usable_cpus", lambda: 3)
-        assert run_grid(cells, max_workers=2) == [0, 0]
-        assert run_grid(cells, max_workers=1) == [1, 1]
-        monkeypatch.setattr(posterior, "_usable_cpus", lambda: 4)
-        assert run_grid(cells, max_workers=2) == [1, 1]
-
     def test_repeat_runs_identical(self):
         cells = [GridCell(_small_spec(), 2, 1.0, replicates=2, test_n=50,
                           gibbs_samples=15)]
         assert run_grid(cells) == run_grid(cells)
-
-
-def _noise_helpers_beside_a_block(cell):
-    """Threads running beside the caller while it holds a predictive block."""
-    x, y, _ = simulate(cell.spec)
-    draws = gibbs(x, y, GibbsConfig(rank=cell.fit_rank, n_samples=4, lam=cell.lam))
-    x_new = DenseTensor(np.zeros((40,) + cell.spec.in_dims))
-    base = threading.active_count()
-    with closing(posterior._predictive_blocks(x_new, draws, 0)) as blocks:
-        next(blocks)
-        return threading.active_count() - base
 
 
 class TestExpandGrid:
