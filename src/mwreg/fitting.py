@@ -20,14 +20,14 @@ The mode systems are assembled without dense Kronecker products, and the
 Cholesky factorization and solves call LAPACK directly, because the
 sampler rebuilds and solves one system per factor on every iteration.
 A sweep of ALS and an iteration of the sampler run one mode loop over one
-sweep state, which owns the current factors and the products derived
-from them: each factor's Gram matrix, the outcome Khatri-Rao product with
-its Gram and Y1 product, and X1 times the predictor Khatri-Rao product
-with its Gram.  Setting a factor drops only the products that depend on
-it, so each is built once per factor update instead of once per system.
-A cached product is built from the same operands, in the same memory
-layout and multiplication order, as a per-call build, because BLAS
-results depend on operand layout; the sweeps therefore keep their bits.
+sweep state.  It owns the current factors and, in plain attributes that
+setting a factor resets to None, the products derived from them: Gram
+matrices, Khatri-Rao products and their products with the data, each
+built once per factor update.  At low ranks the fixed cost of each numpy
+call sets a system's time, so a system is assembled in few calls; every
+product has the operands, memory layout and multiplication order of a
+per-call build, because BLAS results depend on operand layout, so the
+sweeps keep their bits.
 The public single-step functions build a fresh state per call.
 The prediction code evaluates many coefficient sets through stacked
 matrix products that repeat each set's own products bit for bit, on row
@@ -38,7 +38,6 @@ rows a caller asks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -76,10 +75,11 @@ _PIVOT_FLOOR = 1e-8
 # coefficient sets per stacked matmul in `_Predictions`
 _PREDICTION_BATCH = 32
 # rows per prediction tile.  BLAS kernels block the rows of a product, so
-# a row's bits can depend on which rows share the call; tiles that start at
-# multiples of 16 rows gave OpenBLAS's bits of one product over all rows
-# (checked on 1 to 5000 rows, 1 to 3 predictor modes, 0 to 3 outcome modes
-# and ranks 1 to 5), while 1- to 7-row slices did not
+# a row's bits can depend on which rows share the call.  Tiles on a fixed
+# grid of 16-row offsets fix which rows share each call, so a row's bits do
+# not depend on the rows asked for.  They need not equal the bits of one
+# product over all rows: for some shapes they differ (15x20 -> 5x10 at
+# rank 1 on 467 rows, for one), and a larger tile can change them
 _PREDICTION_ROWS = 16
 
 
@@ -209,9 +209,7 @@ class _Workspace:
         # (N * P_l, prod of other predictor dims), observation index fastest
         if l not in self._x_by_mode:
             moved = np.moveaxis(self.xarr, 1 + l, 1)
-            self._x_by_mode[l] = moved.reshape(
-                self.n * self.in_dims[l], -1, order="F"
-            )
+            self._x_by_mode[l] = moved.reshape(self.n * self.in_dims[l], -1, order="F")
         return self._x_by_mode[l]
 
     def y_by_mode(self, m: int) -> np.ndarray:
@@ -222,77 +220,76 @@ class _Workspace:
         return self._y_by_mode[m]
 
 
-def _kr_or_ones(factors, rank: int) -> np.ndarray:
-    if factors:
+def _kr(factors, ones: np.ndarray) -> np.ndarray:
+    # one factor in C order, `_khatri_rao`'s copy's layout; readers never write it
+    if len(factors) > 1:
         return _khatri_rao(factors)
-    return np.ones((1, rank))
+    return np.ascontiguousarray(factors[0]) if factors else ones
 
 
 class _SweepState:
     """The current factors of a sweep and the products derived from them.
 
     One state is bound to one workspace and owns the factor lists; modes
-    index the concatenated list, predictor modes first.  Each product
-    (f^T f per factor; V = KR(out), V^T V and Y1 V; T = X1 KR(pred) and
-    T^T T) is built on first use, with the operands and memory layout of
-    a per-call build (one-factor `_kr_or_ones` is a C-order copy while
-    solved factors are Fortran order), and kept until `set_factor`
-    replaces a factor it depends on.
+    index the concatenated list, predictor modes first.  Each product is
+    built on first use, with the operands and layout of a per-call build,
+    and kept until `set_factor` resets it to None: grams[k] = f^T f when
+    factor k changes; kr_out, V = KR(outcome factors) or the ones row, with
+    V^T V and Y1 V in kr_out_gram and y_kr_out, when an outcome factor
+    does; x_kr_pred, T = X1 KR(predictor factors), and x_kr_pred_gram =
+    T^T T when a predictor factor does.  Each mode's other factors and
+    penalty Gram modes, and a read-only ones row, are fixed at construction.
     """
 
     def __init__(self, ws: _Workspace, pred, out):
         self.ws = ws
         self.pred = list(pred)
         self.out = list(out)
+        self.n_pred = n_pred = len(self.pred)
         self.rank = self.pred[0].shape[1]
-        self._grams = [None] * (len(self.pred) + len(self.out))
+        self.ones = np.ones((1, self.rank))
+        self.ones.setflags(write=False)
+        self._others = ([[k for k in range(n_pred) if k != l] for l in range(n_pred)]
+                        + [[k for k in range(len(out)) if k != m] for m in range(len(out))])
+        self._penalty_modes = [list(range(n_pred)) + [n_pred + k for k in others]
+                               for others in self._others[n_pred:]]
+        self.grams = [None] * len(self._others)
+        self.kr_out = self.kr_out_gram = self.y_kr_out = self.x_kr_pred = self.x_kr_pred_gram = None
 
     def set_factor(self, mode: int, f: np.ndarray) -> None:
         """Replace one factor and drop the products that depend on it."""
-        n_pred = len(self.pred)
-        if mode < n_pred:
+        if mode < self.n_pred:
             self.pred[mode] = f
-            dropped = _PREDICTOR_PRODUCTS
+            self.x_kr_pred = self.x_kr_pred_gram = None
         else:
-            self.out[mode - n_pred] = f
-            dropped = _OUTCOME_PRODUCTS
-        for name in dropped:
-            self.__dict__.pop(name, None)
-        self._grams[mode] = None
+            self.out[mode - self.n_pred] = f
+            self.kr_out = self.kr_out_gram = self.y_kr_out = None
+        self.grams[mode] = None
 
     def _gram(self, mode: int) -> np.ndarray:
-        if self._grams[mode] is None:
-            n_pred = len(self.pred)
-            f = self.pred[mode] if mode < n_pred else self.out[mode - n_pred]
-            self._grams[mode] = f.T @ f
-        return self._grams[mode]
+        g = self.grams[mode]
+        if g is None:
+            f = self.pred[mode] if mode < self.n_pred else self.out[mode - self.n_pred]
+            g = self.grams[mode] = f.T @ f
+        return g
 
     def _gram_product(self, modes) -> np.ndarray:
-        # ones * G_k * ... in mode order, as `coefficients._gram_product`
-        g = np.ones((self.rank, self.rank))
-        for k in modes:
+        # G_k * ... in mode order: `coefficients._gram_product`'s bits, as 1.0 * G == G
+        g = self._gram(modes[0])
+        for k in modes[1:]:
             g = g * self._gram(k)
         return g
 
-    @cached_property
-    def _kr_out(self) -> np.ndarray:
-        return _kr_or_ones(self.out, self.rank)
+    def _outcome_products(self):
+        if self.kr_out is None:
+            v = self.kr_out = _kr(self.out, self.ones)
+            self.kr_out_gram, self.y_kr_out = v.T @ v, self.ws.y1 @ v
+        return self.kr_out, self.kr_out_gram, self.y_kr_out
 
-    @cached_property
-    def _kr_out_gram(self) -> np.ndarray:
-        return self._kr_out.T @ self._kr_out
-
-    @cached_property
-    def _y_kr_out(self) -> np.ndarray:
-        return self.ws.y1 @ self._kr_out
-
-    @cached_property
-    def _x_kr_pred(self) -> np.ndarray:
-        return self.ws.x1 @ _khatri_rao(self.pred)
-
-    @cached_property
-    def _x_kr_pred_gram(self) -> np.ndarray:
-        return self._x_kr_pred.T @ self._x_kr_pred
+    def _x_kr(self) -> np.ndarray:
+        if self.x_kr_pred is None:
+            self.x_kr_pred = self.ws.x1 @ _kr(self.pred, self.ones)
+        return self.x_kr_pred
 
     def predictor_system(self, l: int, lam: float):
         """Normal equations (S, rhs) for predictor mode l.
@@ -304,13 +301,12 @@ class _SweepState:
         (V^T V (x) 1), so both Kronecker products are applied in place on
         the (R, P_l, R, P_l) view of W^T W instead of being built.
         """
-        ws, rank = self.ws, self.rank
+        ws, rank, others = self.ws, self.rank, self._others[l]
         pl = ws.in_dims[l]
-        others = [k for k in range(len(self.pred)) if k != l]
-        w2 = ws.x_by_mode(l) @ _kr_or_ones([self.pred[k] for k in others], rank)
-        w3 = w2.reshape(ws.n, pl, rank, order="F")
+        w3 = (ws.x_by_mode(l) @ _kr([self.pred[k] for k in others], self.ones)).reshape(
+            ws.n, pl, rank, order="F")
         wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
-        vgram = self._kr_out_gram
+        _, vgram, v_y = self._outcome_products()
         s = wf.T @ wf
         s4 = s.reshape(rank, pl, rank, pl)
         s4 *= vgram[:, None, :, None]
@@ -318,9 +314,10 @@ class _SweepState:
             g = vgram
             for k in others:
                 g = g * self._gram(k)
-            diag = np.arange(pl)
-            s4[:, diag, :, diag] += lam * g
-        rhs = np.einsum("npr,nr->rp", w3, self._y_kr_out).reshape(-1)
+            row, col = s.strides  # s4's entries (r, p, r', p) as an (R, R, P_l) view of s
+            diag = np.ndarray((rank, rank, pl), buffer=s, strides=(pl * row, pl * col, row + col))
+            diag += (lam * g)[:, :, None]
+        rhs = np.einsum("npr,nr->rp", w3, v_y).reshape(-1)
         return s, rhs
 
     def outcome_system(self, m: int, lam: float):
@@ -330,18 +327,21 @@ class _SweepState:
         column r of D is X contracted with the rank-1 term of component r
         over every mode but outcome mode m.
         """
-        ws, rank = self.ws, self.rank
-        n_pred = len(self.pred)
-        t = self._x_kr_pred
-        others = [k for k in range(len(self.out)) if k != m]
-        wq = _kr_or_ones([self.out[k] for k in others], rank)
-        a = self._x_kr_pred_gram * (wq.T @ wq)
+        ws, rank, others = self.ws, self.rank, self._others[self.n_pred + m]
+        t = self._x_kr()
+        if self.x_kr_pred_gram is None:
+            self.x_kr_pred_gram = t.T @ t
+        wq = _kr([self.out[k] for k in others], self.ones)
+        a = self.x_kr_pred_gram * (wq.T @ wq)
         if lam:
-            g = self._gram_product(list(range(n_pred)) + [n_pred + k for k in others])
-            a = a + lam * g
-        d = (t[:, None, :] * wq[None, :, :]).reshape(ws.n * wq.shape[0], rank, order="F")
-        rhs = (ws.y_by_mode(m) @ d).T
-        return a, rhs
+            a += lam * self._gram_product(self._penalty_modes[m])
+        # t * ones is t; more factors fill the Fortran-ordered buffer that an
+        # order="F" reshape of the (N, rows, R) product would
+        d = t
+        if others:
+            d = np.empty((ws.n * wq.shape[0], rank), order="F")
+            np.multiply(t[:, None, :], wq[None, :, :], out=d.reshape(ws.n, -1, rank, order="F"))
+        return a, (ws.y_by_mode(m) @ d).T
 
     def update(self, mode: int, lam: float, problem_lam: float):
         """(new factor, Cholesky factor of the system, rhs^T sol) of one mode.
@@ -351,12 +351,11 @@ class _SweepState:
         ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.
         problem_lam is the penalty the singular message reports against.
         """
-        n_pred = len(self.pred)
-        if mode < n_pred:
+        if mode < self.n_pred:
             s, rhs = self.predictor_system(mode, lam)
             sol, low = _spd_solve(s, rhs, problem_lam)
             return sol.reshape(self.ws.in_dims[mode], self.rank, order="F"), low, float(rhs @ sol)
-        a, rhs = self.outcome_system(mode - n_pred, lam)
+        a, rhs = self.outcome_system(mode - self.n_pred, lam)
         sol, low = _spd_solve(a, rhs, problem_lam)
         return sol.T, low, float(np.vdot(rhs, sol))
 
@@ -369,7 +368,7 @@ class _SweepState:
         update's rhs^T sol.
         """
         gains = []
-        for mode in range(len(self.pred) + len(self.out)):
+        for mode in range(len(self.grams)):
             mean, low, gain = self.update(mode, lam, problem_lam)
             self.set_factor(mode, take(mode, mean, low))
             gains.append(gain)
@@ -377,38 +376,27 @@ class _SweepState:
 
     def rss(self) -> float:
         """||Y - <X, B>||_F^2 of the current factors."""
-        resid = self.ws.y1 - self._x_kr_pred @ self._kr_out.T
-        return float(np.sum(resid * resid))
+        resid = self.ws.y1 - self._x_kr() @ self._outcome_products()[0].T
+        resid *= resid
+        return float(resid.sum())
 
     def objective(self, lam: float) -> float:
         """The penalized objective, lam * ||B||_F^2 from the all-mode Gram product."""
         rss = self.rss()
-        if lam:
-            return rss + lam * float(np.sum(self._gram_product(range(len(self._grams)))))
-        return rss
-
-
-# the cached products `_SweepState.set_factor` drops with a factor of each kind
-_PREDICTOR_PRODUCTS = ("_x_kr_pred", "_x_kr_pred_gram")
-_OUTCOME_PRODUCTS = ("_kr_out", "_kr_out_gram", "_y_kr_out")
-
-
-def _lapack_checked(routine: str, result):
-    """(output, info) of a LAPACK call once info reports no argument error."""
-    value, info = result
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
-    return value, info
+        return rss + lam * float(self._gram_product(range(len(self.grams))).sum()) if lam else rss
 
 
 def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
     """Solve the SPD system via Cholesky; returns (solution, lower factor).
 
+    s and rhs are left unchanged, and the factor's upper triangle is zero.
     lam is the problem's penalty, which picks the advice of the singular
     message.  While `fit` anneals it differs from the penalty s was built
     with, which is that sweep's lambda_t.
     """
-    low, info = _lapack_checked("potrf", _POTRF(s, lower=1, clean=1))
+    low, info = _POTRF(s, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     pivots = low.diagonal()
     # Without a penalty, a rank-deficient system can pass potrf on
     # round-off alone, with a squared pivot a tiny fraction of its diagonal
@@ -425,15 +413,10 @@ def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
     # the factor's diagonal
     if not np.isfinite(pivots).all():
         raise SingularSystemError("mode subproblem is not finite")
-    return _lapack_checked("potrs", _POTRS(low, rhs, lower=1))[0], low
-
-
-def _lower_transpose_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low^T x = b for a lower-triangular Cholesky factor low."""
-    x, info = _lapack_checked("trtrs", _TRTRS(low, b, lower=1, trans=1))
-    if info > 0:
-        raise SingularSystemError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
+    sol, info = _POTRS(low, rhs, lower=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return sol, low
 
 
 # =====================================================================

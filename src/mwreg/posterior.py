@@ -49,11 +49,12 @@ from .coefficients import CpCoefficients
 from .fitting import (
     FitConfig,
     FitResult,
+    SingularSystemError,
     _check_lam,
     _checked_state,
-    _lower_transpose_solve,
     _Predictions,
     _SweepState,
+    _TRTRS,
     _Workspace,
     fit,
 )
@@ -196,14 +197,22 @@ class FactorConditional:
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One factor draw: mean plus sigma * L^{-T} z."""
-        sd = float(np.sqrt(self.sigma2))
-        if self.is_outcome:
-            z = rng.standard_normal(self.mean.shape)
-            pert = _lower_transpose_solve(self.system_chol, z.T).T
-            return self.mean + sd * pert
-        z = rng.standard_normal(self.mean.size)
-        pert = _lower_transpose_solve(self.system_chol, z)
-        return self.mean + sd * pert.reshape(self.mean.shape, order="F")
+        return _draw(self.mean, self.system_chol, float(np.sqrt(self.sigma2)), self.is_outcome, rng)
+
+
+def _draw(mean, low, sd: float, is_outcome: bool, rng) -> np.ndarray:
+    """`FactorConditional.sample` with sd = sqrt(sigma2), for it and the chain."""
+    # an outcome draw solves for all rows at once and is C-ordered, a
+    # predictor draw for the stacked factor and is Fortran-ordered
+    z = rng.standard_normal(mean.shape if is_outcome else mean.size)
+    pert, info = _TRTRS(low, z.T if is_outcome else z, lower=1, trans=1)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    if info > 0:
+        raise SingularSystemError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if is_outcome:
+        return mean + sd * pert.T
+    return mean + sd * pert.reshape(mean.shape, order="F")
 
 
 def draw_sigma2(x: DenseTensor, y: DenseTensor, b: CpCoefficients, rng) -> float:
@@ -279,7 +288,6 @@ def gibbs(
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CHAIN_STREAM)))
     state = _SweepState(ws, [f.copy() for f in b0.predictor_factors],
                         [f.copy() for f in b0.outcome_factors])
-    n_pred = len(state.pred)
     nq = ws.n * ws.q
     # a predictor draw is Fortran-ordered and an outcome draw C-ordered;
     # the stacks hold each in its own layout
@@ -288,11 +296,9 @@ def gibbs(
     sigma2s = np.empty(cfg.n_samples)
     for it in range(1, cfg.burn_in + cfg.n_samples * cfg.thin + 1):
         sigma2 = _draw_sigma2_rss(state.rss(), nq, rng)
-
-        def draw(mode, mean, low):
-            return FactorConditional(mean, low, sigma2, mode >= n_pred).sample(rng)
-
-        state.sweep(cfg.lam, cfg.lam, draw)
+        sd = float(np.sqrt(sigma2))
+        state.sweep(cfg.lam, cfg.lam,
+                    lambda mode, mean, low: _draw(mean, low, sd, mode >= state.n_pred, rng))
         k = it - cfg.burn_in
         if k > 0 and k % cfg.thin == 0:
             factors = state.pred + state.out
@@ -302,7 +308,7 @@ def gibbs(
             for stack, f in zip(stacks, factors):
                 stack[t] = f
             sigma2s[t] = sigma2
-    return PosteriorDraws(stacks[:n_pred], stacks[n_pred:], sigma2s, mode_fit)
+    return PosteriorDraws(stacks[:state.n_pred], stacks[state.n_pred:], sigma2s, mode_fit)
 
 
 def _usable_cpus() -> int:

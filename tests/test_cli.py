@@ -11,10 +11,12 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mwreg
 from mwreg import DenseTensor, FitConfig, fit, read_tensor, write_tensor, read_draws, read_model
 from mwreg.cli import main
 
@@ -482,3 +484,21 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "model written to" in proc.stdout
+
+    def test_module_entry_point(self, tmp_path):
+        out = os.path.join(tmp_path, "model.json")
+        src = os.path.dirname(os.path.dirname(mwreg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwreg.cli", "fit", "--x", TINY_X, "--y", TINY_Y,
+             "--rank", "1", "--lambda", "0.5", "--seed", "0", "--out", out],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "model written to" in proc.stdout
+        in_process = tmp_path / "in_process"
+        in_process.mkdir()
+        code, want = _fit_tiny(in_process)
+        assert code == 0
+        assert _sha(out) == _sha(want)

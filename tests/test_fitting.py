@@ -339,6 +339,19 @@ class TestSystemsBitForBit:
         with pytest.raises(SingularSystemError, match="numerically singular"):
             _spd_solve(s, rhs, 0.5)
 
+    def test_spd_solve_keeps_its_input_and_cleans_the_upper_triangle(self):
+        rng = np.random.default_rng(45)
+        x, y, b = _random_instance(rng, 30, (15, 20), (5, 10), 5)
+        state = _SweepState(_Workspace(x.array, y.array), b.predictor_factors, b.outcome_factors)
+        for mode in range(4):
+            s, rhs = (state.predictor_system(mode, 0.5) if mode < 2
+                      else state.outcome_system(mode - 2, 0.5))
+            s_before, rhs_before = s.copy(), rhs.copy()
+            _, low = _spd_solve(s, rhs, 0.5)
+            assert np.array_equal(s, s_before)
+            assert np.array_equal(rhs, rhs_before)
+            assert not np.triu(low, 1).any()
+
     @pytest.mark.parametrize("s", [
         np.array([[np.nan]]),
         np.array([[2.0, np.nan], [np.nan, 2.0]]),
@@ -436,6 +449,8 @@ def _per_call_als(ws, cfg, augment):
 
 _SWEEP_SHAPES = [(in_dims, out_dims) for in_dims in ((4,), (3, 4), (2, 3, 2))
                  for out_dims in ((), (3,), (2, 3))]
+# (rank, lam) of the study's shape, N=30 and 15x20 -> 5x10
+_STUDY_CASES = [(1, 0.5), (5, 0.5), (1, 0.0)]
 
 
 class TestSharedSweepProducts:
@@ -450,6 +465,19 @@ class TestSharedSweepProducts:
         rank = 1 if len(in_dims) + len(out_dims) == 1 else 2
         x, y, _ = _random_instance(rng, 20, in_dims, out_dims, rank)
         cfg = FitConfig(rank=rank, lam=lam, seed=3, max_iters=7, anneal_steps=3,
+                        center_data=False)
+        res = fit(x, y, cfg)
+        factors, trace, subtrace = _per_call_als(_Workspace(x.array, y.array), cfg, False)
+        assert np.array_equal(res.objective_trace, trace)
+        assert np.array_equal(res.substep_trace, subtrace)
+        for got, want in zip(res.coefficients.factors, factors, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rank,lam", _STUDY_CASES)
+    def test_study_shape_fit_equals_per_call_sweeps(self, rank, lam):
+        rng = np.random.default_rng(46)
+        x, y, _ = _random_instance(rng, 30, (15, 20), (5, 10), rank)
+        cfg = FitConfig(rank=rank, lam=lam, seed=6, max_iters=5, anneal_steps=2,
                         center_data=False)
         res = fit(x, y, cfg)
         factors, trace, subtrace = _per_call_als(_Workspace(x.array, y.array), cfg, False)

@@ -41,7 +41,7 @@ from mwreg import (
     update_outcome_factor,
     update_predictor_factor,
 )
-from mwreg.fitting import _Workspace
+from mwreg.fitting import _SweepState, _Workspace
 import mwreg.posterior as posterior
 from mwreg.posterior import _CHAIN_STREAM, FactorConditional, _predictive_intervals
 from reference import (
@@ -50,7 +50,7 @@ from reference import (
     conditional_covariance,
     stacked_draws,
 )
-from test_fitting import _SWEEP_SHAPES, _per_call_objective, _per_call_sweep
+from test_fitting import _STUDY_CASES, _SWEEP_SHAPES, _per_call_objective, _per_call_sweep
 
 
 def _point_stack(x_new, draws):
@@ -222,6 +222,27 @@ class TestConditionalFactorParams:
                 pert = pert.reshape(cond.mean.shape, order="F")
             assert np.array_equal(got, cond.mean + sd * pert)
 
+    def test_result_keeps_its_values_after_further_updates(self):
+        rng = np.random.default_rng(34)
+        x, y, b = _random_instance(rng, 30, (15, 20), (5, 10), 3)
+        conds = [conditional_factor_params(x, y, b, mode, 0.5, 1.3) for mode in range(4)]
+        kept = [(c.mean.copy(), c.system_chol.copy()) for c in conds]
+        # further updates: every mode again, a chain, and a sweep of a shared state
+        for mode in range(4):
+            conditional_factor_params(x, y, b, mode, 0.5, 1.3).sample(rng)
+        gibbs(x, y, GibbsConfig(rank=3, n_samples=2, lam=0.5, seed=8))
+        state = _SweepState(_Workspace(x.array, y.array), b.predictor_factors, b.outcome_factors)
+        means = [state.update(mode, 0.5, 0.5)[:2] for mode in range(4)]
+        mean_copies = [(m.copy(), low.copy()) for m, low in means]
+        state.sweep(0.5, 0.5, lambda mode, mean, low: mean)
+        state.sweep(0.5, 0.5, lambda mode, mean, low: mean)
+        for cond, (mean, low) in zip(conds, kept):
+            assert np.array_equal(cond.mean, mean)
+            assert np.array_equal(cond.system_chol, low)
+        for (m, low), (m0, low0) in zip(means, mean_copies):
+            assert np.array_equal(m, m0)
+            assert np.array_equal(low, low0)
+
     def test_mode_and_sigma2_validation(self):
         rng = np.random.default_rng(14)
         x, y, b = _random_instance(rng, 8, (3,), (2,), 1)
@@ -275,6 +296,22 @@ class TestSharedSweepProducts:
         x, y, _ = _random_instance(rng, 20, in_dims, out_dims, rank)
         mode_fit = fit(x, y, FitConfig(rank=rank, lam=lam, seed=5, center_data=False))
         cfg = GibbsConfig(rank=rank, n_samples=6, lam=lam, seed=5, center_data=False)
+        draws = gibbs(x, y, cfg, mode_fit=mode_fit)
+        states, sigma2s = _per_call_chain(
+            _Workspace(x.array, y.array), mode_fit.coefficients, cfg
+        )
+        assert np.array_equal(draws.sigma2s, sigma2s)
+        for b, factors in zip(draws.coefficients, states, strict=True):
+            for got, want in zip(b.factors, factors, strict=True):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rank,lam", _STUDY_CASES)
+    def test_study_shape_chain_equals_per_call_draws(self, rank, lam):
+        rng = np.random.default_rng(47)
+        x, y, _ = _random_instance(rng, 30, (15, 20), (5, 10), rank)
+        mode_fit = fit(x, y, FitConfig(rank=rank, lam=lam, seed=7, max_iters=20,
+                                       center_data=False))
+        cfg = GibbsConfig(rank=rank, n_samples=4, lam=lam, seed=7, center_data=False)
         draws = gibbs(x, y, cfg, mode_fit=mode_fit)
         states, sigma2s = _per_call_chain(
             _Workspace(x.array, y.array), mode_fit.coefficients, cfg
