@@ -94,19 +94,6 @@ class CpCoefficients:
             return kr.sum(axis=1, keepdims=True)
         return kr @ khatri_rao(self._out).T
 
-    def gram_hadamard(self, skip: int) -> np.ndarray:
-        """Entrywise product of the factor Gram matrices, one mode skipped.
-
-        ``skip`` indexes the concatenated factor list (0-based, predictor
-        modes first).  The result equals B_ts^T B_ts where B_ts has the
-        vectorized skip-omitted rank-1 terms as columns, which is what the
-        ridge penalty contributes to that mode's update.
-        """
-        if not 0 <= skip < self.order:
-            raise ValueError(f"skip mode {skip} out of range for order {self.order}")
-        others = [f for k, f in enumerate(self.factors) if k != skip]
-        return _gram_product(others, self.rank)
-
     def __repr__(self) -> str:
         ins = "x".join(map(str, self.in_dims))
         outs = "x".join(map(str, self.out_dims)) or "-"
@@ -121,13 +108,6 @@ def _checked_factor(f) -> np.ndarray:
         raise ValueError("factor matrices must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def _gram_product(factors, rank) -> np.ndarray:
-    out = np.ones((rank, rank))
-    for f in factors:
-        out = out * (f.T @ f)
-    return out
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ _FIT_STREAM = 0
 _ANNEAL_START = 100.0
 
 # double-precision LAPACK routines, looked up once instead of per solve
-_POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 # smallest squared Cholesky pivot, relative to its diagonal entry, that
 # `_spd_solve` accepts in an unpenalized problem.  Exactly singular Gram
@@ -274,7 +274,7 @@ class _SweepState:
         return g
 
     def _gram_product(self, modes) -> np.ndarray:
-        # G_k * ... in mode order: `coefficients._gram_product`'s bits, as 1.0 * G == G
+        # G_k * ... in mode order, with the bits of a product started from ones (1.0 * G == G)
         g = self._gram(modes[0])
         for k in modes[1:]:
             g = g * self._gram(k)

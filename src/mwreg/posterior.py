@@ -21,29 +21,22 @@ block where it was built, holding one or two blocks of draws x 16 rows
 x cells values at a time.  `dic` reads the draws' predictions a batch at
 a time.
 
-The predictive noise is drawn one block ahead on a helper thread, which
-is then the only user of the caller's generator: numpy releases the GIL
-while it fills normals, multiplies matrices and sorts, so the next
-block's noise is drawn while the current block is predicted and sorted.
-The stream is read in the same order, so the numbers are those of one
-thread.  The helper runs only where the process may use more than one
-CPU; otherwise the same producer runs inline.  A call returns, or
-raises, only after its helper has ended, so no helper is alive when
-`simulation.run_grid` forks its workers; after an error, the generator
-may have run up to one block past the values used.
+The predictive noise is drawn one block ahead on a helper thread where
+the process may use more than one CPU, with the bits of an inline run;
+`_noise_blocks` says how.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .coefficients import CpCoefficients
 from .fitting import (
@@ -54,7 +47,6 @@ from .fitting import (
     _checked_state,
     _Predictions,
     _SweepState,
-    _TRTRS,
     _Workspace,
     fit,
 )
@@ -74,6 +66,8 @@ __all__ = [
 ]
 
 _CHAIN_STREAM = 1
+# LAPACK's triangular solve for the factor draws, looked up once
+(_TRTRS,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
 
 # response cells whose draws `credible_intervals` transposes and sorts at once
 _INTERVAL_BLOCK = 128
@@ -226,6 +220,10 @@ def draw_sigma2(x: DenseTensor, y: DenseTensor, b: CpCoefficients, rng) -> float
 
 
 def _draw_sigma2_rss(rss: float, nq: int, rng: np.random.Generator) -> float:
+    if not np.isfinite(rss):
+        raise DegeneratePosteriorError(
+            "residual sum of squares is not finite; the variance conditional is undefined"
+        )
     if not rss > 0.0:
         raise DegeneratePosteriorError(
             "residual sum of squares is zero; the variance conditional is degenerate"
@@ -322,15 +320,22 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
     """Yield (r0, r1, noise) per block of _PREDICTIVE_ROWS of n rows.
 
     A block holds rng.standard_normal's next (rows, cells, draws) values
-    times sd, the draws' noise scales, so the stream is read in row
-    order.  With more than one usable CPU, a helper thread fills the
-    next block into a second buffer while the caller holds the current
-    one, and is the only user of rng meanwhile; otherwise one buffer is
-    filled inline.  Either way a block holds its values until the caller
-    asks for the next one.  An error on the helper is raised again here,
-    and the helper is joined on every way out: the end, an error, or the
-    generator's close.  After an error or a close, rng may have run up to
-    one block past the last one yielded.
+    times sd, the draws' noise scales, and keeps them until the caller asks
+    for the next block.  A C-ordered fill reads the stream row by row, so
+    the numbers do not depend on the block size.
+
+    With one usable CPU the blocks are filled inline, in one buffer.
+    Otherwise a one-worker executor fills block k + 1 into a second buffer
+    while the caller holds block k, and is the only user of rng meanwhile:
+    numpy releases the GIL while it fills normals, multiplies matrices and
+    sorts, so the fill overlaps the caller's work, and the stream is read
+    in the same order, so the numbers are those of the inline fills.
+    `Future.result` raises a failed fill's error here.  Leaving the
+    executor (the end, an error or the generator's close) waits for a
+    fill still running and drops its result, so no helper outlives the
+    generator and none is alive when `simulation.run_grid` forks its
+    workers.  After an error or a close, rng may have run up to one block
+    past the last one yielded.
     """
     spans = [(r0, min(r0 + _PREDICTIVE_ROWS, n)) for r0 in range(0, n, _PREDICTIVE_ROWS)]
     threaded = _usable_cpus() > 1
@@ -339,7 +344,6 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
 
     def fill(k):
         r0, r1 = spans[k]
-        # a C-ordered fill reads the stream row by row
         block = buffers[k % len(buffers)][:r1 - r0]
         rng.standard_normal(out=block)
         block *= sd
@@ -349,33 +353,13 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
         for k in range(len(spans)):
             yield fill(k)
         return
-    # a token per buffer the helper may fill, given back when the caller asks
-    # for the next block; a None after the tokens stops the helper
-    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in buffers:
-        free.put(True)
-
-    def produce():
-        try:
-            for k in range(len(spans)):
-                if free.get() is None:
-                    return
-                filled.put(fill(k))
-        except BaseException as exc:
-            filled.put(exc)
-
-    helper = threading.Thread(target=produce, name="mwreg-predictive-noise", daemon=True)
-    helper.start()
-    try:
-        for _ in spans:
-            item = filled.get()
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-            free.put(True)
-    finally:
-        free.put(None)
-        helper.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="mwreg-predictive-noise") as helper:
+        ahead = helper.submit(fill, 0)
+        for k in range(1, len(spans)):
+            block = ahead.result()
+            ahead = helper.submit(fill, k)
+            yield block
+        yield ahead.result()
 
 
 def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
@@ -386,13 +370,8 @@ def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
     reapplied) plus its noise.  Cells are in first-index-fastest order.
     The noise is sqrt(sigma2_t) times rng.standard_normal((N, cells,
     draws)), read in row order, so every block size reads the same
-    numbers.  `_noise_blocks` draws it, on a helper thread one block
-    ahead where more than one CPU is usable, with the same bits either
-    way; the helper is then the only user of rng until the generator
-    ends, and after an error or a close rng may have run up to one block
-    ahead.  A block holds its values until the next one is asked for.
-    Closing the generator joins the helper, so callers close it on every
-    way out.
+    numbers.  `_noise_blocks` draws it, and a block holds its values until
+    the next one is asked for; callers close the generator on every way out.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)

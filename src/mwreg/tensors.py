@@ -31,8 +31,8 @@ class DenseTensor:
     """Immutable dense real tensor of order >= 1.
 
     Construction rejects NaN and infinite entries.  ``array`` is a read-only
-    numpy view indexed ``[i1, ..., iK]``; ``values`` is the flat
-    first-index-fastest copy.
+    numpy view indexed ``[i1, ..., iK]``; `vec` gives the flat
+    first-index-fastest vector.
     """
 
     __slots__ = ("_array",)
@@ -76,10 +76,6 @@ class DenseTensor:
     @property
     def size(self) -> int:
         return self._array.size
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._array.ravel(order="F")
 
     def __repr__(self) -> str:
         dims = "x".join(str(d) for d in self.dims)
@@ -176,7 +172,10 @@ def contract(a: DenseTensor, b: DenseTensor, n_modes: int) -> DenseTensor:
 
     For a of order K + n and b of order n + M the result has order K + M,
     entry sum over the n shared indices of a[i..., s...] * b[s..., j...].
-    Order-2 inputs with n_modes=1 reduce to the matrix product.
+    Order-2 inputs with n_modes=1 reduce to the matrix product.  For
+    predictors a of dims (N, *in_dims) and a materialized coefficient array
+    b it is the paper's <X, B>_L, which `fitting.predict` computes from the
+    factors without forming B.
     """
     if n_modes < 1:
         raise ValueError("number of contracted modes must be at least 1")

@@ -10,6 +10,8 @@ definitions, a quantity the library computes by a faster route:
   `fit` but not the loop under test;
 - `build_design_predictor` and `build_design_outcome` give the explicit
   design matrices whose normal equations the mode updates solve;
+- `gram_hadamard` gives the Gram matrix the ridge penalty adds to one
+  mode's update, as a product of the other modes' factor Grams;
 - `conditional_covariance` gives the dense covariance of a full
   conditional;
 - `nuclear_balance` gives both sides of the order-2 norm-balance identity;
@@ -32,6 +34,20 @@ from mwreg.fitting import (
     _Workspace,
 )
 from mwreg.posterior import FactorConditional, PosteriorDraws
+
+
+def gram_hadamard(b: CpCoefficients, skip: int) -> np.ndarray:
+    """Entrywise product of b's factor Gram matrices, mode skip left out.
+
+    skip indexes the concatenated factor list, predictor modes first.  The
+    result equals D^T D where D has the vectorized skip-omitted rank-1
+    terms as columns.
+    """
+    out = np.ones((b.rank, b.rank))
+    for k, f in enumerate(b.factors):
+        if k != skip:
+            out = out * (f.T @ f)
+    return out
 
 
 def augment_arrays(xarr: np.ndarray, yarr: np.ndarray, lam: float):

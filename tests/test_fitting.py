@@ -40,6 +40,7 @@ from reference import (
     build_design_outcome,
     build_design_predictor,
     fit_augmented_oracle,
+    gram_hadamard,
 )
 
 
@@ -189,7 +190,7 @@ class TestBuildDesignOutcome:
 
 def _explicit_predictor_update(x, y, b, mode, lam):
     c = build_design_predictor(x, b, mode)
-    g = b.gram_hadamard(mode)
+    g = gram_hadamard(b, mode)
     pl = b.in_dims[mode]
     s = c.T @ c + lam * np.kron(g, np.eye(pl))
     sol = np.linalg.solve(s, c.T @ vec(y))
@@ -202,7 +203,7 @@ def _explicit_outcome_update(x, y, b, mode, lam):
     perm = [f for k, f in enumerate(outs) if k != mode] + [outs[mode]]
     bp = CpCoefficients(list(b.predictor_factors), perm)
     d = build_design_outcome(x, bp)
-    g = b.gram_hadamard(len(b.predictor_factors) + mode)
+    g = gram_hadamard(b, len(b.predictor_factors) + mode)
     y_m = unfold(y, 1 + mode)
     sol = np.linalg.solve(d.T @ d + lam * g, d.T @ y_m.T)
     return sol.T
@@ -726,6 +727,21 @@ class TestPredict:
         flat = xc @ res.coefficients.matricize()
         expected = flat.reshape((5, 2, 3), order="F") + res.y_offsets
         assert np.allclose(got.array, expected, atol=1e-10)
+
+    def test_is_the_contracted_product(self):
+        # <X - x_offsets, B>_L + y_offsets with B materialized, for a scalar,
+        # a one-mode and a two-mode response
+        rng = np.random.default_rng(37)
+        for out_dims in ((), (2,), (2, 3)):
+            x, y, _ = _random_instance(rng, 12, (3, 2), out_dims, 2)
+            res = fit(x, y, FitConfig(rank=2, lam=0.5, seed=16))
+            assert res.x_offsets is not None
+            x_new = DenseTensor(rng.standard_normal((5, 3, 2)))
+            got = predict(x_new, res)
+            xc = DenseTensor(x_new.array - res.x_offsets)
+            expected = contract(xc, res.coefficients.materialize(), 2).array + res.y_offsets
+            assert got.dims == (5,) + out_dims
+            assert np.allclose(got.array, expected, atol=1e-10)
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(36)

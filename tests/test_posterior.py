@@ -48,6 +48,7 @@ from reference import (
     build_design_outcome,
     build_design_predictor,
     conditional_covariance,
+    gram_hadamard,
     stacked_draws,
 )
 from test_fitting import _STUDY_CASES, _SWEEP_SHAPES, _per_call_objective, _per_call_sweep
@@ -108,8 +109,20 @@ class TestDrawSigma2:
         x = DenseTensor(rng.standard_normal((5, 3)))
         y = DenseTensor(np.zeros((5, 2)))
         zero = CpCoefficients([np.zeros((3, 1))], [np.zeros((2, 1))])
-        with pytest.raises(DegeneratePosteriorError):
+        with pytest.raises(DegeneratePosteriorError, match="is zero"):
             draw_sigma2(x, y, zero, np.random.default_rng(0))
+
+    def test_non_finite_residual_degenerate(self):
+        rng = np.random.default_rng(4)
+        # the residuals' squares overflow to inf
+        x = DenseTensor(1e100 * rng.standard_normal((10, 3)))
+        y = DenseTensor(rng.standard_normal(10))
+        huge = CpCoefficients([np.full((3, 2), 1e60)])
+        with (np.errstate(over="ignore"),
+              pytest.raises(DegeneratePosteriorError, match="is not finite")):
+            draw_sigma2(x, y, huge, np.random.default_rng(0))
+        with pytest.raises(DegeneratePosteriorError, match="is not finite"):
+            posterior._draw_sigma2_rss(float("nan"), 10, np.random.default_rng(0))
 
 
 class TestConditionalFactorParams:
@@ -146,7 +159,7 @@ class TestConditionalFactorParams:
         for mode in range(2):
             cond = conditional_factor_params(x, y, b, mode, lam, s2)
             c = build_design_predictor(x, b, mode)
-            g = b.gram_hadamard(mode)
+            g = gram_hadamard(b, mode)
             p = b.in_dims[mode]
             s = c.T @ c + lam * np.kron(g, np.eye(p))
             assert np.allclose(conditional_covariance(cond), s2 * np.linalg.inv(s), atol=1e-8)
@@ -159,7 +172,7 @@ class TestConditionalFactorParams:
         # exactly what build_design_outcome produces
         cond = conditional_factor_params(x, y, b, 2, lam, s2)
         d = build_design_outcome(x, b)
-        a = d.T @ d + lam * b.gram_hadamard(2)
+        a = d.T @ d + lam * gram_hadamard(b, 2)
         want = s2 * np.kron(np.linalg.inv(a), np.eye(4))
         assert np.allclose(conditional_covariance(cond), want, atol=1e-8)
 

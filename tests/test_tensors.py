@@ -103,7 +103,7 @@ class TestDenseTensor:
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((3, 2, 4))
         t = DenseTensor(arr)
-        again = DenseTensor.from_values(t.dims, t.values)
+        again = DenseTensor.from_values(t.dims, vec(t))
         assert np.array_equal(again.array, arr)
 
 
