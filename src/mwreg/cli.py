@@ -268,6 +268,8 @@ def _interval_rows(lo: DenseTensor, hi: DenseTensor) -> list:
 
 
 def cmd_gibbs(args) -> None:
+    if args.x_new is None and (args.y_new is not None or args.intervals_out is not None):
+        raise UsageError("--y-new and --intervals-out need --x-new")
     x = read_tensor(_require(args, "x", "--x"))
     y = read_tensor(_require(args, "y", "--y"))
     rank = _require(args, "rank", "--rank")
@@ -352,18 +354,33 @@ def cmd_cv(args) -> None:
     print(f"selected rank={best[0]} lambda={best[1]:g} (mean_rpe={best[2]:.6g})")
 
 
+def _from_json_file(path: str, what: str, build):
+    """build(the JSON object in the file at path); its errors name the file.
+
+    A value of the wrong type is as much a data problem as one out of
+    range, so build's TypeError is reported like its ValueError.
+    """
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"{what} must be a JSON object")
+            return build(raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _spec_from_json(raw: dict) -> SimSpec:
+    allowed = {"n", "in_dims", "out_dims", "rank", "snr", "seed", "correlation", "rho"}
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    return SimSpec(**{"out_dims": [], **raw})
+
+
 def _sim_spec_from_args(args) -> SimSpec:
     if args.spec is not None:
-        with open(args.spec) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.spec}: spec must be a JSON object")
-        allowed = {"n", "in_dims", "out_dims", "rank", "snr", "seed", "correlation", "rho"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValueError(f"{args.spec}: unknown keys {sorted(unknown)}")
-        raw.setdefault("out_dims", [])
-        return SimSpec(**raw)
+        return _from_json_file(args.spec, "spec", _spec_from_json)
     n = _require(args, "n", "--n")
     rank = _require(args, "rank", "--rank")
     in_dims = _parse_dims(_require(args, "in_dims", "--in-dims"))
@@ -402,9 +419,7 @@ def cmd_experiment(args) -> None:
     out = _require(args, "out", "--out")
     if args.parallel < 1:
         raise UsageError("--parallel must be at least 1")
-    with open(grid_path) as fh:
-        grid = json.load(fh)
-    cells = expand_grid(grid)
+    cells = _from_json_file(grid_path, "grid", expand_grid)
     results = run_grid(cells, max_workers=args.parallel)
     write_results_csv(results, out)
     failures = sum(1 for _, _, err in results if err is not None)

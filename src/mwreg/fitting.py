@@ -19,6 +19,9 @@ sweep-end objective that the convergence test and best-of-starts use.
 The mode systems are assembled without dense Kronecker products, and the
 Cholesky factorization and solves call LAPACK directly, because the
 sampler rebuilds and solves one system per factor on every iteration.
+The LAPACK wrappers are bound from scipy's compiled `_flapack` extension
+without importing `scipy.linalg`, which took about half the time of
+`import mwreg`; `_lapack_routines` binds them for the whole package.
 A sweep of ALS and an iteration of the sampler run one mode loop over one
 sweep state.  It owns the current factors and, in plain attributes that
 setting a factor resets to None, the products derived from them: Gram
@@ -37,11 +40,13 @@ rows a caller asks for.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .coefficients import CpCoefficients
 from .tensors import DenseTensor, _khatri_rao
@@ -62,8 +67,45 @@ _FIT_STREAM = 0
 # the annealed penalty starts this many times above max(lam, 1)
 _ANNEAL_START = 100.0
 
+
+def _flapack_path():
+    """Path of scipy's compiled double-precision LAPACK extension, or None."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _lapack_routines(names):
+    """The double-precision LAPACK wrappers of `scipy.linalg.get_lapack_funcs`.
+
+    names are LAPACK routine names without their type prefix, such as
+    "potrf".  The wrappers are bound from scipy's compiled `_flapack`
+    extension, loaded without running `scipy/linalg/__init__.py`.  They
+    wrap the compiled routines that `get_lapack_funcs` returns for float64
+    arrays, so every call has the same bits.  Where that extension cannot
+    be found or loaded, they come from `get_lapack_funcs` itself.
+    """
+    path = _flapack_path()
+    if path is not None:
+        try:
+            spec = importlib.util.spec_from_file_location("mwreg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return tuple(getattr(module, "d" + name) for name in names)
+        except (ImportError, AttributeError):
+            pass
+    from scipy.linalg import get_lapack_funcs
+
+    return tuple(get_lapack_funcs(names, (np.empty((1, 1)),)))
+
+
 # double-precision LAPACK routines, looked up once instead of per solve
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+_POTRF, _POTRS = _lapack_routines(("potrf", "potrs"))
 
 # smallest squared Cholesky pivot, relative to its diagonal entry, that
 # `_spd_solve` accepts in an unpenalized problem.  Exactly singular Gram

@@ -36,7 +36,6 @@ from functools import cached_property
 from math import prod
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .coefficients import CpCoefficients
 from .fitting import (
@@ -48,6 +47,7 @@ from .fitting import (
     _Predictions,
     _SweepState,
     _Workspace,
+    _lapack_routines,
     fit,
 )
 from .tensors import DenseTensor
@@ -67,7 +67,7 @@ __all__ = [
 
 _CHAIN_STREAM = 1
 # LAPACK's triangular solve for the factor draws, looked up once
-(_TRTRS,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
+(_TRTRS,) = _lapack_routines(("trtrs",))
 
 # response cells whose draws `credible_intervals` transposes and sorts at once
 _INTERVAL_BLOCK = 128

@@ -15,14 +15,13 @@ in a flat CSV.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import CpCoefficients
-from .fitting import FitConfig, fit, predict
+from .fitting import _POTRF, FitConfig, fit, predict
 from .posterior import GibbsConfig, _interval_scores, _predictive_intervals, gibbs
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
@@ -54,7 +53,8 @@ class SimSpec:
     rank 0 means no signal (B = 0, snr ignored).  correlation selects
     exponential spatial correlation with adjacent-cell correlation rho for
     the predictor slices (corr_x, needs 2 predictor modes) or the error
-    slices (corr_e, needs 2 outcome modes).
+    slices (corr_e, needs 2 outcome modes).  A field of the wrong type
+    raises TypeError and one out of range ValueError, each naming the field.
     """
 
     n: int
@@ -67,8 +67,17 @@ class SimSpec:
     rho: float = 0.6
 
     def __post_init__(self):
-        object.__setattr__(self, "in_dims", tuple(int(d) for d in self.in_dims))
-        object.__setattr__(self, "out_dims", tuple(int(d) for d in self.out_dims))
+        for names, kind, noun in ((("n", "rank", "seed"), numbers.Integral, "an integer"),
+                                  (("snr", "rho"), numbers.Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if not _is_kind(value, kind):
+                    raise TypeError(f"{name} must be {noun}, got {value!r}")
+        for name in ("in_dims", "out_dims"):
+            dims = getattr(self, name)
+            if not (isinstance(dims, (list, tuple)) and all(_is_kind(d, numbers.Integral) for d in dims)):
+                raise TypeError(f"{name} must be a list of integers, got {dims!r}")
+            object.__setattr__(self, name, tuple(int(d) for d in dims))
         if self.n < 1:
             raise ValueError("n must be positive")
         if not self.in_dims:
@@ -87,6 +96,11 @@ class SimSpec:
             raise ValueError("corr_e needs exactly two outcome modes")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether value is of the numeric ABC kind; a bool counts as no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -141,7 +155,12 @@ def _grid_chol(dims, rho: float) -> np.ndarray:
     cj = np.repeat(np.arange(d2), d1)
     dist = np.hypot(ci[:, None] - ci[None, :], cj[:, None] - cj[None, :])
     cov = rho ** dist
-    return scipy.linalg.cholesky(cov, lower=True, check_finite=False)
+    low, info = _POTRF(cov, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return low
 
 
 def correlated_field(dims, rho: float, rng: np.random.Generator) -> DenseTensor:
@@ -338,6 +357,9 @@ def run_grid(cells, max_workers: int = 1):
     """
     cells = list(cells)
     if max_workers > 1 and len(cells) > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             return list(pool.map(_run_one, cells))
     return [_run_one(c) for c in cells]
@@ -350,7 +372,9 @@ def expand_grid(grid: dict) -> list:
     out_dims, fit_ranks, lambdas (procedure factors, lists), replicates,
     seed.  Optional: test_n (500), gibbs_samples (1000), correlation
     ("none"), rho (0.6).  Every procedure applied to scenario i shares the
-    scenario's derived seed, so all procedures see the same datasets.
+    scenario's derived seed, so all procedures see the same datasets.  A
+    list key that holds no list raises TypeError, and a value that does not
+    convert raises ValueError; both name the key.
     """
     required = ["n", "snr", "true_ranks", "in_dims", "out_dims", "fit_ranks", "lambdas", "replicates", "seed"]
     missing = [k for k in required if k not in grid]
@@ -359,37 +383,60 @@ def expand_grid(grid: dict) -> list:
     unknown = set(grid) - set(required) - {"test_n", "gibbs_samples", "correlation", "rho"}
     if unknown:
         raise ValueError(f"grid has unknown keys: {sorted(unknown)}")
-    root = int(grid["seed"])
+    lists = {key: _grid_list(grid, key, kind) for key, kind in (
+        ("n", int), ("snr", float), ("true_ranks", int), ("in_dims", int),
+        ("out_dims", int), ("fit_ranks", int), ("lambdas", float))}
+    root = _grid_value("seed", grid["seed"], int)
+    replicates = _grid_value("replicates", grid["replicates"], int)
+    test_n = _grid_value("test_n", grid.get("test_n", 500), int)
+    gibbs_samples = _grid_value("gibbs_samples", grid.get("gibbs_samples", 1000), int)
+    rho = _grid_value("rho", grid.get("rho", 0.6), float)
     cells = []
     scenario = 0
-    for n in grid["n"]:
-        for snr in grid["snr"]:
-            for rank in grid["true_ranks"]:
+    for n in lists["n"]:
+        for snr in lists["snr"]:
+            for rank in lists["true_ranks"]:
                 seed = int(np.random.SeedSequence((root, scenario)).generate_state(1)[0])
                 spec = SimSpec(
-                    n=int(n),
-                    in_dims=tuple(grid["in_dims"]),
-                    out_dims=tuple(grid["out_dims"]),
-                    rank=int(rank),
-                    snr=float(snr),
+                    n=n,
+                    in_dims=tuple(lists["in_dims"]),
+                    out_dims=tuple(lists["out_dims"]),
+                    rank=rank,
+                    snr=snr,
                     seed=seed,
                     correlation=grid.get("correlation", "none"),
-                    rho=float(grid.get("rho", 0.6)),
+                    rho=rho,
                 )
-                for fit_rank in grid["fit_ranks"]:
-                    for lam in grid["lambdas"]:
+                for fit_rank in lists["fit_ranks"]:
+                    for lam in lists["lambdas"]:
                         cells.append(
                             GridCell(
                                 spec=spec,
-                                fit_rank=int(fit_rank),
-                                lam=float(lam),
-                                replicates=int(grid["replicates"]),
-                                test_n=int(grid.get("test_n", 500)),
-                                gibbs_samples=int(grid.get("gibbs_samples", 1000)),
+                                fit_rank=fit_rank,
+                                lam=lam,
+                                replicates=replicates,
+                                test_n=test_n,
+                                gibbs_samples=gibbs_samples,
                             )
                         )
                 scenario += 1
     return cells
+
+
+def _grid_value(key: str, value, kind):
+    """kind(value), or a ValueError that names the grid key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"grid key {key!r} must be {kind.__name__}, got {value!r}") from None
+
+
+def _grid_list(grid: dict, key: str, kind) -> list:
+    """grid[key], which must be a list, with kind applied to each entry."""
+    values = grid[key]
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"grid key {key!r} must be a list, got {values!r}")
+    return [_grid_value(key, v, kind) for v in values]
 
 
 _CSV_COLUMNS = [

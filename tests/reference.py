@@ -15,6 +15,9 @@ definitions, a quantity the library computes by a faster route:
 - `conditional_covariance` gives the dense covariance of a full
   conditional;
 - `nuclear_balance` gives both sides of the order-2 norm-balance identity;
+- `reduced_rank_ridge` gives the global minimum of the penalized objective
+  over coefficient matrices of rank at most R, the least value `fit` can
+  reach;
 - `stacked_draws` builds the `PosteriorDraws` of a list of coefficient
   sets, one stack per mode, as the chain would hold them.
 """
@@ -207,6 +210,29 @@ def nuclear_balance(b: CpCoefficients) -> tuple:
     sum_sq = sum(float(np.sum(f * f)) for f in b.factors)
     nuclear = float(np.linalg.svd(b.materialize().array, compute_uv=False).sum())
     return sum_sq, 2.0 * nuclear
+
+
+def reduced_rank_ridge(x: np.ndarray, y: np.ndarray, lam: float, rank: int) -> tuple:
+    """Global minimizer of ||y - x B||_F^2 + lam ||B||_F^2 over rank(B) <= rank.
+
+    x is (N, P) and y (N, Q).  The penalty is least squares on the
+    augmented rows [x; sqrt(lam) I] and [y; 0], so the minimizer is the
+    reduced-rank regression of the augmented data (Mukherjee & Zhu 2011):
+    the ridge solution B_R projected onto the top `rank` right singular
+    vectors of its augmented fit [x B_R; sqrt(lam) B_R].  Returns
+    (B, objective).  A CP coefficient array of rank R matricizes to a
+    matrix of rank at most R, so with x and y the mode-1 unfoldings the
+    objective is a lower bound on any fit of that rank, and equals the
+    least objective when both sides are of order 1.
+    """
+    p = x.shape[1]
+    xa = np.vstack([x, np.sqrt(lam) * np.eye(p)])
+    ya = np.vstack([y, np.zeros((p, y.shape[1]))])
+    b_ridge = np.linalg.lstsq(xa, ya, rcond=None)[0]
+    vt = np.linalg.svd(xa @ b_ridge, full_matrices=False)[2]
+    b = b_ridge @ vt[:rank].T @ vt[:rank]
+    resid = y - x @ b
+    return b, float(np.sum(resid * resid) + lam * np.sum(b * b))
 
 
 def stacked_draws(sets, sigma2s, mode: FitResult) -> PosteriorDraws:

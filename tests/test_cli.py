@@ -284,6 +284,18 @@ class TestGibbs:
                if l.startswith("coverage ")]
         assert 0.88 <= float(cov[0].split()[1]) <= 1.0
 
+    @pytest.mark.parametrize("flag", ["--y-new", "--intervals-out"])
+    def test_interval_flags_without_x_new_are_usage_errors(self, tmp_path, capsys, flag):
+        out = os.path.join(tmp_path, "d.json")
+        code = main(["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
+                     "--lambda", "0.5", "--samples", "5", "--out", out,
+                     flag, os.path.join(tmp_path, "iv.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "usage error: --y-new and --intervals-out need --x-new\n"
+        assert not os.listdir(tmp_path)
+
     def test_level_validation(self, tmp_path):
         out = os.path.join(tmp_path, "d.json")
         code = main(["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
@@ -416,6 +428,18 @@ class TestSimulate:
                      "--out-prefix", os.path.join(tmp_path, "s")])
         assert code == 2
 
+    @pytest.mark.parametrize("field, value", [("n", "30"), ("rank", 1.5), ("in_dims", 3),
+                                              ("snr", None)])
+    def test_wrongly_typed_spec_field_is_data_error(self, tmp_path, capsys, field, value):
+        spec = os.path.join(tmp_path, "spec.json")
+        with open(spec, "w") as fh:
+            json.dump({"n": 30, "in_dims": [3], "rank": 1, field: value}, fh)
+        code = main(["simulate", "--spec", spec,
+                     "--out-prefix", os.path.join(tmp_path, "s")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {spec}: {field} must be")
+        assert os.listdir(tmp_path) == ["spec.json"]
+
     def test_spec_file_unknown_key(self, tmp_path, capsys):
         spec = os.path.join(tmp_path, "spec.json")
         with open(spec, "w") as fh:
@@ -461,6 +485,21 @@ class TestExperiment:
         assert main(["experiment", "--grid", grid_path, "--out", o2,
                      "--parallel", "2"]) == 0
         assert _sha(o1) == _sha(o2)
+
+    @pytest.mark.parametrize("key, value", [("n", 30), ("in_dims", 3)])
+    def test_wrongly_typed_grid_key_is_data_error(self, tmp_path, capsys, key, value):
+        grid = {
+            "n": [15], "snr": [1.0], "true_ranks": [1], "in_dims": [3, 2], "out_dims": [2],
+            "fit_ranks": [1], "lambdas": [0.5], "replicates": 1, "seed": 79, key: value,
+        }
+        grid_path = os.path.join(tmp_path, "grid.json")
+        with open(grid_path, "w") as fh:
+            json.dump(grid, fh)
+        out = os.path.join(tmp_path, "r.csv")
+        assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid_path}: grid key '{key}' must be a list, got {value}\n")
+        assert not os.path.exists(out)
 
     def test_bad_grid_key(self, tmp_path, capsys):
         grid_path = os.path.join(tmp_path, "grid.json")

@@ -6,6 +6,7 @@ matrices, and plain least-squares sweeps on ridge-augmented data.  The
 closed-form collapses (ridge regression, OLS) pin the special cases.
 """
 
+import importlib.machinery
 from dataclasses import replace
 
 import numpy as np
@@ -28,9 +29,11 @@ from mwreg import (
     update_predictor_factor,
     vec,
 )
+import mwreg.fitting
 from mwreg.fitting import (
     _init_factors,
     _lambda_schedule,
+    _lapack_routines,
     _spd_solve,
     _SweepState,
     _Workspace,
@@ -331,6 +334,33 @@ class TestSystemsBitForBit:
             want_low = scipy.linalg.cholesky(s, lower=True, check_finite=False)
             assert np.array_equal(low, want_low)
             assert np.array_equal(sol, scipy.linalg.cho_solve((want_low, True), right))
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["extension missing", "extension broken"])
+    def test_lapack_fallback_has_the_same_bits(self, monkeypatch, tmp_path, broken):
+        bound = _lapack_routines(("potrf", "potrs", "trtrs"))
+        # a file with an extension module's name that is no shared library
+        junk = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        junk.write_bytes(b"not a shared library")
+        monkeypatch.setattr(mwreg.fitting, "_flapack_path", lambda: str(junk) if broken else None)
+        asked = []
+        lookup = scipy.linalg.get_lapack_funcs
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                            lambda names, arrays: asked.append(names) or lookup(names, arrays))
+        fallback = _lapack_routines(("potrf", "potrs", "trtrs"))
+        assert asked == [("potrf", "potrs", "trtrs")]
+        assert [f.__name__ for f in fallback] == [f.__name__ for f in bound]
+        rng = np.random.default_rng(46)
+        for size in (1, 7, 40, 75):
+            a = rng.standard_normal((size + 10, size))
+            s = a.T @ a + 0.5 * np.eye(size)
+            rhs = rng.standard_normal((size, 3))
+            (potrf, potrs, trtrs), (potrf_f, potrs_f, trtrs_f) = bound, fallback
+            low, info = potrf(s, lower=1, clean=1)
+            low_f, info_f = potrf_f(s, lower=1, clean=1)
+            assert info == info_f == 0 and np.array_equal(low, low_f)
+            assert np.array_equal(potrs(low, rhs, lower=1)[0], potrs_f(low, rhs, lower=1)[0])
+            assert np.array_equal(trtrs(low, rhs, lower=1, trans=1)[0],
+                                  trtrs_f(low, rhs, lower=1, trans=1)[0])
 
     def test_spd_solve_singular_messages(self):
         s = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -3,14 +3,16 @@
 The example-based tests pin hand-derived cases; these check the algebraic
 invariants the package rests on for every shape hypothesis draws: the
 first-index-fastest layout, the CP/Khatri-Rao identity, the normalization
-map, the exit code of an unpenalized fit whose system is rank deficient,
-and the exit code of a command given a corrupted input file.
+map, the closed-form global optimum of a low-rank fit, the exit code of an
+unpenalized fit whose system is rank deficient, and the exit code of a
+command given a corrupted input file.
 """
 
 import functools
 import json
 import os
 import tempfile
+from math import prod
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from mwreg import (
     write_tensor,
 )
 from mwreg.cli import main
+from reference import reduced_rank_ridge
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False, width=64)
 _SHAPES = hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4)
@@ -219,6 +222,59 @@ def _subnormal_half_steps(x1, c) -> np.ndarray:
         mv, ev = np.ones((1, c.rank)), np.zeros((1, c.rank))
     mt, et = x1 @ mu, x1 @ eu + x1.shape[1]
     return et @ mv.T + mt @ ev.T + c.rank
+
+
+def _fit_and_bound(seed: int, in_dims: tuple, out_dims: tuple, lam: float, rank: int):
+    """(objective of an uncentered fit, reduced-rank ridge objective) on seeded data."""
+    rng = np.random.default_rng(seed)
+    p, q = prod(in_dims), prod(out_dims)
+    n = int(rng.integers(p + 2, p + 40))
+    x = rng.standard_normal((n,) + in_dims)
+    signal = x.reshape(n, p, order="F") @ rng.standard_normal((p, q))
+    y = signal.reshape((n,) + out_dims, order="F") + rng.standard_normal((n,) + out_dims)
+    cfg = FitConfig(rank=rank, lam=lam, seed=seed, center_data=False, n_starts=3)
+    got = fit(DenseTensor(x), DenseTensor(y), cfg).objective_trace[-1]
+    _, bound = reduced_rank_ridge(x.reshape(n, p, order="F"), y.reshape(n, q, order="F"), lam, rank)
+    return got, bound
+
+
+_LAMBDAS = st.sampled_from([0.5, 5.0, 50.0])
+
+
+class TestGlobalOptimumProperties:
+    """A fit against reduced-rank ridge regression, its closed-form optimum.
+
+    With an order-1 predictor and response, a CP coefficient array of rank
+    R is any matrix of rank at most R, so the best fit reaches the closed
+    form.  At higher orders the matricized closed form bounds every fit
+    from below; a fit under it would be a bug.  The reported objective's
+    penalty, lam * ||B||^2 from the factor Grams, rounds more than an
+    explicit sum over B's entries: 2 of 1500 random order-1 fits reported
+    up to 4e-12 relative below the closed form, hence the slack on the
+    bound.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 10), st.integers(2, 8), st.just(0.0) | _LAMBDAS,
+           st.integers(0, 2**32 - 1), st.data())
+    def test_order_one_fit_reaches_the_closed_form(self, p, q, lam, seed, data):
+        rank = data.draw(st.integers(1, min(p, q)))
+        got, want = _fit_and_bound(seed, (p,), (q,), lam, rank)
+        assert got == pytest.approx(want, rel=1e-6)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           st.lists(st.integers(2, 4), max_size=2), _LAMBDAS, st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_higher_order_fit_stays_above_the_matricized_bound(self, in_dims, out_dims, lam,
+                                                               rank, seed):
+        assume(len(in_dims) > 1 or len(out_dims) != 1)
+        # a mode's system is singular at every lam when the rank exceeds the
+        # number of cells in the other modes
+        dims = in_dims + out_dims
+        assume(all(rank <= prod(dims) // d for d in dims))
+        got, bound = _fit_and_bound(seed, tuple(in_dims), tuple(out_dims), lam, rank)
+        assert got >= bound * (1.0 - 1e-9)
 
 
 class TestExitCodeProperties:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mwreg import (
     DenseTensor,
@@ -50,6 +51,21 @@ class TestSimSpec:
         with pytest.raises(ValueError):
             SimSpec(**{**ok, "rho": 1.0})
         SimSpec(**{**ok, "correlation": "corr_x"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "30"), ("n", 30.0), ("n", True), ("rank", "1"), ("seed", 1.5),
+        ("snr", "1"), ("rho", [0.6]), ("in_dims", 3), ("in_dims", "32"),
+        ("in_dims", (3.0, 2)), ("out_dims", [2, "x"]),
+    ])
+    def test_a_wrongly_typed_field_is_named(self, field, value):
+        ok = dict(n=10, in_dims=(3, 2), out_dims=(2,), rank=1)
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            SimSpec(**{**ok, field: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        spec = SimSpec(n=np.int64(10), in_dims=np.array([3, 2]).tolist(), out_dims=(np.int32(2),),
+                       rank=np.int64(1), snr=np.float64(2.0), seed=np.uint64(3))
+        assert spec.in_dims == (3, 2) and spec.out_dims == (2,)
 
     def test_scalar_response_allowed(self):
         SimSpec(n=5, in_dims=(3,), out_dims=(), rank=1)
@@ -108,6 +124,14 @@ class TestCorrelatedField:
         assert cov[0, 3] == pytest.approx(0.6, abs=1e-12)      # (0,0)-(0,1)
         assert cov[0, 4] == pytest.approx(0.6 ** np.sqrt(2), abs=1e-12)
         assert cov[0, 2] == pytest.approx(0.36, abs=1e-12)     # distance 2
+
+    def test_factor_equals_scipy_cholesky(self):
+        for dims in ((1, 1), (2, 3), (3, 4), (5, 10), (12, 7)):
+            for rho in (1e-12, 0.2, 0.6, 0.9):
+                ci = np.tile(np.arange(dims[0]), dims[1])
+                cj = np.repeat(np.arange(dims[1]), dims[0])
+                cov = rho ** np.hypot(ci[:, None] - ci[None, :], cj[:, None] - cj[None, :])
+                assert np.array_equal(_grid_chol(dims, rho), scipy.linalg.cholesky(cov, lower=True))
 
     def test_empirical_adjacent_correlation(self):
         fields = _field_slices(10_000, (3, 4), 0.6, np.random.default_rng(8))
@@ -317,6 +341,15 @@ class TestExpandGrid:
             expand_grid({"n": [30]})
         with pytest.raises(ValueError, match="unknown"):
             expand_grid(dict(self.FULL, extra=1))
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("n", 30, TypeError), ("in_dims", 3, TypeError), ("lambdas", "0.5", TypeError),
+        ("fit_ranks", [1, "two"], ValueError), ("replicates", [10], ValueError),
+        ("rho", "high", ValueError),
+    ])
+    def test_a_wrongly_typed_key_is_named(self, key, value, error):
+        with pytest.raises(error, match=f"^grid key '{key}' must be"):
+            expand_grid(dict(self.FULL, **{key: value}))
 
     def test_deterministic_expansion(self):
         a = expand_grid(self.FULL)

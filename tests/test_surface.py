@@ -1,5 +1,6 @@
-"""The package's source has no dead imports or dead config fields, and its
-public API is the union of its library modules' own.
+"""The package's source has no dead imports or dead config fields, its
+public API is the union of its library modules' own, and importing it
+loads neither `scipy.linalg` nor the process pool.
 
 Neither pyflakes nor ruff is a dependency of the project, so the
 unused-import check parses `src/mwreg/*.py` with `ast`.  A name the
@@ -13,6 +14,9 @@ the keywords each config is built with.
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +113,17 @@ def test_every_config_field_is_set_by_some_caller(config):
     passed = _config_keywords(sorted(_SRC.glob("*.py")) + [_BENCH / "run.py"])[config]
     unset = [f.name for f in dataclasses.fields(_CONFIGS[config]) if f.name not in passed]
     assert not unset, f"no caller in src/mwreg or perfbench/run.py sets {config} field(s) {unset}"
+
+
+def test_import_skips_scipy_linalg_and_the_process_pool():
+    # every command line run pays for these imports; only `run_grid` with
+    # several workers needs the pool
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, mwreg, mwreg.cli; "
+             "print(sorted(m for m in ('scipy.linalg', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
