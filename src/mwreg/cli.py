@@ -272,6 +272,18 @@ def cmd_gibbs(args) -> None:
         raise UsageError("--y-new and --intervals-out need --x-new")
     x = read_tensor(_require(args, "x", "--x"))
     y = read_tensor(_require(args, "y", "--y"))
+    # the interval inputs are checked before the chain runs, so a bad one
+    # costs no sampling and leaves no report or file behind
+    x_new = y_new = None
+    if args.x_new is not None:
+        x_new = read_tensor(args.x_new)
+        if x_new.dims[1:] != x.dims[1:]:
+            raise ValueError(f"x-new trailing dims {x_new.dims[1:]} do not match x {x.dims[1:]}")
+    if args.y_new is not None:
+        y_new = read_tensor(args.y_new)
+        want = x_new.dims[:1] + y.dims[1:]
+        if y_new.dims != want:
+            raise ValueError(f"y-new dims {y_new.dims} do not match intervals {want}")
     rank = _require(args, "rank", "--rank")
     out = _require(args, "out", "--out")
     cfg = _config(
@@ -295,9 +307,8 @@ def cmd_gibbs(args) -> None:
     print(f"draws written to {out}")
     if args.dic:
         print(f"dic {dic(x, y, draws):.17g}")
-    if args.x_new is None:
+    if x_new is None:
         return
-    x_new = read_tensor(args.x_new)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _PREDICTIVE_STREAM)))
     # the intervals of credible_intervals(posterior_predictive(...)), taken a
     # block of test rows at a time: no (draws, N, *out_dims) array is built
@@ -309,10 +320,7 @@ def cmd_gibbs(args) -> None:
         print(f"intervals written to {args.intervals_out}")
     else:
         print("\n".join(lines))
-    if args.y_new is not None:
-        y_new = read_tensor(args.y_new)
-        if y_new.dims != lo.dims:
-            raise ValueError(f"y-new dims {y_new.dims} do not match intervals {lo.dims}")
+    if y_new is not None:
         coverage, length = _interval_scores(y_new, lo, hi)
         print(f"coverage {coverage:.6g}")
         print(f"mean relative length {length:.6g}")

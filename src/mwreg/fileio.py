@@ -1,12 +1,25 @@
-"""File formats: text tensors, order-2 CSV, and JSON model/draw files.
+"""File formats: binary tensors, order-2 CSV, and JSON model/draw files.
 
-The tensor format is line-oriented text: a magic line "mwt 1", the order
-K, the K dims, then the values in first-index-fastest order, 8 to a line,
-printed with 17 significant digits so every finite double round-trips
-bit-exactly.  The writer emits exactly the bytes of formatting each value
-with "%.17g", but formats a block of lines with one `%` operation; the
-reader is a correctly rounded decimal parse, run on fixed-size chunks of
-text.  CSV files are accepted for order-2 tensors (rows are mode 1).
+A tensor file (.mwt, version 2) starts with three text lines: the magic
+line "mwt 2", the order K, and the K dims separated by spaces.  The values
+follow as raw little-endian IEEE-754 doubles in first-index-fastest order,
+8 bytes each with no separators, and the file ends with the line
+"end <CRC-32 of those bytes as 8 lowercase hex digits>".  Every double is
+stored as its own bits, so it round-trips bit-exactly by construction.
+The writer goes a bounded slab at a time and makes no whole-array copy;
+the reader reads at most the bytes the header asks for plus an end line,
+a bounded chunk at a time, so a header's count alone allocates nothing.
+It refuses a payload of the wrong length, a missing or altered end line,
+a checksum mismatch and a non-finite value, each with a ValueError that
+names the file.
+
+Version-1 files are still read: the same header with "mwt 1", then the
+values as decimal text separated by whitespace (the old writer put 8 on
+a line, printed with "%.17g").  They are parsed with a correctly rounded
+decimal parse, run on fixed-size chunks of text read from the same open
+handle, so a FIFO works for either version.  CSV files are accepted for
+order-2 tensors (rows are mode 1).
+
 Model and draw files are JSON, written by the C encoder of `json.dumps`;
 Python's float repr is shortest-round-trip, so these round-trip
 bit-exactly as well.  A model file's fit and a draws file's "mode" block
@@ -17,7 +30,11 @@ too) is rejected with a ValueError naming the file.
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import warnings
+import zlib
 from math import prod
 
 import numpy as np
@@ -36,39 +53,59 @@ __all__ = [
     "write_draws",
 ]
 
-_MAGIC = "mwt 1"
-_VALUES_PER_LINE = 8
-_LINE = " ".join(["%.17g"] * _VALUES_PER_LINE) + "\n"
-_BLOCK_VALUES = 1024 * _VALUES_PER_LINE
-# characters of a tensor file's values parsed at once
+_MAGIC = b"mwt 2"
+_MAGIC_V1 = b"mwt 1"
+# the longest header line a reader takes: far past any real dims line
+_HEADER_LINE = 1 << 16
+# values of a tensor file written at once (a slab of whole last-mode indices, or a cut of one)
+_WRITE_VALUES = 1 << 16
+# characters of a version-1 file's values, or bytes of a version-2 file, read at once
 _READ_CHUNK = 1 << 20
+_END_LINE = re.compile(rb"end ([0-9a-f]{8})\n")
+_END_SIZE = len(b"end 00000000\n")
 # the one model and draws file version, written and read
 _JSON_VERSION = 1
 
 
 def write_tensor(path: str, t: DenseTensor) -> None:
-    """Write one tensor in the text format (or CSV when path ends .csv)."""
+    """Write one tensor as a version-2 .mwt file (or CSV when path ends .csv).
+
+    The file holds the text lines "mwt 2", the order and the dims, then the
+    values as little-endian doubles in first-index-fastest order, then the
+    line "end %08x" of the values' CRC-32.
+    """
     if str(path).lower().endswith(".csv"):
         _write_csv(path, t)
         return
-    with open(path, "w") as fh:
-        fh.write(_MAGIC + "\n")
-        fh.write(f"{t.order}\n")
-        fh.write(" ".join(str(d) for d in t.dims) + "\n")
-        _write_values(fh, t.array.ravel(order="F"))
+    crc = 0
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + f"\n{t.order}\n{' '.join(map(str, t.dims))}\n".encode())
+        for piece in _f_pieces(t.array, _WRITE_VALUES):
+            piece = piece.astype("<f8", copy=False)
+            crc = zlib.crc32(piece, crc)
+            fh.write(piece)
+        fh.write(b"end %08x\n" % crc)
 
 
-def _write_values(fh, vals: np.ndarray) -> None:
-    """Write vals 8 to a line, each as "%.17g", with one `%` per block of lines.
+def _f_pieces(a: np.ndarray, limit: int):
+    """a's values in first-index-fastest order, as contiguous 1-d pieces.
 
-    The output equals formatting value by value: `tolist()` gives Python
-    floats, and "%.17g" on them is the conversion f"{v:.17g}" makes.
+    An F-contiguous array is one piece, a view.  Otherwise the last mode,
+    which varies slowest, is cut into runs of whole slabs of at most limit
+    values, or a slab larger than that is cut the same way along its own
+    last mode, so no piece copies more than about limit values.
     """
-    for start in range(0, vals.size, _BLOCK_VALUES):
-        chunk = vals[start:start + _BLOCK_VALUES].tolist()
-        lines, rest = divmod(len(chunk), _VALUES_PER_LINE)
-        fmt = _LINE * lines + (" ".join(["%.17g"] * rest) + "\n" if rest else "")
-        fh.write(fmt % tuple(chunk))
+    if a.size <= limit or a.flags.f_contiguous:
+        yield a.ravel(order="F")
+        return
+    slab = a.size // a.shape[-1]
+    if slab >= limit:
+        for j in range(a.shape[-1]):
+            yield from _f_pieces(a[..., j], limit)
+        return
+    step = limit // slab
+    for j in range(0, a.shape[-1], step):
+        yield a[..., j:j + step].ravel(order="F")
 
 
 def _write_csv(path: str, t: DenseTensor) -> None:
@@ -78,28 +115,88 @@ def _write_csv(path: str, t: DenseTensor) -> None:
 
 
 def read_tensor(path: str) -> DenseTensor:
-    """Read a tensor file; CSV falls back to an order-2 read."""
-    with open(path) as fh:
-        first = fh.readline()
-        if first.strip() != _MAGIC:
+    """Read a version-2 or version-1 tensor file; CSV falls back to an order-2 read."""
+    with open(path, "rb") as fh:
+        magic = fh.readline(_HEADER_LINE).strip()
+        if magic == _MAGIC:
+            return _read_v2(path, fh)
+        if magic != _MAGIC_V1:
             return _read_csv(path)
-        try:
-            order = _header_int(fh.readline())
-            dims = tuple(_header_int(v) for v in fh.readline().split())
-            values = _parse_values(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed tensor file: {exc}") from None
-    if order < 1 or len(dims) != order:
-        raise ValueError(f"{path}: dim count {len(dims)} does not match order {order}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"{path}: dims must be positive")
+        # the rest of the file as text, as a text-mode open reads it
+        with io.TextIOWrapper(fh) as text:
+            try:
+                order = _header_int(text.readline())
+                dims = tuple(_header_int(v) for v in text.readline().split())
+                values = _parse_values(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed tensor file: {exc}") from None
+    _check_header(path, order, dims)
     if values.size != prod(dims):
         raise ValueError(
             f"{path}: expected {prod(dims)} values for dims {dims}, found {values.size}"
         )
+    return _tensor(path, dims, values)
+
+
+def _check_header(path: str, order: int, dims: tuple) -> None:
+    if order < 1 or len(dims) != order:
+        raise ValueError(f"{path}: dim count {len(dims)} does not match order {order}")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{path}: dims must be positive")
+
+
+def _tensor(path: str, dims: tuple, values: np.ndarray) -> DenseTensor:
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: values must be finite")
     return DenseTensor.from_values(dims, values)
+
+
+def _read_v2(path: str, fh) -> DenseTensor:
+    """The tensor of a version-2 file whose magic line fh has just read."""
+    try:
+        order = _header_int(_header_line(fh))
+        dims = tuple(_header_int(v) for v in _header_line(fh).split())
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed tensor file: {exc}") from None
+    _check_header(path, order, dims)
+    count = prod(dims)
+    size = 8 * count
+    # one byte past a whole file tells a longer file from an exact one
+    data = _read_up_to(fh, size + _END_SIZE + 1)
+    if len(data) > size + _END_SIZE:
+        raise ValueError(
+            f"{path}: more than the {size} bytes of {count} values for dims {dims} "
+            "before the end line")
+    end = _END_LINE.fullmatch(data, max(len(data) - _END_SIZE, 0))
+    if end is None:
+        raise ValueError(f"{path}: missing or altered end line")
+    if len(data) != size + _END_SIZE:
+        raise ValueError(
+            f"{path}: expected {size} bytes of {count} values for dims {dims}, "
+            f"found {len(data) - _END_SIZE}")
+    crc = zlib.crc32(memoryview(data)[:size])
+    if crc != int(end[1], 16):
+        raise ValueError(
+            f"{path}: checksum {crc:08x} of the values does not match the end line's {end[1].decode()}")
+    values = np.frombuffer(data, dtype="<f8", count=count).astype(float, copy=False)
+    return _tensor(path, dims, values)
+
+
+def _header_line(fh) -> str:
+    """The next header line of a version-2 file, which the writer always ends with a newline."""
+    line = fh.readline(_HEADER_LINE)
+    if not line.endswith(b"\n"):
+        raise ValueError(f"header line {line[:40]!r} is cut short or too long")
+    return line.decode("ascii")
+
+
+def _read_up_to(fh, limit: int) -> bytes:
+    """At most limit bytes left in fh, read _READ_CHUNK at a time; fewer at the file's end."""
+    pieces = []
+    while limit > 0 and (piece := fh.read(min(_READ_CHUNK, limit))):
+        pieces.append(piece)
+        limit -= len(piece)
+    return b"".join(pieces)
 
 
 def _header_int(text: str) -> int:
@@ -139,9 +236,14 @@ def _parse_values(fh) -> np.ndarray:
 
 def _read_csv(path: str) -> DenseTensor:
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is refused below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: not a tensor file or numeric CSV: {exc}") from None
+    if arr.size == 0:
+        raise ValueError(f"{path}: not a tensor file or numeric CSV: no values")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: values must be finite")
     return DenseTensor(arr)

@@ -29,7 +29,6 @@ the process may use more than one CPU, with the bits of an inline run;
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
@@ -353,6 +352,9 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
         for k in range(len(spans)):
             yield fill(k)
         return
+    # imported here: a command that forms no intervals never loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(1, thread_name_prefix="mwreg-predictive-noise") as helper:
         ahead = helper.submit(fill, 0)
         for k in range(1, len(spans)):

@@ -19,12 +19,17 @@ definitions, a quantity the library computes by a faster route:
   over coefficient matrices of rank at most R, the least value `fit` can
   reach;
 - `stacked_draws` builds the `PosteriorDraws` of a list of coefficient
-  sets, one stack per mode, as the chain would hold them.
+  sets, one stack per mode, as the chain would hold them;
+- `mwt1_text` gives the version-1 .mwt text of a tensor, value by value,
+  which `read_tensor` still reads and no writer emits any more;
+- `mwt2_bytes` gives a version-2 .mwt file from its dims and payload
+  bytes, spelled out from the format's definition.
 """
 
 from dataclasses import replace
 from functools import reduce
 from math import prod
+from zlib import crc32
 
 import numpy as np
 import scipy.linalg
@@ -243,3 +248,22 @@ def stacked_draws(sets, sigma2s, mode: FitResult) -> PosteriorDraws:
         sigma2s,
         mode,
     )
+
+
+def mwt1_text(t: DenseTensor) -> str:
+    """The version-1 .mwt text of t: "mwt 1", the order, the dims, then the
+    values first index fastest, each as f"{v:.17g}", 8 to a line."""
+    vals = t.array.ravel(order="F")
+    lines = ["mwt 1", f"{t.order}", " ".join(str(d) for d in t.dims)]
+    lines += [" ".join(f"{v:.17g}" for v in vals[s:s + 8]) for s in range(0, vals.size, 8)]
+    return "\n".join(lines) + "\n"
+
+
+def mwt2_bytes(dims, payload: bytes) -> bytes:
+    """A version-2 .mwt file: "mwt 2", the order and the dims as text lines,
+    the payload, then "end " and the payload's CRC-32 as 8 lowercase hex digits.
+
+    The payload of a tensor t is t.array.ravel(order="F").astype("<f8").tobytes().
+    """
+    header = f"mwt 2\n{len(dims)}\n{' '.join(str(d) for d in dims)}\n".encode()
+    return header + payload + f"end {crc32(payload):08x}\n".encode()

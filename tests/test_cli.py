@@ -284,6 +284,38 @@ class TestGibbs:
                if l.startswith("coverage ")]
         assert 0.88 <= float(cov[0].split()[1]) <= 1.0
 
+    @pytest.mark.parametrize("x_new_dims, y_new_dims, message", [
+        ((10, 2, 3), None, "x-new trailing dims (2, 3) do not match x (3, 2)"),
+        ((10, 3), None, "x-new trailing dims (3,) do not match x (3, 2)"),
+        ((10, 3, 2), (10, 3), "y-new dims (10, 3) do not match intervals (10, 2)"),
+        ((10, 3, 2), (9, 2), "y-new dims (9, 2) do not match intervals (10, 2)"),
+    ])
+    def test_bad_interval_inputs_are_refused_before_sampling(
+            self, tmp_path, capsys, x_new_dims, y_new_dims, message):
+        inputs, outputs = tmp_path / "in", tmp_path / "out"
+        inputs.mkdir()
+        outputs.mkdir()
+        prefix = str(inputs / "sim")
+        assert main(["simulate", "--n", "60", "--in-dims", "3x2", "--out-dims", "2",
+                     "--rank", "1", "--seed", "4", "--out-prefix", prefix]) == 0
+        rng = np.random.default_rng(5)
+        x_new = str(inputs / "x_new.mwt")
+        write_tensor(x_new, DenseTensor(rng.standard_normal(x_new_dims)))
+        argv = ["gibbs", "--x", f"{prefix}_x.mwt", "--y", f"{prefix}_y.mwt", "--rank", "1",
+                "--lambda", "0.5", "--samples", "3000", "--x-new", x_new,
+                "--intervals-out", str(outputs / "iv.csv"), "--out", str(outputs / "d.json")]
+        if y_new_dims is not None:
+            y_new = str(inputs / "y_new.mwt")
+            write_tensor(y_new, DenseTensor(rng.standard_normal(y_new_dims)))
+            argv += ["--y-new", y_new]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        # no chain ran: no mode report, no samples report, no file
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not os.listdir(outputs)
+
     @pytest.mark.parametrize("flag", ["--y-new", "--intervals-out"])
     def test_interval_flags_without_x_new_are_usage_errors(self, tmp_path, capsys, flag):
         out = os.path.join(tmp_path, "d.json")

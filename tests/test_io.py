@@ -6,6 +6,9 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
+import zlib
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -36,7 +39,7 @@ from mwreg import (
 )
 from mwreg.cli import _PREDICTIVE_STREAM, _interval_rows, main
 import mwreg.fileio as fileio
-from mwreg.fileio import _BLOCK_VALUES
+from reference import mwt1_text, mwt2_bytes
 
 
 def _sha(path):
@@ -66,18 +69,20 @@ class TestTensorFormat:
         t = DenseTensor(np.array([[1.0, 3.0], [2.0, 4.0]]))
         path = os.path.join(tmp_path, "m.mwt")
         write_tensor(path, t)
-        lines = open(path).read().splitlines()
-        assert lines[0] == "mwt 1"
-        assert lines[1] == "2"
-        assert lines[2] == "2 2"
-        assert [float(v) for v in lines[3].split()] == [1.0, 2.0, 3.0, 4.0]
+        payload = np.array([1.0, 2.0, 3.0, 4.0]).astype("<f8").tobytes()
+        with open(path, "rb") as fh:
+            assert fh.read() == b"mwt 2\n2\n2 2\n" + payload + b"end %08x\n" % zlib.crc32(payload)
 
-    def test_eight_values_per_line(self, tmp_path):
+    def test_eight_bytes_per_value(self, tmp_path):
         t = DenseTensor(np.arange(20.0))
         path = os.path.join(tmp_path, "v.mwt")
         write_tensor(path, t)
-        lines = open(path).read().splitlines()
-        assert [len(l.split()) for l in lines[3:]] == [8, 8, 4]
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        header, end = b"mwt 2\n1\n20\n", len(b"end 00000000\n")
+        assert len(raw) == len(header) + 8 * 20 + end
+        values = np.frombuffer(raw, dtype="<f8", count=20, offset=len(header))
+        assert values.tolist() == list(range(20))
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -126,12 +131,14 @@ class TestTensorFormat:
 _EDGE_VALUES = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, 1e22, 0.1]
 
 
-def _old_mwt_text(t):
-    """The .mwt text as written value by value with f"{v:.17g}", 8 to a line."""
-    vals = t.array.ravel(order="F")
-    lines = ["mwt 1", f"{t.order}", " ".join(str(d) for d in t.dims)]
-    lines += [" ".join(f"{v:.17g}" for v in vals[s:s + 8]) for s in range(0, vals.size, 8)]
-    return "\n".join(lines) + "\n"
+def _mwt2(t):
+    """The version-2 file of t, spelled out from the format's definition."""
+    return mwt2_bytes(t.dims, t.array.ravel(order="F").astype("<f8").tobytes())
+
+
+# the values the version-1 writer formatted at once, and the writer's slab size
+_V1_BLOCK = 1024 * 8
+_SLAB = fileio._WRITE_VALUES
 
 
 def _dims_of(size, order):
@@ -155,22 +162,59 @@ def _edge_array(rng, size):
 
 
 class TestWriterBytes:
-    """The block writers emit the bytes of the per-value formatting they replaced."""
+    """The writers emit exactly the bytes their formats define."""
 
-    @pytest.mark.parametrize("size", [1, 7, 8, 9, _BLOCK_VALUES - 1, _BLOCK_VALUES,
-                                      _BLOCK_VALUES + 1, 3 * _BLOCK_VALUES + 5])
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, _V1_BLOCK - 1, _V1_BLOCK, _V1_BLOCK + 1,
+                                      3 * _V1_BLOCK + 5, _SLAB - 1, _SLAB, _SLAB + 1,
+                                      3 * _SLAB + 5])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_tensor_bytes_equal_per_value_formatting(self, tmp_path, size, order):
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_tensor_bytes_are_header_payload_and_end_line(self, tmp_path, size, order, layout):
         rng = np.random.default_rng(size * 10 + order)
-        vals = _edge_array(rng, size)
-        t = DenseTensor(vals.reshape(_dims_of(size, order), order="F"))
+        vals = _edge_array(rng, size).reshape(_dims_of(size, order), order="F")
+        t = DenseTensor(np.asarray(vals, order=layout))
+        assert t.array.flags[f"{layout}_CONTIGUOUS"]
         path = os.path.join(tmp_path, "t.mwt")
         write_tensor(path, t)
         with open(path, "rb") as fh:
-            assert fh.read() == _old_mwt_text(t).encode()
+            assert fh.read() == _mwt2(t)
         back = read_tensor(path)
         assert back.dims == t.dims
         assert back.array.tobytes() == t.array.tobytes()
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5, 7, 16])
+    def test_slab_writer_at_small_limits(self, tmp_path, monkeypatch, limit):
+        # C-ordered and axis-permuted arrays go a slab, or a cut of one, at a time
+        monkeypatch.setattr(fileio, "_WRITE_VALUES", limit)
+        rng = np.random.default_rng(limit)
+        arrays = [rng.standard_normal(dims) for dims in [(9,), (4, 5), (3, 4, 5), (2, 3, 2, 4)]]
+        arrays += [np.asfortranarray(a) for a in arrays[1:]]
+        arrays += [rng.standard_normal((3, 4, 5)).transpose(1, 0, 2),
+                   rng.standard_normal((6, 2, 3))[::2]]
+        path = os.path.join(tmp_path, "t.mwt")
+        for arr in arrays:
+            t = DenseTensor(arr)
+            write_tensor(path, t)
+            with open(path, "rb") as fh:
+                assert fh.read() == _mwt2(t)
+            assert _same_bits(read_tensor(path).array, arr)
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_write_makes_no_whole_array_copy(self, tmp_path, layout):
+        arr = np.asarray(np.random.default_rng(3).standard_normal((400, 30, 50)), order=layout)
+        t = DenseTensor(arr)
+        path = os.path.join(tmp_path, "t.mwt")
+        tracemalloc.start()
+        try:
+            write_tensor(path, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the array is 4.8 MB; a piece is at most _WRITE_VALUES doubles, and
+        # the writer holds one piece while the next is cut
+        assert peak < 2 * 8 * fileio._WRITE_VALUES + (1 << 16)
+        with open(path, "rb") as fh:
+            assert fh.read() == _mwt2(t)
 
     @pytest.mark.parametrize("dims", [(7,), (7, 3), (5, 2, 3), (4, 2, 2, 3)])
     def test_interval_rows_equal_per_cell_formatting(self, dims):
@@ -272,7 +316,7 @@ class TestRoundTripProperties:
             path = os.path.join(tmp, "t.mwt")
             write_tensor(path, t)
             with open(path, "rb") as fh:
-                assert fh.read() == _old_mwt_text(t).encode()
+                assert fh.read() == _mwt2(t)
             back = read_tensor(path)
         assert back.dims == t.dims
         assert _same_bits(back.array, t.array)
@@ -338,10 +382,7 @@ class TestChunkedReader:
             # one long line with no newline at all
             "mwt 1\n1\n6\n" + " ".join(repr(v) for v in rng.standard_normal(6).tolist()),
         ]
-        written = os.path.join(tmp_path, "w.mwt")
-        write_tensor(written, DenseTensor(_edge_array(rng, 21).reshape(3, 7)))
-        with open(written) as fh:
-            texts.append(fh.read())
+        texts.append(mwt1_text(DenseTensor(_edge_array(rng, 21).reshape(3, 7))))
         for k, text in enumerate(texts):
             path = os.path.join(tmp_path, f"t{k}.mwt")
             with open(path, "w", newline="") as fh:
@@ -359,29 +400,32 @@ class TestChunkedReader:
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
                       elements=_FINITE), st.sampled_from(CHUNKS))
     def test_round_trip_at_small_chunks(self, arr, chunk):
+        # version-1 text from the test-side writer, and a version-2 file
         t = DenseTensor(arr)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_READ_CHUNK", chunk):
             path = os.path.join(tmp, "t.mwt")
-            write_tensor(path, t)
+            with open(path, "w") as fh:
+                fh.write(mwt1_text(t))
             back = read_tensor(path)
-        assert back.dims == t.dims
-        assert _same_bits(back.array, t.array)
+            write_tensor(path, t)
+            back2 = read_tensor(path)
+        for got in (back, back2):
+            assert got.dims == t.dims
+            assert _same_bits(got.array, t.array)
 
+    @pytest.mark.parametrize("version", (1, 2))
     @pytest.mark.parametrize("chunk", (7, 1 << 20))
-    def test_reads_from_a_pipe(self, tmp_path, monkeypatch, chunk):
+    def test_reads_from_a_pipe(self, tmp_path, monkeypatch, chunk, version):
         # a FIFO reports no size, so a reader that trusted one would lose the values
         monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
         t = DenseTensor(np.arange(24.0).reshape(2, 3, 4) / 7.0 - 1.5)
-        path = os.path.join(tmp_path, "t.mwt")
-        write_tensor(path, t)
-        with open(path) as fh:
-            text = fh.read()
+        data = mwt1_text(t).encode() if version == 1 else _mwt2(t)
         fifo = os.path.join(tmp_path, "fifo.mwt")
         os.mkfifo(fifo)
 
         def feed():
-            with open(fifo, "w") as out:
-                out.write(text)
+            with open(fifo, "wb") as out:
+                out.write(data)
 
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
@@ -436,6 +480,115 @@ class TestChunkedReader:
             with pytest.raises(ValueError) as info:
                 read_tensor(path)
             assert str(info.value) == f"{path}: {message}"
+
+
+def _v2(dims, values, end=None):
+    """A version-2 file of the given values, its end line replaced when end is given."""
+    data = mwt2_bytes(dims, np.array(values, dtype="<f8").tobytes())
+    return data if end is None else data[:-len(b"end 00000000\n")] + end
+
+
+class TestVersion2Reader:
+    @pytest.mark.parametrize("chunk", (3, 1 << 20))
+    def test_malformed_files_are_named_and_refused(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
+        good = _v2((2, 2), [1, 2, 3, 4])
+        crc = good[-9:-1].decode()
+        # one bit of the first value flipped
+        h = len(b"mwt 2\n2\n2 2\n")
+        flipped = bytearray(good)
+        flipped[h] ^= 0x01
+        flipped_crc = f"{zlib.crc32(flipped[h:h + 32]):08x}"
+        cases = {
+            "few.mwt": (_v2((2, 2), [1, 2, 3]),
+                        "expected 32 bytes of 4 values for dims (2, 2), found 24"),
+            "many.mwt": (_v2((2, 2), [1, 2, 3, 4, 5]),
+                         "more than the 32 bytes of 4 values for dims (2, 2) before the end line"),
+            "no_end.mwt": (_v2((2, 2), [1, 2, 3, 4], end=b""), "missing or altered end line"),
+            "capital.mwt": (_v2((2, 2), [1, 2, 3, 4], end=f"End {crc}\n".encode()),
+                            "missing or altered end line"),
+            "short_crc.mwt": (_v2((2, 2), [1, 2, 3, 4], end=f"end {crc[1:]}\n".encode()),
+                              "missing or altered end line"),
+            "no_newline.mwt": (good[:-1], "missing or altered end line"),
+            "crlf.mwt": (good[:-1] + b"\r\n", "more than the 32 bytes of 4 values for dims (2, 2) "
+                                               "before the end line"),
+            "flipped.mwt": (bytes(flipped),
+                            f"checksum {flipped_crc} of the values does not match the end line's {crc}"),
+            "nan.mwt": (_v2((1, 3), [1, np.nan, 2]), "values must be finite"),
+            "inf.mwt": (_v2((2,), [1, -np.inf]), "values must be finite"),
+            "order.mwt": (good.replace(b"\n2\n", b"\n3\n", 1), "dim count 2 does not match order 3"),
+            "dims.mwt": (_v2((2, 0), []), "dims must be positive"),
+            # digit grouping, which int() allows, in the dims and order lines
+            "underscore.mwt": (_v2((10,), range(10)).replace(b"\n10\n", b"\n1_0\n", 1),
+                               "malformed tensor file: invalid literal for int() with base 10: "
+                               "'1_0'"),
+            "underscore_order.mwt": (_v2((10,) * 10, []).replace(b"\n10\n", b"\n1_0\n", 1),
+                                     "malformed tensor file: invalid literal for int() with "
+                                     "base 10: '1_0\\n'"),
+            "cut_header.mwt": (b"mwt 2\n2\n2 2", "malformed tensor file: header line b'2 2' is "
+                                                  "cut short or too long"),
+        }
+        for name, (content, message) in cases.items():
+            path = os.path.join(tmp_path, name)
+            with open(path, "wb") as fh:
+                fh.write(content)
+            with pytest.raises(ValueError) as info:
+                read_tensor(path)
+            assert str(info.value) == f"{path}: {message}", name
+
+    def test_huge_header_is_refused_without_a_large_allocation(self, tmp_path):
+        # the header asks for 8e15 bytes; the reader allocates what the file holds
+        path = os.path.join(tmp_path, "huge.mwt")
+        with open(path, "wb") as fh:
+            fh.write(_v2((3,), [1, 2, 3]).replace(b"\n1\n3\n", b"\n3\n100000 100000 100000\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (
+            f"{path}: expected 8000000000000000 bytes of 1000000000000000 values for dims "
+            "(100000, 100000, 100000), found 24")
+        # one read of at most _READ_CHUNK bytes, never 8e15
+        assert peak < 2 * fileio._READ_CHUNK
+
+    def test_every_proper_prefix_is_refused(self, tmp_path, capsys):
+        # a cut anywhere, inside the header, a value or the end line, exits 2
+        x = DenseTensor(np.random.default_rng(8).standard_normal((4, 2)))
+        y = DenseTensor(np.random.default_rng(9).standard_normal((4,)))
+        model = os.path.join(tmp_path, "m.json")
+        write_model(model, fit(x, y, FitConfig(rank=1, lam=0.5)), 0.5, 0)
+        path, out = os.path.join(tmp_path, "x.mwt"), os.path.join(tmp_path, "p.mwt")
+        write_tensor(path, x)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert main(["predict", "--model", model, "--x", path, "--out", out]) == 0
+        os.remove(out)
+        for cut in range(len(data)):
+            with open(path, "wb") as fh:
+                fh.write(data[:cut])
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}: "):
+                read_tensor(path)
+            capsys.readouterr()
+            assert main(["predict", "--model", model, "--x", path, "--out", out]) == 2, cut
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
+            assert not os.path.exists(out)
+
+    def test_readme_recipe_reads_what_the_writer_wrote(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        recipe = next(b for b in blocks if "def read_mwt2" in b)
+        namespace = {}
+        exec(recipe, namespace)
+        rng = np.random.default_rng(12)
+        for dims in [(1,), (5,), (3, 4), (2, 3, 4)]:
+            t = DenseTensor(np.asarray(_edge_array(rng, prod(dims)).reshape(dims), order="C"))
+            path = os.path.join(tmp_path, "t.mwt")
+            write_tensor(path, t)
+            assert _same_bits(namespace["read_mwt2"](path), t.array)
 
 
 def _rewrite(path, text):

@@ -41,7 +41,7 @@ from mwreg import (
     write_tensor,
 )
 from mwreg.cli import main
-from reference import reduced_rank_ridge
+from reference import mwt1_text, mwt2_bytes, reduced_rank_ridge
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False, width=64)
 _SHAPES = hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4)
@@ -294,18 +294,26 @@ class TestExitCodeProperties:
                          "--out", os.path.join(tmp, "m.json")])
         assert code == 3
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["x.mwt", "y.mwt", "model.json", "draws.json"]), st.data())
     def test_corrupted_input_file_exits_2(self, name, data):
-        corrupt = _corrupt_json if name.endswith(".json") else _corrupt_tensor
-        fault, text = corrupt(data.draw, _valid_files()[name])
+        files, v1_texts = _valid_files()
+        if name.endswith(".json"):
+            fault, text = _corrupt_json(data.draw, files[name].decode())
+            bad = text.encode()
+        elif data.draw(st.booleans(), label="version 1"):
+            # the version-1 text no writer emits any more, still read
+            fault, text = _corrupt_tensor(data.draw, v1_texts[name])
+            bad = text.encode()
+        else:
+            fault, bad = _corrupt_tensor_v2(data.draw, files[name])
         with tempfile.TemporaryDirectory() as tmp:
             path = functools.partial(os.path.join, tmp)
-            for valid, valid_text in _valid_files().items():
-                with open(path(valid), "w") as fh:
-                    fh.write(valid_text)
-            with open(path("bad"), "w") as fh:
-                fh.write(text)
+            for valid, valid_bytes in files.items():
+                with open(path(valid), "wb") as fh:
+                    fh.write(valid_bytes)
+            with open(path("bad"), "wb") as fh:
+                fh.write(bad)
             if name == "draws.json":
                 # no command reads a draws file: read_draws raises the
                 # ValueError that main reports with exit code 2
@@ -338,8 +346,9 @@ _OPTIONAL_KEYS = ("version", "x_offsets")
 
 
 @functools.cache
-def _valid_files() -> dict:
-    """The texts of a predictor and a response .mwt, a model and a draws file."""
+def _valid_files() -> tuple:
+    """The bytes of a predictor and a response .mwt, a model and a draws file,
+    and the version-1 texts of the two tensors."""
     rng = np.random.default_rng(5)
     x = DenseTensor(rng.standard_normal((8, 3, 2)))
     y = DenseTensor(rng.standard_normal((8, 2)))
@@ -350,11 +359,11 @@ def _valid_files() -> dict:
         write_tensor(paths[1], y)
         write_model(paths[2], fit(x, y, FitConfig(rank=2, lam=0.5)), 0.5, 0)
         write_draws(paths[3], gibbs(x, y, GibbsConfig(rank=2, n_samples=3, lam=0.5)), 0.5, 0)
-        texts = []
+        files = []
         for p in paths:
-            with open(p) as fh:
-                texts.append(fh.read())
-    return dict(zip(names, texts))
+            with open(p, "rb") as fh:
+                files.append(fh.read())
+    return dict(zip(names, files)), {"x.mwt": mwt1_text(x), "y.mwt": mwt1_text(y)}
 
 
 def _corrupt_tensor(draw, text: str) -> tuple:
@@ -378,6 +387,49 @@ def _corrupt_tensor(draw, text: str) -> tuple:
         header[2] = " ".join(dims)
     rows = [" ".join(tokens[k:k + 8]) for k in range(0, len(tokens), 8)]
     return fault, "\n".join(header + rows) + "\n"
+
+
+_V2_FAULTS = ("cut", "dropped value", "extra value", "flipped byte", "non-finite value",
+              "header dims", "end line removed", "end line altered")
+_END_SIZE = len(b"end 00000000\n")
+
+
+def _corrupt_tensor_v2(draw, data: bytes) -> tuple:
+    """(fault, bytes) of a version-2 .mwt file cut short, with a value dropped,
+    added, spoiled or made non-finite, a header dim raised, or its end line
+    removed or altered.  A dropped, added or non-finite value comes with the
+    checksum of the new values, so only the length or the finiteness check
+    can refuse it."""
+    fault = draw(st.sampled_from(_V2_FAULTS))
+    if fault == "cut":
+        return fault, data[:draw(st.integers(0, len(data) - 1))]
+    h = data.index(b"\n", data.index(b"\n", data.index(b"\n") + 1) + 1) + 1
+    header, payload, end = data[:h], data[h:-_END_SIZE], data[-_END_SIZE:]
+    dims = [int(d) for d in header.split(b"\n")[2].split()]
+    n = len(payload) // 8
+    if fault == "dropped value":
+        i = 8 * draw(st.integers(0, n - 1))
+        return fault, mwt2_bytes(dims, payload[:i] + payload[i + 8:])
+    if fault == "extra value":
+        i = 8 * draw(st.integers(0, n))
+        return fault, mwt2_bytes(dims, payload[:i] + np.array([0.5], "<f8").tobytes() + payload[i:])
+    if fault == "non-finite value":
+        i = 8 * draw(st.integers(0, n - 1))
+        value = np.array([draw(st.sampled_from((np.inf, -np.inf, np.nan)))], "<f8").tobytes()
+        return fault, mwt2_bytes(dims, payload[:i] + value + payload[i + 8:])
+    if fault == "flipped byte":
+        i = draw(st.integers(0, len(payload) - 1))
+        spoiled = payload[:i] + bytes([payload[i] ^ draw(st.integers(1, 255))]) + payload[i + 1:]
+        return fault, header + spoiled + end
+    if fault == "header dims":
+        j = draw(st.integers(0, len(dims) - 1))
+        dims[j] += draw(st.integers(1, 3))
+        return fault, mwt2_bytes(dims, b"")[:-_END_SIZE] + payload + end
+    if fault == "end line removed":
+        return fault, header + payload
+    k = draw(st.integers(0, _END_SIZE - 1))
+    other = draw(st.integers(0, 255).filter(lambda b: b != end[k]))
+    return fault, header + payload + end[:k] + bytes([other]) + end[k + 1:]
 
 
 def _entries(node):

@@ -117,12 +117,13 @@ def test_every_config_field_is_set_by_some_caller(config):
 
 def test_import_skips_scipy_linalg_and_the_process_pool():
     # every command line run pays for these imports; only `run_grid` with
-    # several workers needs the pool
+    # several workers needs the pool, and only the interval step the
+    # noise-filling thread executor
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     probe = ("import sys, mwreg, mwreg.cli; "
-             "print(sorted(m for m in ('scipy.linalg', 'concurrent.futures.process') "
-             "if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.linalg', 'concurrent.futures.process', "
+             "'concurrent.futures') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
