@@ -5,16 +5,19 @@ can also be supplied through a config file of key=value lines (keys are
 the long flag names with underscores); explicit flags win.  MWR_SEED in
 the environment provides the default seed.  Exit codes are stable for
 scripting: 0 success, 1 usage, 2 data or shape problems, 3 numerical
-failure.  The range of each setting is checked once, where it is owned:
-FitConfig (fit and every cv candidate, all built before cv prints its
-header), GibbsConfig (gibbs) and SimSpec (simulate); the command line
-reports a failed check as a usage error with the config's own message.
-Only the settings no config holds (--folds, --parallel) are checked here.
+failure.  The default and the range of each setting live once, where it
+is owned: FitConfig (fit and every cv candidate, all built before cv
+prints its header), GibbsConfig (gibbs) and SimSpec (simulate).  A flag
+left out takes the config's default, and the command line reports a
+failed check as a usage error with the config's own message.  Only the
+settings no config holds (--seed, --folds, --parallel) have their
+defaults and checks here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -105,14 +108,14 @@ def _build_parsers():
     p.add_argument("--x", help="predictor tensor file")
     p.add_argument("--y", help="response tensor file")
     p.add_argument("--rank", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--out", help="model file to write")
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--anneal-steps", type=int, default=10)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--anneal-steps", type=int)
     p.add_argument("--no-center", action="store_true")
-    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--restarts", type=int)
     p.set_defaults(func=cmd_fit)
 
     p = add("predict", "predict responses with a fitted model")
@@ -125,13 +128,13 @@ def _build_parsers():
     p.add_argument("--x")
     p.add_argument("--y")
     p.add_argument("--rank", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--samples", type=int)
     p.add_argument("--out", help="draws file to write")
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--burn-in", type=int, default=0)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--level", type=float)
     p.add_argument("--no-center", action="store_true")
     p.add_argument("--x-new", help="predictors to form predictive intervals for")
     p.add_argument("--y-new", help="held-out responses to score coverage against")
@@ -155,10 +158,10 @@ def _build_parsers():
     p.add_argument("--in-dims")
     p.add_argument("--out-dims")
     p.add_argument("--rank", type=int)
-    p.add_argument("--snr", type=float, default=1.0)
+    p.add_argument("--snr", type=float)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--correlation", default="none")
-    p.add_argument("--rho", type=float, default=0.6)
+    p.add_argument("--correlation")
+    p.add_argument("--rho", type=float)
     p.add_argument("--out-prefix", help="prefix for the x/y/b tensor files")
     p.set_defaults(func=cmd_simulate)
 
@@ -218,9 +221,13 @@ def _parse(argv):
 
 
 def _config(kind, **fields):
-    """kind(**fields), the config's own range errors raised as usage errors."""
+    """kind(**fields) without the fields that are None, the flags left out.
+
+    kind gives those fields its own defaults, and its range errors are
+    raised as usage errors.
+    """
     try:
-        return kind(**fields)
+        return kind(**{name: value for name, value in fields.items() if value is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -230,17 +237,9 @@ def cmd_fit(args) -> None:
     y = read_tensor(_require(args, "y", "--y"))
     rank = _require(args, "rank", "--rank")
     out = _require(args, "out", "--out")
-    cfg = _config(
-        FitConfig,
-        rank=rank,
-        lam=args.lam,
-        max_iters=args.max_iters,
-        rel_tol=args.tol,
-        anneal_steps=args.anneal_steps,
-        seed=args.seed,
-        center_data=not args.no_center,
-        n_starts=args.restarts,
-    )
+    cfg = _config(FitConfig, rank=rank, lam=args.lam, max_iters=args.max_iters, rel_tol=args.tol,
+                  anneal_steps=args.anneal_steps, seed=args.seed,
+                  center_data=not args.no_center, n_starts=args.restarts)
     result = fit(x, y, cfg)
     write_model(out, result, cfg.lam, cfg.seed)
     print(f"objective {result.objective_trace[-1]:.17g}")
@@ -286,17 +285,9 @@ def cmd_gibbs(args) -> None:
             raise ValueError(f"y-new dims {y_new.dims} do not match intervals {want}")
     rank = _require(args, "rank", "--rank")
     out = _require(args, "out", "--out")
-    cfg = _config(
-        GibbsConfig,
-        rank=rank,
-        n_samples=args.samples,
-        lam=args.lam,
-        burn_in=args.burn_in,
-        thin=args.thin,
-        seed=args.seed,
-        credible_level=args.level,
-        center_data=not args.no_center,
-    )
+    cfg = _config(GibbsConfig, rank=rank, n_samples=args.samples, lam=args.lam,
+                  burn_in=args.burn_in, thin=args.thin, seed=args.seed,
+                  credible_level=args.level, center_data=not args.no_center)
     draws = gibbs(x, y, cfg)
     # the chain's starting fit, on stderr so that the stdout report keeps its lines
     print(f"mode iterations {draws.mode.iterations}", file=sys.stderr)
@@ -312,7 +303,7 @@ def cmd_gibbs(args) -> None:
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _PREDICTIVE_STREAM)))
     # the intervals of credible_intervals(posterior_predictive(...)), taken a
     # block of test rows at a time: no (draws, N, *out_dims) array is built
-    lo, hi = _predictive_intervals(x_new, draws, rng, args.level)
+    lo, hi = _predictive_intervals(x_new, draws, rng, cfg.credible_level)
     lines = ["cell,lo,hi"] + _interval_rows(lo, hi)
     if args.intervals_out:
         with open(args.intervals_out, "w") as fh:
@@ -379,11 +370,10 @@ def _from_json_file(path: str, what: str, build):
 
 
 def _spec_from_json(raw: dict) -> SimSpec:
-    allowed = {"n", "in_dims", "out_dims", "rank", "snr", "seed", "correlation", "rho"}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in dataclasses.fields(SimSpec)}
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
-    return SimSpec(**{"out_dims": [], **raw})
+    return SimSpec(**raw)
 
 
 def _sim_spec_from_args(args) -> SimSpec:
@@ -392,18 +382,9 @@ def _sim_spec_from_args(args) -> SimSpec:
     n = _require(args, "n", "--n")
     rank = _require(args, "rank", "--rank")
     in_dims = _parse_dims(_require(args, "in_dims", "--in-dims"))
-    out_dims = _parse_dims(args.out_dims) if args.out_dims else ()
-    return _config(
-        SimSpec,
-        n=n,
-        in_dims=in_dims,
-        out_dims=out_dims,
-        rank=rank,
-        snr=args.snr,
-        seed=args.seed,
-        correlation=args.correlation,
-        rho=args.rho,
-    )
+    out_dims = _parse_dims(args.out_dims) if args.out_dims else None
+    return _config(SimSpec, n=n, in_dims=in_dims, out_dims=out_dims, rank=rank, snr=args.snr,
+                   seed=args.seed, correlation=args.correlation, rho=args.rho)
 
 
 def cmd_simulate(args) -> None:

@@ -57,7 +57,7 @@ _MAGIC = b"mwt 2"
 _MAGIC_V1 = b"mwt 1"
 # the longest header line a reader takes: far past any real dims line
 _HEADER_LINE = 1 << 16
-# values of a tensor file written at once (a slab of whole last-mode indices, or a cut of one)
+# values of a tensor file written at once
 _WRITE_VALUES = 1 << 16
 # characters of a version-1 file's values, or bytes of a version-2 file, read at once
 _READ_CHUNK = 1 << 20
@@ -80,32 +80,15 @@ def write_tensor(path: str, t: DenseTensor) -> None:
     crc = 0
     with open(path, "wb") as fh:
         fh.write(_MAGIC + f"\n{t.order}\n{' '.join(map(str, t.dims))}\n".encode())
-        for piece in _f_pieces(t.array, _WRITE_VALUES):
-            piece = piece.astype("<f8", copy=False)
+        # at most _WRITE_VALUES values at a time; a chunk that needs no
+        # buffering can come back as a strided view, which is made contiguous
+        pieces = np.nditer(t.array, flags=["external_loop", "buffered"], order="F",
+                           op_dtypes=["<f8"], buffersize=_WRITE_VALUES)
+        for piece in pieces:
+            piece = np.ascontiguousarray(piece)
             crc = zlib.crc32(piece, crc)
             fh.write(piece)
         fh.write(b"end %08x\n" % crc)
-
-
-def _f_pieces(a: np.ndarray, limit: int):
-    """a's values in first-index-fastest order, as contiguous 1-d pieces.
-
-    An F-contiguous array is one piece, a view.  Otherwise the last mode,
-    which varies slowest, is cut into runs of whole slabs of at most limit
-    values, or a slab larger than that is cut the same way along its own
-    last mode, so no piece copies more than about limit values.
-    """
-    if a.size <= limit or a.flags.f_contiguous:
-        yield a.ravel(order="F")
-        return
-    slab = a.size // a.shape[-1]
-    if slab >= limit:
-        for j in range(a.shape[-1]):
-            yield from _f_pieces(a[..., j], limit)
-        return
-    step = limit // slab
-    for j in range(0, a.shape[-1], step):
-        yield a[..., j:j + step].ravel(order="F")
 
 
 def _write_csv(path: str, t: DenseTensor) -> None:

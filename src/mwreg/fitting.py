@@ -280,7 +280,8 @@ class _SweepState:
     V^T V and Y1 V in kr_out_gram and y_kr_out, when an outcome factor
     does; x_kr_pred, T = X1 KR(predictor factors), and x_kr_pred_gram =
     T^T T when a predictor factor does.  Each mode's other factors and
-    penalty Gram modes, and a read-only ones row, are fixed at construction.
+    penalty Gram modes, and a read-only ones row, are fixed at construction,
+    and so is refusal: the reason no update can solve at this rank, or None.
     """
 
     def __init__(self, ws: _Workspace, pred, out):
@@ -289,6 +290,7 @@ class _SweepState:
         self.out = list(out)
         self.n_pred = n_pred = len(self.pred)
         self.rank = self.pred[0].shape[1]
+        self.refusal = _rank_limit_message(self.rank, ws.in_dims, ws.out_dims)
         self.ones = np.ones((1, self.rank))
         self.ones.setflags(write=False)
         self._others = ([[k for k in range(n_pred) if k != l] for l in range(n_pred)]
@@ -392,7 +394,10 @@ class _SweepState:
         S sol = rhs, the objective right after the update is
         ||Y||^2 - 2 rhs^T sol + sol^T S sol = ||Y||^2 - rhs^T sol.
         problem_lam is the penalty the singular message reports against.
+        A rank above some mode's limit is refused before any system is built.
         """
+        if self.refusal:
+            raise SingularSystemError(self.refusal)
         if mode < self.n_pred:
             s, rhs = self.predictor_system(mode, lam)
             sol, low = _spd_solve(s, rhs, problem_lam)
@@ -426,6 +431,24 @@ class _SweepState:
         """The penalized objective, lam * ||B||_F^2 from the all-mode Gram product."""
         rss = self.rss()
         return rss + lam * float(self._gram_product(range(len(self.grams))).sum()) if lam else rss
+
+
+def _rank_limit_message(rank: int, in_dims, out_dims):
+    """Why no update can solve at this rank, or None when every mode's system can be definite.
+
+    Mode l's factor enters B only through U_l KR(other factors)^T, whose
+    Khatri-Rao product has one row per coefficient cell outside mode l.
+    With more components than that it has a null vector c, and U_l + z c^T
+    gives the same B, residual and penalty for every z.
+    """
+    dims = (*in_dims, *out_dims)
+    cells = [prod(dims) // d for d in dims]
+    mode = cells.index(min(cells))
+    if rank <= cells[mode]:
+        return None
+    where = f"predictor mode {mode}" if mode < len(in_dims) else f"outcome mode {mode - len(in_dims)}"
+    return (f"rank {rank} is above {cells[mode]}, the number of coefficient cells outside {where}, "
+            f"so that mode's subproblem is singular at every penalty; lower the rank")
 
 
 def _spd_solve(s: np.ndarray, rhs: np.ndarray, lam: float):
@@ -521,8 +544,6 @@ def _lambda_schedule(cfg: FitConfig):
         # unpenalized target: decay from absolute 1.0, then drop to 0
         start = 1.0
         end = 1.0 / _ANNEAL_START
-    if start <= end:
-        return [cfg.lam] * steps
     ratio = (end / start) ** (1.0 / steps)
     return [start * ratio ** (i + 1) for i in range(steps)]
 
@@ -565,7 +586,10 @@ def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
     Keeps the best of cfg.n_starts seeded runs by final objective; the
     first start wins a tie.  Identical data and config give a
     bit-identical result.  Raises SingularSystemError when a lambda=0
-    subproblem is rank deficient instead of silently pseudo-inverting.
+    subproblem is rank deficient instead of silently pseudo-inverting, and
+    before it builds any mode system when the rank is above the cell count
+    of the coefficient array outside some mode, min over l of
+    prod_{k != l} d_k, where no penalty makes that mode's subproblem definite.
     """
     if x.order < 2:
         raise ValueError("x must have an observation mode plus at least one predictor mode")

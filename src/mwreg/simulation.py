@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,13 +53,14 @@ class SimSpec:
     rank 0 means no signal (B = 0, snr ignored).  correlation selects
     exponential spatial correlation with adjacent-cell correlation rho for
     the predictor slices (corr_x, needs 2 predictor modes) or the error
-    slices (corr_e, needs 2 outcome modes).  A field of the wrong type
-    raises TypeError and one out of range ValueError, each naming the field.
+    slices (corr_e, needs 2 outcome modes).  out_dims, keyword-only,
+    defaults to a scalar response.  A field of the wrong type raises
+    TypeError and one out of range ValueError, each naming the field.
     """
 
     n: int
     in_dims: tuple
-    out_dims: tuple
+    out_dims: tuple = field(default=(), kw_only=True)
     rank: int
     snr: float = 1.0
     seed: int = 0
@@ -67,15 +68,14 @@ class SimSpec:
     rho: float = 0.6
 
     def __post_init__(self):
-        for names, kind, noun in ((("n", "rank", "seed"), numbers.Integral, "an integer"),
-                                  (("snr", "rho"), numbers.Real, "a number")):
+        for names, kind in ((("n", "rank", "seed"), int), (("snr", "rho"), float)):
             for name in names:
                 value = getattr(self, name)
                 if not _is_kind(value, kind):
-                    raise TypeError(f"{name} must be {noun}, got {value!r}")
+                    raise TypeError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
         for name in ("in_dims", "out_dims"):
             dims = getattr(self, name)
-            if not (isinstance(dims, (list, tuple)) and all(_is_kind(d, numbers.Integral) for d in dims)):
+            if not (isinstance(dims, (list, tuple)) and all(_is_kind(d, int) for d in dims)):
                 raise TypeError(f"{name} must be a list of integers, got {dims!r}")
             object.__setattr__(self, name, tuple(int(d) for d in dims))
         if self.n < 1:
@@ -98,9 +98,14 @@ class SimSpec:
             raise ValueError("rho must be in (0, 1)")
 
 
+# the type rule of a numeric setting of kind int or float: the numbers ABC
+# its values belong to, and that rule's name in messages
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+
+
 def _is_kind(value, kind) -> bool:
-    """Whether value is of the numeric ABC kind; a bool counts as no number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Whether value passes kind's rule: a float setting takes an integer too, and a bool is no number."""
+    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -174,9 +179,7 @@ def correlated_field(dims, rho: float, rng: np.random.Generator) -> DenseTensor:
         raise ValueError("the field needs exactly two positive grid dims")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must be in (0, 1)")
-    low = _grid_chol(dims, rho)
-    z = rng.standard_normal(low.shape[0])
-    return DenseTensor((low @ z).reshape(dims, order="F"))
+    return DenseTensor(_field_slices(1, dims, rho, rng)[0])
 
 
 def _field_slices(n: int, dims, rho: float, rng: np.random.Generator) -> np.ndarray:
@@ -268,9 +271,9 @@ def run_cell(
     fit_rank: int,
     lam: float,
     replicates: int,
-    test_n: int = 500,
-    gibbs_samples: int = 1000,
-    level: float = 0.95,
+    test_n: int = GridCell.test_n,
+    gibbs_samples: int = GridCell.gibbs_samples,
+    level: float = GibbsConfig.credible_level,
 ) -> ExperimentCell:
     """Evaluate one estimation procedure on replicated datasets.
 
@@ -284,6 +287,10 @@ def run_cell(
     """
     if replicates < 1:
         raise ValueError("replicates must be positive")
+    if test_n < 1:
+        raise ValueError("test_n must be positive")
+    if gibbs_samples < 0:
+        raise ValueError("gibbs_samples must be non-negative")
     rpes, covers, lengths, sweeps, converged = [], [], [], [], []
     for rep in range(replicates):
         data_spec = replace(spec, seed=_substream_int(spec.seed, rep, _DATA))
@@ -370,17 +377,19 @@ def expand_grid(grid: dict) -> list:
 
     Required keys: n, snr, true_ranks (scenario factors, lists), in_dims,
     out_dims, fit_ranks, lambdas (procedure factors, lists), replicates,
-    seed.  Optional: test_n (500), gibbs_samples (1000), correlation
-    ("none"), rho (0.6).  Every procedure applied to scenario i shares the
-    scenario's derived seed, so all procedures see the same datasets.  A
-    list key that holds no list raises TypeError, and a value that does not
-    convert raises ValueError; both name the key.
+    seed.  Optional: test_n and gibbs_samples (GridCell's defaults),
+    correlation and rho (SimSpec's defaults).  Every procedure applied to
+    scenario i shares the scenario's derived seed, so all procedures see
+    the same datasets.  Values keep their JSON types: a count or a seed
+    must be an integer, and a float setting takes an integer or a float.
+    A list key that holds no list raises TypeError, and a value of the
+    wrong type raises ValueError; both name the key.
     """
     required = ["n", "snr", "true_ranks", "in_dims", "out_dims", "fit_ranks", "lambdas", "replicates", "seed"]
     missing = [k for k in required if k not in grid]
     if missing:
         raise ValueError(f"grid is missing keys: {missing}")
-    unknown = set(grid) - set(required) - {"test_n", "gibbs_samples", "correlation", "rho"}
+    unknown = set(grid) - set(required) - set(_GRID_OPTIONS)
     if unknown:
         raise ValueError(f"grid has unknown keys: {sorted(unknown)}")
     lists = {key: _grid_list(grid, key, kind) for key, kind in (
@@ -388,9 +397,10 @@ def expand_grid(grid: dict) -> list:
         ("out_dims", int), ("fit_ranks", int), ("lambdas", float))}
     root = _grid_value("seed", grid["seed"], int)
     replicates = _grid_value("replicates", grid["replicates"], int)
-    test_n = _grid_value("test_n", grid.get("test_n", 500), int)
-    gibbs_samples = _grid_value("gibbs_samples", grid.get("gibbs_samples", 1000), int)
-    rho = _grid_value("rho", grid.get("rho", 0.6), float)
+    # an option is passed only when given, so GridCell and SimSpec keep their defaults
+    cell_options = {key: grid[key] if kind is None else _grid_value(key, grid[key], kind)
+                    for key, kind in _GRID_OPTIONS.items() if key in grid}
+    spec_options = {key: cell_options.pop(key) for key in ("correlation", "rho") if key in cell_options}
     cells = []
     scenario = 0
     for n in lists["n"]:
@@ -404,31 +414,29 @@ def expand_grid(grid: dict) -> list:
                     rank=rank,
                     snr=snr,
                     seed=seed,
-                    correlation=grid.get("correlation", "none"),
-                    rho=rho,
+                    **spec_options,
                 )
                 for fit_rank in lists["fit_ranks"]:
                     for lam in lists["lambdas"]:
-                        cells.append(
-                            GridCell(
-                                spec=spec,
-                                fit_rank=fit_rank,
-                                lam=lam,
-                                replicates=replicates,
-                                test_n=test_n,
-                                gibbs_samples=gibbs_samples,
-                            )
-                        )
+                        cells.append(GridCell(spec=spec, fit_rank=fit_rank, lam=lam,
+                                              replicates=replicates, **cell_options))
                 scenario += 1
     return cells
 
 
+# the optional grid keys and the kinds of their values; SimSpec checks correlation
+_GRID_OPTIONS = {"test_n": int, "gibbs_samples": int, "correlation": None, "rho": float}
+
+
 def _grid_value(key: str, value, kind):
-    """kind(value), or a ValueError that names the grid key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"grid key {key!r} must be {kind.__name__}, got {value!r}") from None
+    """kind(value) once value passes SimSpec's rule for kind, or a ValueError that names the grid key.
+
+    A bool or a string is refused, and so is a float for an integer key;
+    a float key takes an integer too.
+    """
+    if not _is_kind(value, kind):
+        raise ValueError(f"grid key {key!r} must be {_KINDS[kind][1]}, got {value!r}")
+    return kind(value)
 
 
 def _grid_list(grid: dict, key: str, kind) -> list:

@@ -6,6 +6,7 @@ the packaging wiring.  The golden objective value for the bundled tiny
 dataset pins the full fit path end to end.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -17,8 +18,10 @@ import numpy as np
 import pytest
 
 import mwreg
-from mwreg import DenseTensor, FitConfig, fit, read_tensor, write_tensor, read_draws, read_model
-from mwreg.cli import main
+from mwreg import (DenseTensor, FitConfig, GibbsConfig, SimSpec, fit, read_tensor, write_tensor, read_draws,
+                   read_model)
+from mwreg import cli
+from mwreg.cli import _build_parsers, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY_X = os.path.join(DATA, "tiny_x.mwt")
@@ -100,6 +103,22 @@ class TestFit:
                      "--anneal-steps", "0", "--out", out])
         assert code == 3
         assert "penalty" in capsys.readouterr().err
+
+    def test_rank_above_a_mode_limit_is_numerical_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = os.path.join(tmp_path, "x.mwt")
+        y = os.path.join(tmp_path, "y.mwt")
+        write_tensor(x, DenseTensor(rng.standard_normal((30, 2))))
+        write_tensor(y, DenseTensor(rng.standard_normal(30)))
+        out = os.path.join(tmp_path, "m.json")
+        for lam in ("0", "0.5", "50"):
+            code = main(["fit", "--x", x, "--y", y, "--rank", "2", "--lambda", lam, "--out", out])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                "numerical error: rank 2 is above 1, the number of coefficient cells outside "
+                "predictor mode 0, so that mode's subproblem is singular at every penalty; "
+                "lower the rank\n")
+        assert not os.path.exists(out)
 
     def test_config_file_equals_flags(self, tmp_path, capsys):
         cfg = os.path.join(tmp_path, "fit.cfg")
@@ -417,6 +436,45 @@ def test_invalid_setting_is_usage_error(tmp_path, capsys, command, flag, value, 
     assert not os.listdir(tmp_path)
 
 
+# the settings no config holds: their defaults belong to the command line
+_CLI_OWNED = {"seed", "folds", "parallel"}
+
+
+def test_only_cli_owned_settings_have_flag_defaults():
+    # a config-held setting left off the command line takes the config's default
+    _, registry = _build_parsers()
+    for command, parser in registry.items():
+        for action in parser._actions:
+            if isinstance(action, (argparse._StoreTrueAction, argparse._HelpAction)):
+                continue
+            assert action.default is None or action.dest in _CLI_OWNED, (
+                f"mwreg {command} {action.option_strings[0]} has default {action.default!r}")
+
+
+class _Built(Exception):
+    """Raised by a stand-in library call with the config it was given."""
+
+
+@pytest.mark.parametrize("argv, callee, want", [
+    (["fit", "--x", TINY_X, "--y", TINY_Y, "--rank", "1", "--out", "m.json"],
+     "fit", FitConfig(rank=1)),
+    (["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1", "--out", "d.json"],
+     "gibbs", GibbsConfig(rank=1)),
+    (["simulate", "--n", "5", "--in-dims", "3", "--rank", "1", "--out-prefix", "s"],
+     "simulate", SimSpec(n=5, in_dims=(3,), rank=1)),
+])
+def test_left_out_flags_take_the_config_defaults(tmp_path, monkeypatch, argv, callee, want):
+    def stand_in(*args):
+        raise _Built(args[-1])
+
+    monkeypatch.setattr(cli, callee, stand_in)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(_Built) as info:
+        main(argv + ["--seed", "0"])
+    assert info.value.args[0] == want
+    assert not os.listdir(tmp_path)
+
+
 class TestSimulate:
     def test_writes_three_tensors(self, tmp_path, capsys):
         prefix = os.path.join(tmp_path, "sim")
@@ -531,6 +589,25 @@ class TestExperiment:
         assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: {grid_path}: grid key '{key}' must be a list, got {value}\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, value, noun", [
+        ("n", [30.7], "an integer"), ("true_ranks", [True], "an integer"),
+        ("n", ["30"], "an integer"), ("snr", ["25"], "a number"),
+    ])
+    def test_grid_value_of_the_wrong_json_type_is_data_error(self, tmp_path, capsys, key, value,
+                                                             noun):
+        grid = {
+            "n": [15], "snr": [1.0], "true_ranks": [1], "in_dims": [3, 2], "out_dims": [2],
+            "fit_ranks": [1], "lambdas": [0.5], "replicates": 1, "seed": 79, key: value,
+        }
+        grid_path = os.path.join(tmp_path, "grid.json")
+        with open(grid_path, "w") as fh:
+            json.dump(grid, fh)
+        out = os.path.join(tmp_path, "r.csv")
+        assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {grid_path}: grid key '{key}' must be {noun}, got {value[0]!r}\n")
         assert not os.path.exists(out)
 
     def test_bad_grid_key(self, tmp_path, capsys):

@@ -17,10 +17,13 @@ from mwreg import (
     CpCoefficients,
     DenseTensor,
     FitConfig,
+    GibbsConfig,
     SingularSystemError,
     center,
+    conditional_factor_params,
     contract,
     fit,
+    gibbs,
     khatri_rao,
     objective,
     predict,
@@ -715,19 +718,62 @@ class TestAugmentedOracle:
             tb = np.array(b.objective_trace[:n])
             assert np.all(np.abs(ta - tb) <= 1e-6 * np.maximum(1.0, np.abs(ta)))
 
-    def test_singular_message_follows_the_problem_penalty(self):
+    def test_rank_limit_message_at_every_penalty(self):
         # one predictor mode and no response mode: every rank-2 system is
-        # singular at any penalty, and the augmented sweeps solve with none
+        # singular at any penalty, so fit and the augmented sweeps, which
+        # solve with none, give the same reason instead of the lambda=0 advice
         rng = np.random.default_rng(0)
         x = DenseTensor(rng.standard_normal((20, 4)))
         y = DenseTensor(rng.standard_normal(20))
         cfg = FitConfig(rank=2, lam=50.0, seed=3)
-        for run in (fit, fit_augmented_oracle):
-            with pytest.raises(SingularSystemError, match="numerically singular"):
-                run(x, y, cfg)
-        for run in (fit, fit_augmented_oracle):
-            with pytest.raises(SingularSystemError, match="singular at lambda=0"):
-                run(x, y, replace(cfg, lam=0.0))
+        want = ("^rank 2 is above 1, the number of coefficient cells outside predictor mode 0, "
+                "so that mode's subproblem is singular at every penalty; lower the rank$")
+        for lam in (50.0, 0.0):
+            for run in (fit, fit_augmented_oracle):
+                with pytest.raises(SingularSystemError, match=want):
+                    run(x, y, replace(cfg, lam=lam))
+
+
+# (in_dims, out_dims, rank, the binding mode, the cell count outside it)
+_OVER_LIMIT = [
+    ((2,), (), 2, "predictor mode 0", 1),
+    ((3,), (2,), 3, "predictor mode 0", 2),
+    ((3, 2), (), 3, "predictor mode 0", 2),
+    ((4,), (3,), 4, "predictor mode 0", 3),
+    ((2, 2), (2,), 5, "predictor mode 0", 4),
+    ((2,), (5,), 3, "outcome mode 0", 2),
+]
+
+
+class TestRankLimit:
+    """A rank above the coefficient cells outside some mode is refused, whatever the penalty."""
+
+    @pytest.mark.parametrize("in_dims, out_dims, rank, where, cells", _OVER_LIMIT)
+    def test_every_solving_path_names_the_limit(self, in_dims, out_dims, rank, where, cells):
+        want = (f"^rank {rank} is above {cells}, the number of coefficient cells outside {where}, "
+                f"so that mode's subproblem is singular at every penalty; lower the rank$")
+        for seed in range(3):
+            x, y, b = _random_instance(np.random.default_rng(seed), 30, in_dims, out_dims, rank)
+            for lam in (0.0, 0.5, 50.0):
+                with pytest.raises(SingularSystemError, match=want):
+                    fit(x, y, FitConfig(rank=rank, lam=lam, seed=seed))
+                with pytest.raises(SingularSystemError, match=want):
+                    gibbs(x, y, GibbsConfig(rank=rank, n_samples=2, lam=lam, seed=seed))
+                steps = [lambda: update_predictor_factor(x, y, b, 0, lam),
+                         lambda: conditional_factor_params(x, y, b, 0, lam, 1.0)]
+                if out_dims:
+                    steps.append(lambda: update_outcome_factor(x, y, b, 0, lam))
+                for step in steps:
+                    with pytest.raises(SingularSystemError, match=want):
+                        step()
+                # evaluating the coefficients solves nothing, so it is not refused
+                assert np.isfinite(objective(x, y, b, lam))
+
+    @pytest.mark.parametrize("in_dims, out_dims, rank, where, cells", _OVER_LIMIT)
+    def test_a_rank_at_the_limit_fits(self, in_dims, out_dims, rank, where, cells):
+        x, y, _ = _random_instance(np.random.default_rng(7), 30, in_dims, out_dims, cells)
+        result = fit(x, y, FitConfig(rank=cells, lam=0.5, seed=7, max_iters=30))
+        assert np.isfinite(result.objective_trace[-1])
 
 
 class TestPredict:

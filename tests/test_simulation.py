@@ -7,6 +7,7 @@ procedures, and the factorial counts of the shipped design.
 """
 
 import csv
+import inspect
 import os
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ import scipy.linalg
 from mwreg import (
     DenseTensor,
     FitConfig,
+    GibbsConfig,
     GridCell,
     SimSpec,
     contract,
@@ -251,6 +253,20 @@ class TestRunCell:
         with pytest.raises(ValueError):
             run_cell(_small_spec(), 1, 0.5, replicates=0)
 
+    @pytest.mark.parametrize("option, value, rule", [
+        ("test_n", 0, "positive"), ("test_n", -1, "positive"),
+        ("gibbs_samples", -5, "non-negative"), ("gibbs_samples", -1, "non-negative"),
+    ])
+    def test_a_bad_count_is_refused_by_name(self, option, value, rule):
+        with pytest.raises(ValueError, match=f"^{option} must be {rule}$"):
+            run_cell(_small_spec(), 1, 0.5, replicates=1, **{option: value})
+
+    def test_defaults_come_from_the_classes(self):
+        params = inspect.signature(run_cell).parameters
+        assert params["test_n"].default == GridCell.test_n
+        assert params["gibbs_samples"].default == GridCell.gibbs_samples
+        assert params["level"].default == GibbsConfig.credible_level
+
 
 class TestRunGrid:
     def test_empty_grid(self):
@@ -350,6 +366,30 @@ class TestExpandGrid:
     def test_a_wrongly_typed_key_is_named(self, key, value, error):
         with pytest.raises(error, match=f"^grid key '{key}' must be"):
             expand_grid(dict(self.FULL, **{key: value}))
+
+    @pytest.mark.parametrize("key, value, noun", [
+        ("n", [30.7], "an integer"), ("n", [30.0], "an integer"), ("n", ["30"], "an integer"),
+        ("true_ranks", [True], "an integer"), ("fit_ranks", [1, True], "an integer"),
+        ("in_dims", [15, 20.0], "an integer"), ("seed", "30", "an integer"),
+        ("replicates", 2.0, "an integer"), ("test_n", 30.7, "an integer"),
+        ("gibbs_samples", True, "an integer"), ("snr", ["25"], "a number"),
+        ("snr", [True], "a number"), ("lambdas", [0.5, "1"], "a number"),
+        ("rho", "0.6", "a number"), ("rho", False, "a number"),
+    ])
+    def test_a_value_of_the_wrong_json_type_is_named(self, key, value, noun):
+        with pytest.raises(ValueError, match=f"^grid key '{key}' must be {noun}, got "):
+            expand_grid(dict(self.FULL, **{key: value}))
+
+    def test_a_float_key_takes_an_integer(self):
+        cells = expand_grid(dict(self.FULL, lambdas=[0, 5]))
+        assert {c.lam for c in cells} == {0.0, 5.0}
+        assert all(type(c.lam) is float and type(c.spec.snr) is float for c in cells)
+
+    def test_left_out_options_take_the_class_defaults(self):
+        defaults = GridCell(_small_spec(), 1, 0.5, 1)
+        for c in expand_grid(self.FULL):
+            assert (c.test_n, c.gibbs_samples) == (defaults.test_n, defaults.gibbs_samples)
+            assert (c.spec.correlation, c.spec.rho) == (SimSpec.correlation, SimSpec.rho)
 
     def test_deterministic_expansion(self):
         a = expand_grid(self.FULL)
