@@ -32,7 +32,7 @@ from .fileio import (
     write_model,
     write_tensor,
 )
-from .fitting import FitConfig, SingularSystemError, fit, predict
+from .fitting import FitConfig, SingularSystemError, _rank_limit_message, fit, predict
 from .posterior import (DegeneratePosteriorError, GibbsConfig, _interval_scores,
                         _predictive_intervals, dic, gibbs)
 # module globals that perfbench's traced runs rebind to timing wrappers
@@ -326,6 +326,10 @@ def cmd_cv(args) -> None:
         raise UsageError("--ranks and --lambdas must be non-empty")
     cfgs = [_config(FitConfig, rank=rank, lam=lam, seed=args.seed, center_data=not args.no_center)
             for rank in ranks for lam in lams]
+    # a rank above a mode's cell limit is refused before any row is printed; fit refuses an order-1 x
+    for rank in ranks if x.order > 1 else ():
+        if refusal := _rank_limit_message(rank, x.dims[1:], y.dims[1:]):
+            raise SingularSystemError(refusal)
     n = x.dims[0]
     if args.folds < 2:
         raise UsageError("--folds must be at least 2")

@@ -264,9 +264,10 @@ def gibbs(
     """Run one chain and return the retained draws.
 
     The chain starts at the penalized least-squares solution (computed
-    here unless a matching mode_fit is supplied) and per iteration draws
-    sigma^2, then each predictor factor, then each outcome factor from
-    their full conditionals.  Fixed seeds give identical draw sequences.
+    here unless a mode_fit of cfg's rank and centering is supplied) and
+    per iteration draws sigma^2, then each predictor factor, then each
+    outcome factor from their full conditionals.  Fixed seeds give
+    identical draw sequences.
     """
     if mode_fit is None:
         mode_fit = fit(x, y, FitConfig(rank=cfg.rank, lam=cfg.lam, seed=cfg.seed,
@@ -274,6 +275,8 @@ def gibbs(
     b0 = mode_fit.coefficients
     if b0.rank != cfg.rank:
         raise ValueError(f"mode fit has rank {b0.rank} but cfg.rank is {cfg.rank}")
+    if (mode_fit.x_offsets is not None) != cfg.center_data:
+        raise ValueError(f"mode fit is {'un' * cfg.center_data}centered but cfg.center_data is {cfg.center_data}")
     # checked before the offsets are removed, which would broadcast a size-1 mode
     if x.dims[1:] != b0.in_dims or y.dims[1:] != b0.out_dims:
         raise ValueError("data dims do not match the mode fit's coefficients")

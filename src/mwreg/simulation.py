@@ -110,7 +110,10 @@ def _is_kind(value, kind) -> bool:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One (scenario, estimation procedure) pairing for run_grid."""
+    """One (scenario, estimation procedure) pairing for run_grid.
+
+    A setting out of range raises ValueError here, before any cell runs.
+    """
 
     spec: SimSpec
     fit_rank: int
@@ -118,6 +121,15 @@ class GridCell:
     replicates: int
     test_n: int = 500
     gibbs_samples: int = 1000
+
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValueError("replicates must be positive")
+        if self.test_n < 1:
+            raise ValueError("test_n must be positive")
+        if self.gibbs_samples < 0:
+            raise ValueError("gibbs_samples must be non-negative")
+        FitConfig(rank=self.fit_rank, lam=self.lam)
 
 
 @dataclass
@@ -285,12 +297,7 @@ def run_cell(
     Replicate k of a cell reuses the data substream (spec.seed, k, ...)
     regardless of fit_rank and lam, so procedures share datasets.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be positive")
-    if test_n < 1:
-        raise ValueError("test_n must be positive")
-    if gibbs_samples < 0:
-        raise ValueError("gibbs_samples must be non-negative")
+    GridCell(spec, fit_rank, lam, replicates, test_n, gibbs_samples)  # checks the settings
     rpes, covers, lengths, sweeps, converged = [], [], [], [], []
     for rep in range(replicates):
         data_spec = replace(spec, seed=_substream_int(spec.seed, rep, _DATA))
@@ -467,23 +474,22 @@ def write_results_csv(results, path: str) -> None:
     on mean, se and error rows.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer = csv.DictWriter(fh, _CSV_COLUMNS, restval="")
+        writer.writeheader()
         for cell, out, err in results:
             spec = cell.spec
-            head = [
-                spec.n, _dims_str(spec.in_dims), _dims_str(spec.out_dims),
-                spec.rank, spec.snr, spec.seed, spec.correlation, spec.rho,
-                cell.fit_rank, cell.lam,
-            ]
+            head = {"n": spec.n, "in_dims": _dims_str(spec.in_dims), "out_dims": _dims_str(spec.out_dims),
+                    "rank": spec.rank, "snr": spec.snr, "seed": spec.seed, "correlation": spec.correlation,
+                    "rho": spec.rho, "fit_rank": cell.fit_rank, "lam": cell.lam}
             if err is not None:
-                writer.writerow(head + ["error", "", "", "", err, "", ""])
+                writer.writerow({**head, "row": "error", "note": err})
                 continue
             for k in range(out.replicates):
-                cov = out.coverage_values[k] if out.coverage_values else ""
-                ln = out.length_values[k] if out.length_values else ""
-                writer.writerow(head + [k, out.rpe_values[k], cov, ln, "",
-                                        out.iterations_values[k], out.converged_values[k]])
-            writer.writerow(head + ["mean", out.rpe, out.coverage_rate, out.mean_interval_length,
-                                    "", "", ""])
-            writer.writerow(head + ["se", out.rpe_se, out.coverage_se, out.length_se, "", "", ""])
+                writer.writerow({**head, "row": k, "rpe": out.rpe_values[k],
+                                 "coverage": out.coverage_values[k] if out.coverage_values else "",
+                                 "length": out.length_values[k] if out.length_values else "",
+                                 "iterations": out.iterations_values[k], "converged": out.converged_values[k]})
+            writer.writerow({**head, "row": "mean", "rpe": out.rpe, "coverage": out.coverage_rate,
+                             "length": out.mean_interval_length})
+            writer.writerow({**head, "row": "se", "rpe": out.rpe_se, "coverage": out.coverage_se,
+                             "length": out.length_se})

@@ -384,6 +384,23 @@ class TestCv:
         out = capsys.readouterr().out
         assert "selected rank=2" in out
 
+    def test_rank_above_a_mode_limit_refused_before_any_row(self, tmp_path, capsys):
+        # the rank-1 candidate would fit; the rank-2 one never can on these dims
+        rng = np.random.default_rng(0)
+        x = os.path.join(tmp_path, "x.mwt")
+        y = os.path.join(tmp_path, "y.mwt")
+        write_tensor(x, DenseTensor(rng.standard_normal((30, 2))))
+        write_tensor(y, DenseTensor(rng.standard_normal(30)))
+        code = main(["cv", "--x", x, "--y", y, "--ranks", "1,2", "--lambdas", "0.5",
+                     "--folds", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: rank 2 is above 1, the number of coefficient cells outside "
+            "predictor mode 0, so that mode's subproblem is singular at every penalty; "
+            "lower the rank\n")
+
     def test_too_many_folds(self, capsys):
         code = main(["cv", "--x", TINY_X, "--y", TINY_Y, "--ranks", "1",
                      "--lambdas", "0.5", "--folds", "9"])
@@ -608,6 +625,33 @@ class TestExperiment:
         assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: {grid_path}: grid key '{key}' must be {noun}, got {value[0]!r}\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fit_ranks", [1, 0], "rank must be at least 1"),
+        ("lambdas", [-1.0], "lam must be finite and non-negative"),
+        ("replicates", 0, "replicates must be positive"),
+        ("test_n", 0, "test_n must be positive"),
+        ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+    ])
+    def test_out_of_range_procedure_value_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                        key, value, message):
+        def no_cell_runs(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_grid", no_cell_runs)
+        grid = {
+            "n": [15], "snr": [1.0], "true_ranks": [1], "in_dims": [3, 2], "out_dims": [2],
+            "fit_ranks": [1], "lambdas": [0.5], "replicates": 1, "seed": 79, key: value,
+        }
+        grid_path = os.path.join(tmp_path, "grid.json")
+        with open(grid_path, "w") as fh:
+            json.dump(grid, fh)
+        out = os.path.join(tmp_path, "r.csv")
+        assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {grid_path}: {message}\n"
         assert not os.path.exists(out)
 
     def test_bad_grid_key(self, tmp_path, capsys):

@@ -400,6 +400,18 @@ class TestGibbs:
             with pytest.raises(ValueError, match="dims do not match"):
                 gibbs(xd, yd, GibbsConfig(rank=1, n_samples=2, lam=0.5), mode_fit=mode)
 
+    @pytest.mark.parametrize("fit_centered", [True, False])
+    def test_mode_fit_centering_must_match(self, fit_centered):
+        # the chain would start from the fit's offsets whatever cfg.center_data says
+        rng = np.random.default_rng(20)
+        x, y, _ = _random_instance(rng, 12, (3,), (2,), 1)
+        mode = fit(x, y, FitConfig(rank=1, lam=0.5, seed=0, center_data=fit_centered))
+        cfg = GibbsConfig(rank=1, n_samples=2, lam=0.5, center_data=not fit_centered)
+        state = "centered" if fit_centered else "uncentered"
+        with pytest.raises(ValueError,
+                           match=f"^mode fit is {state} but cfg.center_data is {not fit_centered}$"):
+            gibbs(x, y, cfg, mode_fit=mode)
+
     def test_singular_chain_keeps_error_type(self):
         # flat prior, fit rank 3 over true rank 1: the fit converges, then a
         # conditional system of the chain turns singular

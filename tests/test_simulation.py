@@ -261,6 +261,25 @@ class TestRunCell:
         with pytest.raises(ValueError, match=f"^{option} must be {rule}$"):
             run_cell(_small_spec(), 1, 0.5, replicates=1, **{option: value})
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("fit_rank", 0, "rank must be at least 1"),
+        ("lam", -1.0, "lam must be finite and non-negative"),
+        ("lam", float("nan"), "lam must be finite and non-negative"),
+        ("replicates", 0, "replicates must be positive"),
+        ("test_n", 0, "test_n must be positive"),
+        ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+    ])
+    def test_a_bad_setting_is_refused_before_any_data(self, monkeypatch, setting, value, message):
+        def no_data(spec):
+            raise AssertionError("a dataset was simulated")
+
+        monkeypatch.setattr("mwreg.simulation.simulate", no_data)
+        settings = {**dict(spec=_small_spec(), fit_rank=1, lam=0.5, replicates=1), setting: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridCell(**settings)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_cell(**settings)
+
     def test_defaults_come_from_the_classes(self):
         params = inspect.signature(run_cell).parameters
         assert params["test_n"].default == GridCell.test_n
@@ -378,6 +397,18 @@ class TestExpandGrid:
     ])
     def test_a_value_of_the_wrong_json_type_is_named(self, key, value, noun):
         with pytest.raises(ValueError, match=f"^grid key '{key}' must be {noun}, got "):
+            expand_grid(dict(self.FULL, **{key: value}))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fit_ranks", [0], "rank must be at least 1"),
+        ("fit_ranks", [2, -1], "rank must be at least 1"),
+        ("lambdas", [-1.0], "lam must be finite and non-negative"),
+        ("replicates", 0, "replicates must be positive"),
+        ("test_n", 0, "test_n must be positive"),
+        ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+    ])
+    def test_an_out_of_range_procedure_value_is_refused(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             expand_grid(dict(self.FULL, **{key: value}))
 
     def test_a_float_key_takes_an_integer(self):

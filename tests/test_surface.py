@@ -38,17 +38,30 @@ def _imported_names(tree):
                 yield alias.asname or alias.name.split(".")[0], node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+                # a star import binds its module's __all__: named `<module>.*`
+                name = f"{node.module}.*" if alias.name == "*" else alias.asname or alias.name
+                yield name, node.lineno
 
 
 def _used_names(tree) -> set:
-    """Names loaded anywhere in the module, plus those its __all__ exports."""
+    """Names loaded anywhere in the module, plus those its __all__ exports.
+
+    `__all__ += <module>.__all__` republishes a module's names, which uses
+    the star import `<module>.*`.
+    """
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used |= set(ast.literal_eval(node.value))
+        elif isinstance(node, ast.AugAssign) and getattr(node.target, "id", None) == "__all__":
+            value = node.value
+            if (isinstance(value, ast.Attribute) and value.attr == "__all__"
+                    and isinstance(value.value, ast.Name)):
+                used.add(f"{value.value.id}.*")
+            else:
+                used |= set(ast.literal_eval(value))
     return used
 
 
@@ -67,6 +80,11 @@ def test_package_all_is_the_union_of_the_library_modules():
     for stem in _LIBRARY:
         union |= set(importlib.import_module(f"mwreg.{stem}").__all__)
     assert set(mwreg.__all__) == union | {"__version__"}
+    # the order, too: the modules from the lowest layer up, then the version
+    from mwreg import coefficients, fileio, fitting, posterior, simulation, tensors
+    assert mwreg.__all__ == [*tensors.__all__, *coefficients.__all__, *fitting.__all__,
+                             *posterior.__all__, *simulation.__all__, *fileio.__all__,
+                             "__version__"]
 
 
 @pytest.mark.parametrize("stem", _LIBRARY)
