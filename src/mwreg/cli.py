@@ -33,8 +33,8 @@ from .fileio import (
     write_tensor,
 )
 from .fitting import FitConfig, SingularSystemError, _rank_limit_message, fit, predict
-from .posterior import (DegeneratePosteriorError, GibbsConfig, _interval_scores,
-                        _predictive_intervals, dic, gibbs)
+from .posterior import (DegeneratePosteriorError, GibbsConfig, _dic_checks, _interval_checks,
+                        _interval_scores, _predictive_intervals, dic, gibbs)
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
 from .simulation import SimSpec, expand_grid, rpe, run_grid, simulate, write_results_csv
@@ -153,13 +153,14 @@ def _build_parsers():
     p.set_defaults(func=cmd_cv)
 
     p = add("simulate", "generate one dataset from the factorial model")
-    p.add_argument("--spec", help="JSON file of generator settings")
+    p.add_argument("--spec", help="JSON file of generator settings, instead of the flags below")
     p.add_argument("--n", type=int)
     p.add_argument("--in-dims")
     p.add_argument("--out-dims")
     p.add_argument("--rank", type=int)
     p.add_argument("--snr", type=float)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=seed,
+                   help="ignored with --spec, which uses the file's seed (0 if it has none)")
     p.add_argument("--correlation")
     p.add_argument("--rho", type=float)
     p.add_argument("--out-prefix", help="prefix for the x/y/b tensor files")
@@ -288,6 +289,11 @@ def cmd_gibbs(args) -> None:
     cfg = _config(GibbsConfig, rank=rank, n_samples=args.samples, lam=args.lam,
                   burn_in=args.burn_in, thin=args.thin, seed=args.seed,
                   credible_level=args.level, center_data=not args.no_center)
+    # intervals and DIC need two draws; a shorter chain is refused before it runs
+    if x_new is not None:
+        _interval_checks(cfg.n_samples, cfg.credible_level)
+    if args.dic:
+        _dic_checks(cfg.n_samples)
     draws = gibbs(x, y, cfg)
     # the chain's starting fit, on stderr so that the stdout report keeps its lines
     print(f"mode iterations {draws.mode.iterations}", file=sys.stderr)
@@ -380,8 +386,17 @@ def _spec_from_json(raw: dict) -> SimSpec:
     return SimSpec(**raw)
 
 
+# the generator flags that --spec replaces; --seed always has a value, so
+# the spec file's seed is used instead of it
+_SPEC_FLAGS = ("n", "in_dims", "out_dims", "rank", "snr", "correlation", "rho")
+
+
 def _sim_spec_from_args(args) -> SimSpec:
     if args.spec is not None:
+        given = [f"--{name.replace('_', '-')}" for name in _SPEC_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--spec cannot be combined with {' '.join(given)}")
         return _from_json_file(args.spec, "spec", _spec_from_json)
     n = _require(args, "n", "--n")
     rank = _require(args, "rank", "--rank")

@@ -42,7 +42,7 @@ import numpy as np
 from .coefficients import CpCoefficients
 from .fitting import FitResult
 from .posterior import PosteriorDraws
-from .tensors import DenseTensor
+from .tensors import _KINDS, DenseTensor, _is_kind
 
 __all__ = [
     "read_tensor",
@@ -242,9 +242,8 @@ def _factor_list(factors) -> list:
 def _number(value, kind=float):
     """A JSON number as kind; true and false, which Python counts as ints, are
     refused, and so is a number with a fraction or exponent where kind is int."""
-    integral = kind is int
-    if type(value) not in ((int,) if integral else (int, float)):
-        raise TypeError(f"expected {'an integer' if integral else 'a number'}, found {value!r:.40}")
+    if not _is_kind(value, kind):
+        raise TypeError(f"expected {_KINDS[kind][1]}, found {value!r:.40}")
     return kind(value)
 
 

@@ -204,8 +204,15 @@ def center(x: DenseTensor, y: DenseTensor):
     Returns (centered x, centered y, (x offsets, y offsets)); the offsets
     have the trailing dims of x and y.  Requires at least two observations.
     """
-    ws = _Workspace(x.array, y.array, centered=True)
-    return DenseTensor(ws.xarr), DenseTensor(ws.yarr), ws.offsets
+    ws = _Workspace(x.array, y.array, *_means(x.array, y.array))
+    return DenseTensor(ws.xarr), DenseTensor(ws.yarr), (ws.x_offsets, ws.y_offsets)
+
+
+def _means(xarr: np.ndarray, yarr: np.ndarray) -> tuple:
+    """The per-cell means over the observation mode, the offsets that centering removes."""
+    if xarr.shape[0] < 2:
+        raise ValueError("centering needs at least two observations")
+    return xarr.mean(axis=0), yarr.mean(axis=0)
 
 
 # =====================================================================
@@ -216,23 +223,20 @@ def center(x: DenseTensor, y: DenseTensor):
 class _Workspace:
     """Unfoldings of one dataset, cached per mode.
 
-    The one check that x and y have the same observation count.  With
-    centered, the per-cell means over the observation mode are removed
-    first and kept as offsets (None otherwise).
+    The one check that x and y have the same observation count, and the
+    one place training data are centered: x_offsets and y_offsets, when
+    given, are removed from every observation first.
     """
 
-    def __init__(self, xarr: np.ndarray, yarr: np.ndarray, centered: bool = False):
+    def __init__(self, xarr: np.ndarray, yarr: np.ndarray, x_offsets=None, y_offsets=None):
         if xarr.shape[0] != yarr.shape[0]:
             raise ValueError(
                 f"x has {xarr.shape[0]} observations but y has {yarr.shape[0]}"
             )
-        self.offsets = None
-        if centered:
-            if xarr.shape[0] < 2:
-                raise ValueError("centering needs at least two observations")
-            self.offsets = (xarr.mean(axis=0), yarr.mean(axis=0))
-            xarr, yarr = xarr - self.offsets[0], yarr - self.offsets[1]
-            # a mean of huge values can overflow
+        self.x_offsets, self.y_offsets = x_offsets, y_offsets
+        if x_offsets is not None:
+            xarr, yarr = xarr - x_offsets, yarr - y_offsets
+            # a mean of huge values, or a difference from one, can overflow
             if not (np.isfinite(xarr).all() and np.isfinite(yarr).all()):
                 raise ValueError("tensor values must be finite")
         self.xarr = xarr
@@ -593,49 +597,50 @@ def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
     """
     if x.order < 2:
         raise ValueError("x must have an observation mode plus at least one predictor mode")
-    ws = _Workspace(x.array, y.array, cfg.center_data)
+    ws = _Workspace(x.array, y.array, *(_means(x.array, y.array) if cfg.center_data else ()))
     best = None
     for start in range(cfg.n_starts):
         result = _als(ws, cfg, start)
         if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
             best = result
-    x_off, y_off = ws.offsets or (None, None)
-    return replace(best, x_offsets=x_off, y_offsets=y_off)
+    return replace(best, x_offsets=ws.x_offsets, y_offsets=ws.y_offsets)
 
 
 class _Predictions:
     """Noiseless predictions of many coefficient sets on the rows of x_new.
 
     pred and out hold one stack per mode, shape (sets, rows, R), as
-    `posterior.PosteriorDraws` keeps them.  The centering offsets of
-    fitted, when not None, are removed from x_new and added back to every
-    set's prediction.  A batch of sets' Khatri-Rao products is formed from
-    the stacks, and stacked matmuls give each set exactly the bits of its
-    own (X1 KR(pred)) KR(out)^T.  The products run on tiles of
-    _PREDICTION_ROWS rows that start at multiples of it, whichever rows
-    are asked for, so a row's bits never depend on the request: `predict`,
-    the posterior-predictive blocks and `dic` agree bit for bit.
+    `posterior.PosteriorDraws` keeps them.  The one owner of new data's
+    offsets: fitted's, when not None, are removed from x_new and added back
+    to every set's prediction.  A batch of sets' Khatri-Rao products is
+    formed from the stacks, and stacked matmuls give each set exactly the
+    bits of its own (X1 KR(pred)) KR(out)^T.  The products run only on the
+    row tiles in spans, _PREDICTION_ROWS rows from each multiple of it, so
+    a row's bits never depend on the request: `predict`, the
+    posterior-predictive blocks and `dic` agree bit for bit.
     """
 
     def __init__(self, x_new: DenseTensor, pred, out, fitted: FitResult):
         in_dims = tuple(s.shape[1] for s in pred)
         if x_new.dims[1:] != in_dims:
             raise ValueError(f"x trailing dims {x_new.dims[1:]} do not match coefficients {in_dims}")
-        self.x, self.x_offsets, self.y_offsets = x_new, fitted.x_offsets, fitted.y_offsets
+        self.x, self.x_offsets = x_new, fitted.x_offsets
+        self._y_cells = None if fitted.y_offsets is None else fitted.y_offsets.ravel(order="F")
         self.n, self.sets, self.rank = x_new.dims[0], pred[0].shape[0], pred[0].shape[2]
+        self.spans = [(s0, min(s0 + _PREDICTION_ROWS, self.n))
+                      for s0 in range(0, self.n, _PREDICTION_ROWS)]
         self.out_dims = tuple(s.shape[1] for s in out)
         self._pred = _kr_layout(pred)
         self._out = _kr_layout(out)
 
-    def tiles(self, r0: int, r1: int):
-        """Yield (t0, t1, s0, s1, pm) per batch of sets and tile of rows covering r0..r1.
+    def tiles(self, spans):
+        """Yield (t0, t1, s0, s1, pm) per batch of sets and tile of spans, a sublist of self.spans.
 
-        pm holds the predictions of sets t0..t1 on rows s0..s1 without the
-        y offsets, shape (t1 - t0, s1 - s0, cells), cells first-index-fastest.
+        pm holds the predictions of sets t0..t1 on rows s0..s1 with the y
+        offsets, shape (t1 - t0, s1 - s0, cells), cells first-index-fastest.
         """
         x1s = []
-        for s0 in range(r0 - r0 % _PREDICTION_ROWS, r1, _PREDICTION_ROWS):
-            s1 = min(s0 + _PREDICTION_ROWS, self.n)
+        for s0, s1 in spans:
             xa = self.x.array[s0:s1]
             if self.x_offsets is not None:
                 xa = xa - self.x_offsets
@@ -645,21 +650,20 @@ class _Predictions:
             u = _batch_kr(self._pred, self.rank, t0, t1)
             vt = _batch_kr(self._out, self.rank, t0, t1).transpose(0, 2, 1)
             for s0, s1, x1 in x1s:
-                yield t0, t1, s0, s1, (x1 @ u) @ vt
+                pm = (x1 @ u) @ vt
+                if self._y_cells is not None:
+                    pm += self._y_cells
+                yield t0, t1, s0, s1, pm
 
     def batches(self):
         """Yield (t0, t1, preds) per batch of sets, preds of shape (t1 - t0, N, *out_dims)."""
         out_dims = self.out_dims
         # a C-order (N, Q) row read with reversed outcome modes is its order="F" reshape
         reverse = (0, 1) + tuple(range(len(out_dims) + 1, 1, -1))
-        for t0, t1, s0, s1, pm in self.tiles(0, self.n):
+        for t0, t1, s0, s1, pm in self.tiles(self.spans):
             if s0 == 0:
                 preds = np.empty((t1 - t0, self.n) + out_dims)
-            rows = pm.reshape((t1 - t0, s1 - s0) + out_dims[::-1]).transpose(reverse)
-            if self.y_offsets is None:
-                preds[:, s0:s1] = rows
-            else:
-                np.add(rows, self.y_offsets, out=preds[:, s0:s1])
+            preds[:, s0:s1] = pm.reshape((t1 - t0, s1 - s0) + out_dims[::-1]).transpose(reverse)
             if s1 == self.n:
                 yield t0, t1, preds
 

@@ -12,14 +12,14 @@ no burn-in is needed by default.
 
 A chain is a `PosteriorDraws`: one stacked array per mode plus the
 sigma^2 draws, checked once when it is built.  Predictions from it go
-through `fitting.predict`'s tiled code, with its bits, a block of test
-rows at a time; the noise is read in observation-major order, so the
-numbers do not depend on the block size.  `posterior_predictive` returns
-them all as one (draws, N, *out_dims) array; `simulation.run_cell` and
-`mwreg gibbs` take intervals through a fused routine that sorts each
-block where it was built, holding one or two blocks of draws x 16 rows
-x cells values at a time.  `dic` reads the draws' predictions a batch at
-a time.
+through `fitting.predict`'s tiled code, with its bits and its centering
+offsets, one 16-row prediction tile of test rows at a time; the noise is
+read in observation-major order, so the numbers do not depend on the
+tiles.  `posterior_predictive` returns them all as one (draws, N,
+*out_dims) array; `simulation.run_cell` and `mwreg gibbs` take intervals
+through a fused routine that sorts each tile's block where it was built,
+holding one or two blocks of draws x 16 rows x cells values at a time.
+`dic` reads the draws' predictions a batch at a time.
 
 The predictive noise is drawn one block ahead on a helper thread where
 the process may use more than one CPU, with the bits of an inline run;
@@ -70,9 +70,6 @@ _CHAIN_STREAM = 1
 
 # response cells whose draws `credible_intervals` transposes and sorts at once
 _INTERVAL_BLOCK = 128
-# test rows per predictive block, a multiple of fitting's prediction tile;
-# a block holds rows x cells x draws values
-_PREDICTIVE_ROWS = 16
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -277,14 +274,10 @@ def gibbs(
         raise ValueError(f"mode fit has rank {b0.rank} but cfg.rank is {cfg.rank}")
     if (mode_fit.x_offsets is not None) != cfg.center_data:
         raise ValueError(f"mode fit is {'un' * cfg.center_data}centered but cfg.center_data is {cfg.center_data}")
-    # checked before the offsets are removed, which would broadcast a size-1 mode
+    # checked before _Workspace removes the offsets, which would broadcast a size-1 mode
     if x.dims[1:] != b0.in_dims or y.dims[1:] != b0.out_dims:
         raise ValueError("data dims do not match the mode fit's coefficients")
-    xa, ya = x.array, y.array
-    if mode_fit.x_offsets is not None:
-        xa = xa - mode_fit.x_offsets
-        ya = ya - mode_fit.y_offsets
-    ws = _Workspace(xa, ya)
+    ws = _Workspace(x.array, y.array, mode_fit.x_offsets, mode_fit.y_offsets)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _CHAIN_STREAM)))
     state = _SweepState(ws, [f.copy() for f in b0.predictor_factors],
                         [f.copy() for f in b0.outcome_factors])
@@ -318,13 +311,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
-    """Yield (r0, r1, noise) per block of _PREDICTIVE_ROWS of n rows.
+def _noise_blocks(rng, sd: np.ndarray, spans, cells: int):
+    """Yield (r0, r1, noise) per span (r0, r1) of consecutive rows from row 0.
 
     A block holds rng.standard_normal's next (rows, cells, draws) values
     times sd, the draws' noise scales, and keeps them until the caller asks
     for the next block.  A C-ordered fill reads the stream row by row, so
-    the numbers do not depend on the block size.
+    the numbers do not depend on the spans.
 
     With one usable CPU the blocks are filled inline, in one buffer.
     Otherwise a one-worker executor fills block k + 1 into a second buffer
@@ -339,9 +332,8 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
     workers.  After an error or a close, rng may have run up to one block
     past the last one yielded.
     """
-    spans = [(r0, min(r0 + _PREDICTIVE_ROWS, n)) for r0 in range(0, n, _PREDICTIVE_ROWS)]
     threaded = _usable_cpus() > 1
-    shape = (min(_PREDICTIVE_ROWS, n), cells, sd.size)
+    shape = (max(r1 - r0 for r0, r1 in spans), cells, sd.size)
     buffers = [np.empty(shape) for _ in range(2 if threaded else 1)]
 
     def fill(k):
@@ -368,31 +360,25 @@ def _noise_blocks(rng, sd: np.ndarray, n: int, cells: int):
 
 
 def _predictive_blocks(x_new: DenseTensor, draws: PosteriorDraws, rng):
-    """Predictive values of x_new's rows, a block of rows at a time.
+    """Predictive values of x_new's rows, a prediction tile of rows at a time.
 
-    Yields (r0, r1, block), with block of shape (r1 - r0, cells, draws):
+    Yields (r0, r1, block) per tile, block of shape (r1 - r0, cells, draws):
     the point prediction of each draw (`fitting.predict`'s bits, offsets
     reapplied) plus its noise.  Cells are in first-index-fastest order.
     The noise is sqrt(sigma2_t) times rng.standard_normal((N, cells,
-    draws)), read in row order, so every block size reads the same
-    numbers.  `_noise_blocks` draws it, and a block holds its values until
-    the next one is asked for; callers close the generator on every way out.
+    draws)), read in row order, so the tiles do not change it.
+    `_noise_blocks` draws it, and a block holds its values until the next
+    one is asked for; callers close the generator on every way out.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     preds = _Predictions(x_new, draws.predictor_factors, draws.outcome_factors, draws.mode)
-    sd = np.sqrt(draws.sigma2s)
-    y_cells = None if preds.y_offsets is None else preds.y_offsets.ravel(order="F")
-    with closing(_noise_blocks(rng, sd, preds.n, prod(preds.out_dims))) as noise:
+    with closing(_noise_blocks(rng, np.sqrt(draws.sigma2s), preds.spans,
+                               prod(preds.out_dims))) as noise:
         for r0, r1, block in noise:
             # noise + prediction has the bits of prediction + noise
-            for t0, t1, s0, s1, pm in preds.tiles(r0, r1):
-                a, b = max(s0, r0), min(s1, r1)
-                point = pm[:, a - s0:b - s0]
-                if y_cells is not None:
-                    # in place while the cells are contiguous, before the transposed add
-                    point += y_cells
-                block[a - r0:b - r0, :, t0:t1] += point.transpose(1, 2, 0)
+            for t0, t1, _, _, pm in preds.tiles([(r0, r1)]):
+                block[:, :, t0:t1] += pm.transpose(1, 2, 0)
             if not np.isfinite(block).all():
                 raise ValueError("predictive draws must be finite")
             yield r0, r1, block
@@ -427,6 +413,11 @@ def _interval_checks(n_draws: int, level: float) -> None:
         raise ValueError("need at least two draws for an interval")
     if not 0.0 <= level < 1.0:
         raise ValueError("level must be in [0, 1)")
+
+
+def _dic_checks(n_draws: int) -> None:
+    if n_draws < 2:
+        raise ValueError("need at least two draws")
 
 
 def _sorted_ends(block: np.ndarray, level: float) -> np.ndarray:
@@ -519,8 +510,7 @@ def dic(x: DenseTensor, y: DenseTensor, draws: PosteriorDraws) -> float:
     them in draw order, as a mean over the first axis of a stack of all of
     them does, so it has that mean's bits.
     """
-    if len(draws) < 2:
-        raise ValueError("need at least two draws")
+    _dic_checks(len(draws))
     preds = _Predictions(x, draws.predictor_factors, draws.outcome_factors, draws.mode)
     yarr = y.array
     if yarr.shape != (preds.n,) + preds.out_dims:

@@ -15,7 +15,6 @@ in a flat CSV.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .fitting import _POTRF, FitConfig, fit, predict
 from .posterior import GibbsConfig, _interval_scores, _predictive_intervals, gibbs
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
-from .tensors import DenseTensor
+from .tensors import _KINDS, DenseTensor, _is_kind
 
 __all__ = [
     "SimSpec",
@@ -98,16 +97,6 @@ class SimSpec:
             raise ValueError("rho must be in (0, 1)")
 
 
-# the type rule of a numeric setting of kind int or float: the numbers ABC
-# its values belong to, and that rule's name in messages
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
-
-
-def _is_kind(value, kind) -> bool:
-    """Whether value passes kind's rule: a float setting takes an integer too, and a bool is no number."""
-    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GridCell:
     """One (scenario, estimation procedure) pairing for run_grid.
@@ -129,6 +118,8 @@ class GridCell:
             raise ValueError("test_n must be positive")
         if self.gibbs_samples < 0:
             raise ValueError("gibbs_samples must be non-negative")
+        if self.gibbs_samples == 1:
+            raise ValueError("gibbs_samples must be 0 or at least 2: an interval needs two draws")
         FitConfig(rank=self.fit_rank, lam=self.lam)
 
 
@@ -390,7 +381,10 @@ def expand_grid(grid: dict) -> list:
     the same datasets.  Values keep their JSON types: a count or a seed
     must be an integer, and a float setting takes an integer or a float.
     A list key that holds no list raises TypeError, and a value of the
-    wrong type raises ValueError; both name the key.
+    wrong type raises ValueError; both name the key.  A value out of range
+    raises the ValueError of the config that owns the rule; for the keys
+    whose field has another name (true_ranks, fit_ranks, lambdas) it is
+    prefixed with the key and the value.
     """
     required = ["n", "snr", "true_ranks", "in_dims", "out_dims", "fit_ranks", "lambdas", "replicates", "seed"]
     missing = [k for k in required if k not in grid]
@@ -402,6 +396,12 @@ def expand_grid(grid: dict) -> list:
     lists = {key: _grid_list(grid, key, kind) for key, kind in (
         ("n", int), ("snr", float), ("true_ranks", int), ("in_dims", int),
         ("out_dims", int), ("fit_ranks", int), ("lambdas", float))}
+    for key, check in _GRID_RANGES.items():
+        for value in lists[key]:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"grid key {key!r} holds {value!r}: {exc}") from None
     root = _grid_value("seed", grid["seed"], int)
     replicates = _grid_value("replicates", grid["replicates"], int)
     # an option is passed only when given, so GridCell and SimSpec keep their defaults
@@ -431,6 +431,13 @@ def expand_grid(grid: dict) -> list:
     return cells
 
 
+# the list keys whose config field has another name, each with the config,
+# built on one value, that checks the value's range
+_GRID_RANGES = {
+    "true_ranks": lambda rank: SimSpec(n=1, in_dims=(1,), rank=rank),
+    "fit_ranks": lambda rank: FitConfig(rank=rank),
+    "lambdas": lambda lam: FitConfig(rank=1, lam=lam),
+}
 # the optional grid keys and the kinds of their values; SimSpec checks correlation
 _GRID_OPTIONS = {"test_n": int, "gibbs_samples": int, "correlation": None, "rho": float}
 

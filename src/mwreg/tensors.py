@@ -11,6 +11,7 @@ messages use 1-based modes.
 
 from __future__ import annotations
 
+import numbers
 from functools import reduce
 from math import prod
 
@@ -25,6 +26,16 @@ __all__ = [
     "khatri_rao",
     "contract",
 ]
+
+
+# the type rule of a numeric setting or file value of kind int or float:
+# the numbers ABC its values belong to, and that rule's name in messages
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether value passes kind's rule: a float setting takes an integer too, and a bool is no number."""
+    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
 
 
 class DenseTensor:

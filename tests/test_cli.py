@@ -335,6 +335,24 @@ class TestGibbs:
         assert captured.err == f"error: {message}\n"
         assert not os.listdir(outputs)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--x-new", TINY_X], "need at least two draws for an interval"),
+        (["--dic"], "need at least two draws"),
+    ])
+    def test_one_draw_intervals_and_dic_are_refused_before_sampling(
+            self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(cli, "gibbs", no_chain)
+        code = main(["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1", "--lambda", "0.5",
+                     "--samples", "1", "--out", os.path.join(tmp_path, "d.json"), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("flag", ["--y-new", "--intervals-out"])
     def test_interval_flags_without_x_new_are_usage_errors(self, tmp_path, capsys, flag):
         out = os.path.join(tmp_path, "d.json")
@@ -547,6 +565,41 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {spec}: {field} must be")
         assert os.listdir(tmp_path) == ["spec.json"]
 
+    @pytest.mark.parametrize("flags, config, named", [
+        (["--n", "99", "--rank", "2"], None, "--n --rank"),
+        (["--in-dims", "4x2", "--out-dims", "3"], None, "--in-dims --out-dims"),
+        (["--snr", "2", "--correlation", "corr_x", "--rho", "0.3"], None,
+         "--snr --correlation --rho"),
+        ([], "n=99\nrho=0.3\n", "--n --rho"),
+    ])
+    def test_spec_refuses_the_generator_flags_it_replaces(self, tmp_path, capsys, flags, config,
+                                                          named):
+        spec = os.path.join(tmp_path, "spec.json")
+        with open(spec, "w") as fh:
+            json.dump({"n": 10, "in_dims": [3, 2], "rank": 1}, fh)
+        if config is not None:
+            cfg = os.path.join(tmp_path, "sim.cfg")
+            with open(cfg, "w") as fh:
+                fh.write(config)
+            flags = flags + ["--config", cfg]
+        before = sorted(os.listdir(tmp_path))
+        code = main(["simulate", "--spec", spec, "--out-prefix", os.path.join(tmp_path, "s"),
+                     *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"usage error: --spec cannot be combined with {named}\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_spec_uses_the_files_seed(self, tmp_path, capsys):
+        spec = os.path.join(tmp_path, "spec.json")
+        with open(spec, "w") as fh:
+            json.dump({"n": 10, "in_dims": [3, 2], "rank": 1, "seed": 6}, fh)
+        for prefix, seed in (("a", "6"), ("b", "7")):
+            assert main(["simulate", "--spec", spec, "--seed", seed,
+                         "--out-prefix", os.path.join(tmp_path, prefix)]) == 0
+        assert _sha(os.path.join(tmp_path, "a_y.mwt")) == _sha(os.path.join(tmp_path, "b_y.mwt"))
+
     def test_spec_file_unknown_key(self, tmp_path, capsys):
         spec = os.path.join(tmp_path, "spec.json")
         with open(spec, "w") as fh:
@@ -633,6 +686,8 @@ class TestExperiment:
         ("replicates", 0, "replicates must be positive"),
         ("test_n", 0, "test_n must be positive"),
         ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+        ("gibbs_samples", 1, "gibbs_samples must be 0 or at least 2: an interval needs two draws"),
+        ("true_ranks", [-1], "rank must be non-negative"),
     ])
     def test_out_of_range_procedure_value_is_data_error(self, tmp_path, capsys, monkeypatch,
                                                         key, value, message):
@@ -651,7 +706,10 @@ class TestExperiment:
         assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {grid_path}: {message}\n"
+        # a list key whose config field has another name is named in the message
+        named = (f"grid key {key!r} holds {value[-1]!r}: "
+                 if key in ("fit_ranks", "lambdas", "true_ranks") else "")
+        assert captured.err == f"error: {grid_path}: {named}{message}\n"
         assert not os.path.exists(out)
 
     def test_bad_grid_key(self, tmp_path, capsys):

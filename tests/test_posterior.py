@@ -42,6 +42,7 @@ from mwreg import (
     update_predictor_factor,
 )
 from mwreg.fitting import _SweepState, _Workspace
+import mwreg.fitting as fitting
 import mwreg.posterior as posterior
 from mwreg.posterior import _CHAIN_STREAM, FactorConditional, _predictive_intervals
 from reference import (
@@ -412,6 +413,17 @@ class TestGibbs:
                            match=f"^mode fit is {state} but cfg.center_data is {not fit_centered}$"):
             gibbs(x, y, cfg, mode_fit=mode)
 
+    def test_centered_copy_that_overflows_is_refused(self):
+        # the chain's data are centered where the fit's are, with the same check
+        rng = np.random.default_rng(21)
+        x, y, _ = _random_instance(rng, 12, (3,), (2,), 1)
+        mode = fit(x, y, FitConfig(rank=1, lam=0.5, seed=0))
+        far = replace(mode, x_offsets=np.full(3, -1.7e308))
+        big = DenseTensor(np.where(np.arange(3) == 1, 1.7e308, x.array))
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="^tensor values must be finite$"):
+            gibbs(big, y, GibbsConfig(rank=1, n_samples=2, lam=0.5), mode_fit=far)
+
     def test_singular_chain_keeps_error_type(self):
         # flat prior, fit rank 3 over true rank 1: the fit converges, then a
         # conditional system of the chain turns singular
@@ -718,19 +730,21 @@ class TestPredictiveIntervals:
                     assert got[0].dims == (n,) + out_dims
 
     def test_block_size_invariance(self, monkeypatch):
+        # a block is one prediction tile, and the tile size sets a row's
+        # bits; at each size the threaded noise gives the inline run's bits
         rng = np.random.default_rng(63)
         for in_dims, out_dims, center in self.CASES[2:4]:
             draws = self._draws(rng, in_dims, out_dims, center)
             x_new = DenseTensor(rng.standard_normal((37,) + in_dims))
-            _noise_thread(monkeypatch, False)
-            stack = posterior_predictive(x_new, draws, 5)
-            ivals = _predictive_intervals(x_new, draws, 5, 0.9)
             for rows in (1, 16, 37):
-                for threaded in (False, True):
-                    monkeypatch.setattr(posterior, "_PREDICTIVE_ROWS", rows)
-                    _noise_thread(monkeypatch, threaded)
-                    assert np.array_equal(posterior_predictive(x_new, draws, 5), stack)
-                    _assert_same_intervals(_predictive_intervals(x_new, draws, 5, 0.9), ivals)
+                monkeypatch.setattr(fitting, "_PREDICTION_ROWS", rows)
+                _noise_thread(monkeypatch, False)
+                stack = posterior_predictive(x_new, draws, 5)
+                ivals = _predictive_intervals(x_new, draws, 5, 0.9)
+                _assert_same_intervals(ivals, credible_intervals(stack, 0.9))
+                _noise_thread(monkeypatch, True)
+                assert np.array_equal(posterior_predictive(x_new, draws, 5), stack)
+                _assert_same_intervals(_predictive_intervals(x_new, draws, 5, 0.9), ivals)
             monkeypatch.undo()
 
     def test_errors_match_composition(self):
@@ -819,7 +833,7 @@ class TestNoiseThread:
         rng = np.random.default_rng(75)
         draws = self._draws(rng)
         x_new = DenseTensor(rng.standard_normal((37, 3, 2)))
-        monkeypatch.setattr(posterior, "_PREDICTIVE_ROWS", 1)
+        monkeypatch.setattr(fitting, "_PREDICTION_ROWS", 1)
         _noise_thread(monkeypatch, False)
         want = [posterior_predictive(x_new, draws, seed) for seed in range(4)]
         _noise_thread(monkeypatch, True)

@@ -9,6 +9,7 @@ procedures, and the factorial counts of the shipped design.
 import csv
 import inspect
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -268,6 +269,7 @@ class TestRunCell:
         ("replicates", 0, "replicates must be positive"),
         ("test_n", 0, "test_n must be positive"),
         ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+        ("gibbs_samples", 1, "gibbs_samples must be 0 or at least 2: an interval needs two draws"),
     ])
     def test_a_bad_setting_is_refused_before_any_data(self, monkeypatch, setting, value, message):
         def no_data(spec):
@@ -406,9 +408,14 @@ class TestExpandGrid:
         ("replicates", 0, "replicates must be positive"),
         ("test_n", 0, "test_n must be positive"),
         ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+        ("gibbs_samples", 1, "gibbs_samples must be 0 or at least 2: an interval needs two draws"),
+        ("true_ranks", [0, -1], "rank must be non-negative"),
     ])
     def test_an_out_of_range_procedure_value_is_refused(self, key, value, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        # a list key whose config field has another name is named in the message
+        named = (f"grid key {key!r} holds {value[-1]!r}: "
+                 if key in ("fit_ranks", "lambdas", "true_ranks") else "")
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}{message}$"):
             expand_grid(dict(self.FULL, **{key: value}))
 
     def test_a_float_key_takes_an_integer(self):
