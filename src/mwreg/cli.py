@@ -341,6 +341,11 @@ def cmd_cv(args) -> None:
         raise UsageError("--folds must be at least 2")
     if args.folds > n:
         raise UsageError(f"--folds is {args.folds} but there are only {n} observations")
+    # the largest fold, ceil(n / folds) rows, leaves the smallest training set
+    train = n - -(-n // args.folds)
+    if train < 2 and not args.no_center:
+        raise UsageError(f"--folds is {args.folds}, which leaves {train} of {n} observations to "
+                         "train on; centering needs at least two (or give --no-center)")
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, _FOLD_STREAM)))
     perm = rng.permutation(n)
     folds = np.array_split(perm, args.folds)

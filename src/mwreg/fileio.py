@@ -13,12 +13,9 @@ It refuses a payload of the wrong length, a missing or altered end line,
 a checksum mismatch and a non-finite value, each with a ValueError that
 names the file.
 
-Version-1 files are still read: the same header with "mwt 1", then the
-values as decimal text separated by whitespace (the old writer put 8 on
-a line, printed with "%.17g").  They are parsed with a correctly rounded
-decimal parse, run on fixed-size chunks of text read from the same open
-handle, so a FIFO works for either version.  CSV files are accepted for
-order-2 tensors (rows are mode 1).
+A file whose magic line names another version ("mwt 1", the old decimal
+text, or "mwt 3") is refused with a ValueError naming the file and the
+version.  CSV files are accepted for order-2 tensors (rows are mode 1).
 
 Model and draw files are JSON, written by the C encoder of `json.dumps`;
 Python's float repr is shortest-round-trip, so these round-trip
@@ -30,7 +27,6 @@ too) is rejected with a ValueError naming the file.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import warnings
@@ -42,7 +38,7 @@ import numpy as np
 from .coefficients import CpCoefficients
 from .fitting import FitResult
 from .posterior import PosteriorDraws
-from .tensors import _KINDS, DenseTensor, _is_kind
+from .tensors import _KINDS, DenseTensor, _is_kind, _type_is_kind
 
 __all__ = [
     "read_tensor",
@@ -53,13 +49,14 @@ __all__ = [
     "write_draws",
 ]
 
-_MAGIC = b"mwt 2"
-_MAGIC_V1 = b"mwt 1"
+# the one tensor file version, written and read
+_TENSOR_VERSION = 2
+_MAGIC = b"mwt %d" % _TENSOR_VERSION
 # the longest header line a reader takes: far past any real dims line
 _HEADER_LINE = 1 << 16
 # values of a tensor file written at once
 _WRITE_VALUES = 1 << 16
-# characters of a version-1 file's values, or bytes of a version-2 file, read at once
+# bytes of a tensor file's values read at once
 _READ_CHUNK = 1 << 20
 _END_LINE = re.compile(rb"end ([0-9a-f]{8})\n")
 _END_SIZE = len(b"end 00000000\n")
@@ -98,40 +95,16 @@ def _write_csv(path: str, t: DenseTensor) -> None:
 
 
 def read_tensor(path: str) -> DenseTensor:
-    """Read a version-2 or version-1 tensor file; CSV falls back to an order-2 read."""
+    """Read a version-2 tensor file; CSV falls back to an order-2 read."""
     with open(path, "rb") as fh:
         magic = fh.readline(_HEADER_LINE).strip()
         if magic == _MAGIC:
             return _read_v2(path, fh)
-        if magic != _MAGIC_V1:
-            return _read_csv(path)
-        # the rest of the file as text, as a text-mode open reads it
-        with io.TextIOWrapper(fh) as text:
-            try:
-                order = _header_int(text.readline())
-                dims = tuple(_header_int(v) for v in text.readline().split())
-                values = _parse_values(text)
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed tensor file: {exc}") from None
-    _check_header(path, order, dims)
-    if values.size != prod(dims):
-        raise ValueError(
-            f"{path}: expected {prod(dims)} values for dims {dims}, found {values.size}"
-        )
-    return _tensor(path, dims, values)
-
-
-def _check_header(path: str, order: int, dims: tuple) -> None:
-    if order < 1 or len(dims) != order:
-        raise ValueError(f"{path}: dim count {len(dims)} does not match order {order}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"{path}: dims must be positive")
-
-
-def _tensor(path: str, dims: tuple, values: np.ndarray) -> DenseTensor:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path}: values must be finite")
-    return DenseTensor.from_values(dims, values)
+    if magic.startswith(b"mwt "):
+        version = magic[4:].strip().decode(errors="replace")
+        raise ValueError(f"{path}: tensor file version {version:.40} is not supported; "
+                         f"this reader reads {_TENSOR_VERSION}")
+    return _read_csv(path)
 
 
 def _read_v2(path: str, fh) -> DenseTensor:
@@ -141,7 +114,10 @@ def _read_v2(path: str, fh) -> DenseTensor:
         dims = tuple(_header_int(v) for v in _header_line(fh).split())
     except ValueError as exc:
         raise ValueError(f"{path}: malformed tensor file: {exc}") from None
-    _check_header(path, order, dims)
+    if order < 1 or len(dims) != order:
+        raise ValueError(f"{path}: dim count {len(dims)} does not match order {order}")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"{path}: dims must be positive")
     count = prod(dims)
     size = 8 * count
     # one byte past a whole file tells a longer file from an exact one
@@ -162,11 +138,13 @@ def _read_v2(path: str, fh) -> DenseTensor:
         raise ValueError(
             f"{path}: checksum {crc:08x} of the values does not match the end line's {end[1].decode()}")
     values = np.frombuffer(data, dtype="<f8", count=count).astype(float, copy=False)
-    return _tensor(path, dims, values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: values must be finite")
+    return DenseTensor.from_values(dims, values)
 
 
 def _header_line(fh) -> str:
-    """The next header line of a version-2 file, which the writer always ends with a newline."""
+    """The next header line of a tensor file, which the writer always ends with a newline."""
     line = fh.readline(_HEADER_LINE)
     if not line.endswith(b"\n"):
         raise ValueError(f"header line {line[:40]!r} is cut short or too long")
@@ -187,34 +165,6 @@ def _header_int(text: str) -> int:
     if "_" in text:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
-
-
-def _parse_values(fh) -> np.ndarray:
-    """The whitespace-separated floats left in fh, as one array.
-
-    The text is read _READ_CHUNK characters at a time and cut after its
-    last newline (or space), so no token is split.  Each piece goes
-    through the `np.array(piece.split(), dtype=float)` conversion of a
-    whole-file parse, so only one piece's str objects exist at a time.
-    That conversion follows Python's float grammar, which allows digit
-    grouping ("5_0" is 50.0); the writer never emits an underscore, so a
-    piece holding one is refused, after one scan of its text.
-    """
-    pieces, carry = [], ""
-    while True:
-        chunk = fh.read(_READ_CHUNK)
-        text = carry + chunk
-        cut = (text.rfind("\n") + 1 or text.rfind(" ") + 1) if chunk else len(text)
-        carry, piece = text[cut:], text[:cut]
-        if "_" in piece:
-            # the first token refused by either rule, so every chunk size names the same one
-            for token in piece.split():
-                if "_" in token:
-                    raise ValueError(f"could not convert string to float: {token!r}")
-                float(token)
-        pieces.append(np.array(piece.split(), dtype=float))
-        if not chunk:
-            return np.concatenate(pieces)
 
 
 def _read_csv(path: str) -> DenseTensor:
@@ -248,8 +198,8 @@ def _number(value, kind=float):
 
 
 def _numbers(values) -> np.ndarray:
-    """A JSON list of numbers as a float array."""
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+    """A JSON list of numbers as a float array; the number rule is checked once per value type."""
+    if not isinstance(values, list) or not all(_type_is_kind(t, float) for t in set(map(type, values))):
         raise TypeError("expected a list of numbers")
     return np.asarray(values, dtype=float)
 

@@ -33,9 +33,14 @@ __all__ = [
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
+def _type_is_kind(cls: type, kind) -> bool:
+    """Whether values of type cls pass kind's rule: a float takes an integer too, and a bool is no number."""
+    return issubclass(cls, _KINDS[kind][0]) and not issubclass(cls, bool)
+
+
 def _is_kind(value, kind) -> bool:
-    """Whether value passes kind's rule: a float setting takes an integer too, and a bool is no number."""
-    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
+    """Whether value passes kind's rule."""
+    return _type_is_kind(type(value), kind)
 
 
 class DenseTensor:

@@ -20,8 +20,6 @@ definitions, a quantity the library computes by a faster route:
   reach;
 - `stacked_draws` builds the `PosteriorDraws` of a list of coefficient
   sets, one stack per mode, as the chain would hold them;
-- `mwt1_text` gives the version-1 .mwt text of a tensor, value by value,
-  which `read_tensor` still reads and no writer emits any more;
 - `mwt2_bytes` gives a version-2 .mwt file from its dims and payload
   bytes, spelled out from the format's definition.
 """
@@ -248,15 +246,6 @@ def stacked_draws(sets, sigma2s, mode: FitResult) -> PosteriorDraws:
         sigma2s,
         mode,
     )
-
-
-def mwt1_text(t: DenseTensor) -> str:
-    """The version-1 .mwt text of t: "mwt 1", the order, the dims, then the
-    values first index fastest, each as f"{v:.17g}", 8 to a line."""
-    vals = t.array.ravel(order="F")
-    lines = ["mwt 1", f"{t.order}", " ".join(str(d) for d in t.dims)]
-    lines += [" ".join(f"{v:.17g}" for v in vals[s:s + 8]) for s in range(0, vals.size, 8)]
-    return "\n".join(lines) + "\n"
 
 
 def mwt2_bytes(dims, payload: bytes) -> bytes:

@@ -22,6 +22,7 @@ from mwreg import (DenseTensor, FitConfig, GibbsConfig, SimSpec, fit, read_tenso
                    read_model)
 from mwreg import cli
 from mwreg.cli import _build_parsers, main
+from reference import mwt2_bytes
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 TINY_X = os.path.join(DATA, "tiny_x.mwt")
@@ -85,8 +86,9 @@ class TestFit:
 
     def test_malformed_tensor(self, tmp_path):
         bad = os.path.join(tmp_path, "bad.mwt")
-        with open(bad, "w") as fh:
-            fh.write("mwt 1\n2\n2 2\n1 2 3\n")
+        with open(bad, "wb") as fh:
+            # three values' bytes where the header asks for four
+            fh.write(mwt2_bytes((2, 2), np.array([1.0, 2.0, 3.0], dtype="<f8").tobytes()))
         out = os.path.join(tmp_path, "m.json")
         code = main(["fit", "--x", bad, "--y", TINY_Y, "--rank", "1",
                      "--lambda", "0.5", "--out", out])
@@ -263,7 +265,8 @@ class TestGibbs:
                      "--x-new", TINY_X, "--y-new", TINY_Y,
                      "--intervals-out", ivals, "--out", out])
         assert code == 0
-        rows = open(ivals).read().splitlines()
+        with open(ivals) as fh:
+            rows = fh.read().splitlines()
         assert rows[0] == "cell,lo,hi"
         assert len(rows) == 1 + 16  # 8 observations x 2 response cells
         assert rows[1].startswith("1x1,")
@@ -428,6 +431,22 @@ class TestCv:
         code = main(["cv", "--x", TINY_X, "--y", TINY_Y, "--ranks", "1",
                      "--lambdas", "0.5", "--folds", "1"])
         assert code == 1
+
+    def test_training_set_too_small_to_center_refused_before_the_header(self, tmp_path, capsys):
+        # 2 observations in 2 folds train each candidate on 1, which centering refuses
+        rng = np.random.default_rng(5)
+        x = os.path.join(tmp_path, "x.mwt")
+        y = os.path.join(tmp_path, "y.mwt")
+        write_tensor(x, DenseTensor(rng.standard_normal((2, 3))))
+        write_tensor(y, DenseTensor(rng.standard_normal((2, 2))))
+        argv = ["cv", "--x", x, "--y", y, "--ranks", "1", "--lambdas", "0.5", "--folds", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--folds is 2, which leaves 1 of 2 observations to train on" in captured.err
+        # uncentered fits take one observation
+        assert main(argv + ["--no-center"]) == 0
+        assert capsys.readouterr().out.startswith("rank,lambda,mean_rpe\n1,0.5,")
 
 
 # (command, flag, invalid values, the owning config's message); each flag
@@ -625,7 +644,8 @@ class TestExperiment:
         assert code == 0
         report = capsys.readouterr().out
         assert "cells 4" in report and "failures 0" in report
-        rows = open(out).read().splitlines()
+        with open(out) as fh:
+            rows = fh.read().splitlines()
         # header + 4 cells x (2 replicate rows + mean + se)
         assert len(rows) == 1 + 4 * 4
 

@@ -39,7 +39,7 @@ from mwreg import (
 )
 from mwreg.cli import _PREDICTIVE_STREAM, _interval_rows, main
 import mwreg.fileio as fileio
-from reference import mwt1_text, mwt2_bytes
+from reference import mwt2_bytes
 
 
 def _sha(path):
@@ -106,16 +106,16 @@ class TestTensorFormat:
 
     def test_malformed_files(self, tmp_path):
         cases = {
-            "count.mwt": "mwt 1\n2\n2 2\n1 2 3\n",
-            "order.mwt": "mwt 1\n3\n2 2\n1 2 3 4\n",
-            "dims.mwt": "mwt 1\n2\n2 0\n\n",
-            "parse.mwt": "mwt 1\n2\n2 2\n1 2 three 4\n",
-            "inf.mwt": "mwt 1\n1\n2\n1 inf\n",
-            "text.csv": "not,numbers\nat,all\n",
+            "count.mwt": _v2((2, 2), [1, 2, 3]),
+            "order.mwt": _v2((2, 2), [1, 2, 3, 4]).replace(b"\n2\n", b"\n3\n", 1),
+            "dims.mwt": _v2((2, 0), []),
+            "parse.mwt": _v2((2, 2), [1, 2, 3, 4]).replace(b"\n2 2\n", b"\n2 two\n", 1),
+            "inf.mwt": _v2((2,), [1, np.inf]),
+            "text.csv": b"not,numbers\nat,all\n",
         }
         for name, content in cases.items():
             path = os.path.join(tmp_path, name)
-            with open(path, "w") as fh:
+            with open(path, "wb") as fh:
                 fh.write(content)
             with pytest.raises(ValueError):
                 read_tensor(path)
@@ -365,61 +365,28 @@ class TestRoundTripProperties:
         assert text == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _whole_text_values(text):
-    """The values after the three header lines, parsed from the whole text at once."""
-    return np.array(text.split("\n", 3)[3].split(), dtype=float)
-
-
 class TestChunkedReader:
-    # chunk sizes that cut inside tokens, between tokens and inside line ends
+    # chunk sizes that cut inside values and inside the end line
     CHUNKS = (1, 2, 3, 5, 7, 16)
-
-    def test_chunk_boundaries_mid_token_and_mid_line(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(40)
-        texts = [
-            # odd spacing, a tab, CRLF line ends, a short last line without a newline
-            "mwt 1\n2\n3 2\n1.5  -2.25e-3\t3\r\n4.125 5e10\n   -0.0",
-            # one long line with no newline at all
-            "mwt 1\n1\n6\n" + " ".join(repr(v) for v in rng.standard_normal(6).tolist()),
-        ]
-        texts.append(mwt1_text(DenseTensor(_edge_array(rng, 21).reshape(3, 7))))
-        for k, text in enumerate(texts):
-            path = os.path.join(tmp_path, f"t{k}.mwt")
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-            want = read_tensor(path)
-            assert _same_bits(want.array.ravel(order="F"), _whole_text_values(text.replace("\r", "")))
-            for chunk in self.CHUNKS:
-                monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
-                got = read_tensor(path)
-                assert got.dims == want.dims
-                assert _same_bits(got.array, want.array)
-            monkeypatch.undo()
 
     @settings(max_examples=30, deadline=None)
     @given(hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
                       elements=_FINITE), st.sampled_from(CHUNKS))
     def test_round_trip_at_small_chunks(self, arr, chunk):
-        # version-1 text from the test-side writer, and a version-2 file
         t = DenseTensor(arr)
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_READ_CHUNK", chunk):
             path = os.path.join(tmp, "t.mwt")
-            with open(path, "w") as fh:
-                fh.write(mwt1_text(t))
-            back = read_tensor(path)
             write_tensor(path, t)
-            back2 = read_tensor(path)
-        for got in (back, back2):
-            assert got.dims == t.dims
-            assert _same_bits(got.array, t.array)
+            back = read_tensor(path)
+        assert back.dims == t.dims
+        assert _same_bits(back.array, t.array)
 
-    @pytest.mark.parametrize("version", (1, 2))
     @pytest.mark.parametrize("chunk", (7, 1 << 20))
-    def test_reads_from_a_pipe(self, tmp_path, monkeypatch, chunk, version):
+    def test_reads_from_a_pipe(self, tmp_path, monkeypatch, chunk):
         # a FIFO reports no size, so a reader that trusted one would lose the values
         monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
         t = DenseTensor(np.arange(24.0).reshape(2, 3, 4) / 7.0 - 1.5)
-        data = mwt1_text(t).encode() if version == 1 else _mwt2(t)
+        data = _mwt2(t)
         fifo = os.path.join(tmp_path, "fifo.mwt")
         os.mkfifo(fifo)
 
@@ -436,50 +403,6 @@ class TestChunkedReader:
         assert not writer.is_alive()
         assert back.dims == t.dims
         assert _same_bits(back.array, t.array)
-
-    @pytest.mark.parametrize("chunk", (3, 1 << 20))
-    def test_malformed_files_keep_their_messages(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
-        cases = {
-            "token.mwt": ("mwt 1\n2\n2 2\n1 2 three 4\n",
-                          "malformed tensor file: could not convert string to float: 'three'"),
-            "few.mwt": ("mwt 1\n2\n2 2\n1 2 3\n", "expected 4 values for dims (2, 2), found 3"),
-            "many.mwt": ("mwt 1\n2\n2 2\n1 2 3 4\n5\n",
-                         "expected 4 values for dims (2, 2), found 5"),
-            "nan.mwt": ("mwt 1\n1\n3\n1 nan 2\n", "values must be finite"),
-            "inf.mwt": ("mwt 1\n1\n2\n1 -inf\n", "values must be finite"),
-            "order.mwt": ("mwt 1\n3\n2 2\n1 2 3 4\n", "dim count 2 does not match order 3"),
-            "dims.mwt": ("mwt 1\n2\n2 0\n\n", "dims must be positive"),
-            # the header's count is checked against the parsed values, never allocated
-            "huge.mwt": ("mwt 1\n3\n100000 100000 100000\n1 2 3\n",
-                         "expected 1000000000000000 values for dims (100000, 100000, 100000), "
-                         "found 3"),
-            # digit grouping, which Python's float grammar allows
-            "underscore.mwt": ("mwt 1\n1\n3\n1 5_0 2\n",
-                               "malformed tensor file: could not convert string to float: '5_0'"),
-            # ... in the order and dims header lines too
-            "underscore_dims.mwt": ("mwt 1\n1\n1_0\n" + "1 " * 10 + "\n",
-                                    "malformed tensor file: invalid literal for int() with base 10: "
-                                    "'1_0'"),
-            "underscore_order.mwt": ("mwt 1\n1_0\n2\n1 2\n",
-                                     "malformed tensor file: invalid literal for int() with base 10: "
-                                     "'1_0\\n'"),
-            # the first refused token is named, whichever rule refuses it
-            "first.mwt": ("mwt 1\n1\n3\nx 5_0 2\n",
-                          "malformed tensor file: could not convert string to float: 'x'"),
-            "later.mwt": ("mwt 1\n1\n3\n1_0\n2 x\n",
-                          "malformed tensor file: could not convert string to float: '1_0'"),
-            # a bad token is reported before a bad header, as a whole-file parse did
-            "both.mwt": ("mwt 1\n3\n2 2\n1 x\n",
-                         "malformed tensor file: could not convert string to float: 'x'"),
-        }
-        for name, (content, message) in cases.items():
-            path = os.path.join(tmp_path, name)
-            with open(path, "w") as fh:
-                fh.write(content)
-            with pytest.raises(ValueError) as info:
-                read_tensor(path)
-            assert str(info.value) == f"{path}: {message}"
 
 
 def _v2(dims, values, end=None):
@@ -589,6 +512,59 @@ class TestVersion2Reader:
             path = os.path.join(tmp_path, "t.mwt")
             write_tensor(path, t)
             assert _same_bits(namespace["read_mwt2"](path), t.array)
+
+
+class TestOtherVersions:
+    @pytest.mark.parametrize("version", ("1", "3"))
+    def test_other_versions_are_refused_before_the_csv_reader(self, tmp_path, capsys, version):
+        # a version-1 file's header and decimal values, and the same text marked version 3
+        path = os.path.join(tmp_path, "v.mwt")
+        with open(path, "w") as fh:
+            fh.write(f"mwt {version}\n2\n2 2\n1 2 3 4\n")
+        message = f"{path}: tensor file version {version} is not supported; this reader reads 2"
+        no_csv = mock.patch.object(fileio, "_read_csv", side_effect=AssertionError("CSV read"))
+        with no_csv, pytest.raises(ValueError) as info:
+            read_tensor(path)
+        assert str(info.value) == message
+        x = DenseTensor(np.random.default_rng(8).standard_normal((4, 2)))
+        model, out = os.path.join(tmp_path, "m.json"), os.path.join(tmp_path, "p.mwt")
+        write_model(model, fit(x, DenseTensor(x.array[:, 0]), FitConfig(rank=1, lam=0.5)), 0.5, 0)
+        capsys.readouterr()
+        with no_csv:
+            assert main(["predict", "--model", model, "--x", path, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not os.path.exists(out)
+
+    def test_fixtures_hold_their_values(self):
+        # the CLI tests' example tensors, rewritten as version 2 from their version-1 text
+        data = os.path.join(os.path.dirname(__file__), "data")
+        for name, dims, digest in (("tiny_x", (8, 3, 2), "89dc0cead4aa2b51"),
+                                   ("tiny_y", (8, 2), "a0e838cf943d0234")):
+            t = read_tensor(os.path.join(data, f"{name}.mwt"))
+            assert t.dims == dims
+            payload = t.array.ravel(order="F").astype("<f8").tobytes()
+            assert hashlib.sha256(payload).hexdigest().startswith(digest), name
+
+    def test_readme_conversion_recipe_keeps_every_value(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        recipe = next(b for b in blocks if "def mwt1_to_mwt2" in b)
+        namespace = {}
+        exec(recipe, namespace)
+        rng = np.random.default_rng(13)
+        src, dst = os.path.join(tmp_path, "old.mwt"), os.path.join(tmp_path, "new.mwt")
+        for dims in [(1,), (5,), (3, 4), (2, 3, 4), (9, 3)]:
+            vals = _edge_array(rng, prod(dims))
+            # the old writer's text: "mwt 1", the order, the dims, then "%.17g" values 8 to a line
+            lines = ["mwt 1", str(len(dims)), " ".join(map(str, dims))]
+            lines += [" ".join(f"{v:.17g}" for v in vals[k:k + 8]) for k in range(0, vals.size, 8)]
+            with open(src, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            namespace["mwt1_to_mwt2"](src, dst)
+            back = read_tensor(dst)
+            assert back.dims == dims
+            assert _same_bits(back.array.ravel(order="F"), vals)
 
 
 def _rewrite(path, text):
@@ -847,3 +823,23 @@ class TestDrawsFormat:
         ]
         for text, match in [(_edited(path, edit), match) for edit, match in cases]:
             self._rejects(path, text, match)
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("text", ["3", "-2.5e3", "1e400", "true", "false", '"3"', "null",
+                                      "[1]", "{}"])
+    def test_one_value_and_a_list_share_the_rule(self, text):
+        # every JSON value kind, alone through _number and as list items through _numbers
+        value = json.loads(text)
+
+        def accepts(parse, arg):
+            try:
+                parse(arg)
+            except TypeError:
+                return False
+            return True
+
+        number = not isinstance(value, (bool, str, list, dict, type(None)))
+        assert accepts(fileio._number, value) is number
+        assert accepts(fileio._numbers, [value]) is number
+        assert accepts(fileio._numbers, [1, 2.5, value] * 1000) is number

@@ -41,7 +41,7 @@ from mwreg import (
     write_tensor,
 )
 from mwreg.cli import main
-from reference import mwt1_text, mwt2_bytes, reduced_rank_ridge
+from reference import mwt2_bytes, reduced_rank_ridge
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False, width=64)
 _SHAPES = hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4)
@@ -297,13 +297,9 @@ class TestExitCodeProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["x.mwt", "y.mwt", "model.json", "draws.json"]), st.data())
     def test_corrupted_input_file_exits_2(self, name, data):
-        files, v1_texts = _valid_files()
+        files = _valid_files()
         if name.endswith(".json"):
             fault, text = _corrupt_json(data.draw, files[name].decode())
-            bad = text.encode()
-        elif data.draw(st.booleans(), label="version 1"):
-            # the version-1 text no writer emits any more, still read
-            fault, text = _corrupt_tensor(data.draw, v1_texts[name])
             bad = text.encode()
         else:
             fault, bad = _corrupt_tensor_v2(data.draw, files[name])
@@ -339,16 +335,14 @@ class TestExitCodeProperties:
 _VALUE_FAULTS = ("dropped value", "extra value", "non-numeric token", "non-finite token")
 # "5_0" is 50.0 to Python's float grammar, which allows digit grouping
 _BAD_TOKENS = ("abc", "1.2.3", "--1", "0x10", "1e", "1,5", "5_0")
-_NON_FINITE = ("inf", "-inf", "nan", "Infinity", "-NaN")
 # keys a reader may find absent: the format version, and x_offsets, whose
 # absence marks an uncentered fit
 _OPTIONAL_KEYS = ("version", "x_offsets")
 
 
 @functools.cache
-def _valid_files() -> tuple:
-    """The bytes of a predictor and a response .mwt, a model and a draws file,
-    and the version-1 texts of the two tensors."""
+def _valid_files() -> dict:
+    """The bytes of a predictor and a response .mwt, a model and a draws file, by name."""
     rng = np.random.default_rng(5)
     x = DenseTensor(rng.standard_normal((8, 3, 2)))
     y = DenseTensor(rng.standard_normal((8, 2)))
@@ -363,30 +357,7 @@ def _valid_files() -> tuple:
         for p in paths:
             with open(p, "rb") as fh:
                 files.append(fh.read())
-    return dict(zip(names, files)), {"x.mwt": mwt1_text(x), "y.mwt": mwt1_text(y)}
-
-
-def _corrupt_tensor(draw, text: str) -> tuple:
-    """(fault, text) of a .mwt file with one value or header dim spoiled."""
-    lines = text.split("\n")
-    header, tokens = lines[:3], " ".join(lines[3:]).split()
-    fault = draw(st.sampled_from(_VALUE_FAULTS + ("header dims",)))
-    i = draw(st.integers(0, len(tokens) - 1))
-    if fault == "dropped value":
-        del tokens[i]
-    elif fault == "extra value":
-        tokens.insert(i, "0.5")
-    elif fault == "non-numeric token":
-        tokens[i] = draw(st.sampled_from(_BAD_TOKENS))
-    elif fault == "non-finite token":
-        tokens[i] = draw(st.sampled_from(_NON_FINITE))
-    else:
-        dims = header[2].split()
-        j = draw(st.integers(0, len(dims) - 1))
-        dims[j] = str(int(dims[j]) + draw(st.integers(1, 3)))
-        header[2] = " ".join(dims)
-    rows = [" ".join(tokens[k:k + 8]) for k in range(0, len(tokens), 8)]
-    return fault, "\n".join(header + rows) + "\n"
+    return dict(zip(names, files))
 
 
 _V2_FAULTS = ("cut", "dropped value", "extra value", "flipped byte", "non-finite value",
