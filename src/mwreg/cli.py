@@ -3,15 +3,15 @@
 Subcommands: fit, predict, gibbs, cv, simulate, experiment.  Every flag
 can also be supplied through a config file of key=value lines (keys are
 the long flag names with underscores); explicit flags win.  MWR_SEED in
-the environment provides the default seed.  Exit codes are stable for
-scripting: 0 success, 1 usage, 2 data or shape problems, 3 numerical
-failure.  The default and the range of each setting live once, where it
-is owned: FitConfig (fit and every cv candidate, all built before cv
-prints its header), GibbsConfig (gibbs) and SimSpec (simulate).  A flag
-left out takes the config's default, and the command line reports a
-failed check as a usage error with the config's own message.  Only the
-settings no config holds (--seed, --folds, --parallel) have their
-defaults and checks here.
+the environment provides the default of --seed, for the commands that
+take one.  Exit codes are stable for scripting: 0 success, 1 usage, 2
+data or shape problems, 3 numerical failure.  The default, the type and
+the range of each setting live once, where it is owned: FitConfig (fit
+and every cv candidate, all built before cv prints its header),
+GibbsConfig (gibbs) and SimSpec (simulate).  A flag left out takes the
+config's default, and the command line reports a failed check as a usage
+error with the config's own message.  Only the settings no config holds
+(--seed, --folds, --parallel) have their defaults and checks here.
 """
 
 from __future__ import annotations
@@ -55,16 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("MWR_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"MWR_SEED must be an integer, got {raw!r}") from None
-
-
 def _parse_dims(text: str) -> tuple:
     parts = text.replace("x", ",").split(",")
     try:
@@ -102,15 +92,13 @@ def _build_parsers():
         registry[name] = p
         return p
 
-    seed = _default_seed()
-
     p = add("fit", "fit a low-rank coefficient array")
     p.add_argument("--x", help="predictor tensor file")
     p.add_argument("--y", help="response tensor file")
     p.add_argument("--rank", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--out", help="model file to write")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--anneal-steps", type=int)
@@ -131,7 +119,7 @@ def _build_parsers():
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--out", help="draws file to write")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--burn-in", type=int)
     p.add_argument("--thin", type=int)
     p.add_argument("--level", type=float)
@@ -148,7 +136,7 @@ def _build_parsers():
     p.add_argument("--ranks", help="comma-separated candidate ranks")
     p.add_argument("--lambdas", help="comma-separated candidate penalties")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int)
     p.add_argument("--no-center", action="store_true")
     p.set_defaults(func=cmd_cv)
 
@@ -159,7 +147,7 @@ def _build_parsers():
     p.add_argument("--out-dims")
     p.add_argument("--rank", type=int)
     p.add_argument("--snr", type=float)
-    p.add_argument("--seed", type=int, default=seed,
+    p.add_argument("--seed", type=int,
                    help="ignored with --spec, which uses the file's seed (0 if it has none)")
     p.add_argument("--correlation")
     p.add_argument("--rho", type=float)
@@ -213,6 +201,13 @@ def _parse(argv):
     if getattr(args, "config", None):
         injected = _config_argv(args.config, registry[args.command])
         args = parser.parse_args([argv[0]] + injected + list(argv[1:]))
+    # only a command that takes a seed, and was given none, reads MWR_SEED
+    if "seed" in args and args.seed is None:
+        raw = os.environ.get("MWR_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise UsageError(f"MWR_SEED must be an integer, got {raw!r}") from None
     return args
 
 
@@ -224,12 +219,12 @@ def _parse(argv):
 def _config(kind, **fields):
     """kind(**fields) without the fields that are None, the flags left out.
 
-    kind gives those fields its own defaults, and its range errors are
-    raised as usage errors.
+    kind gives those fields its own defaults, and its type and range
+    errors are raised as usage errors.
     """
     try:
         return kind(**{name: value for name, value in fields.items() if value is not None})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -391,9 +386,9 @@ def _spec_from_json(raw: dict) -> SimSpec:
     return SimSpec(**raw)
 
 
-# the generator flags that --spec replaces; --seed always has a value, so
-# the spec file's seed is used instead of it
-_SPEC_FLAGS = ("n", "in_dims", "out_dims", "rank", "snr", "correlation", "rho")
+# the generator flags that --spec replaces, one per SimSpec field; --seed
+# always has a value, so the spec file's seed is used instead of it
+_SPEC_FLAGS = tuple(f.name for f in dataclasses.fields(SimSpec) if f.name != "seed")
 
 
 def _sim_spec_from_args(args) -> SimSpec:

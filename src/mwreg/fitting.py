@@ -49,7 +49,7 @@ from math import prod
 import numpy as np
 
 from .coefficients import CpCoefficients
-from .tensors import DenseTensor, _khatri_rao
+from .tensors import DenseTensor, _check_kinds, _khatri_rao
 
 __all__ = [
     "FitConfig",
@@ -141,8 +141,8 @@ class FitConfig:
     Convergence is declared when the relative drop of the penalized
     objective between post-annealing sweeps falls below rel_tol.  Factors
     start as seeded standard normals; n_starts > 1 reruns from fresh seeds
-    and keeps the best final objective.  Every setting is range-checked
-    here, and the command line reports these checks' messages.
+    and keeps the best final objective.  Every setting is type- and
+    range-checked here, and the command line reports these checks' messages.
     """
 
     rank: int
@@ -155,6 +155,7 @@ class FitConfig:
     n_starts: int = 1
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         _check_lam(self.lam)

@@ -49,7 +49,7 @@ from .fitting import (
     _lapack_routines,
     fit,
 )
-from .tensors import DenseTensor
+from .tensors import DenseTensor, _check_kinds
 
 __all__ = [
     "GibbsConfig",
@@ -87,8 +87,8 @@ class GibbsConfig:
     credible_level; it is checked here for callers that form intervals at
     that level.  Retained draws are the chain's states as they are;
     `normalize` identifies one where a factor summary needs it.  Every
-    setting is range-checked here, and the command line reports these
-    checks' messages.
+    setting is type- and range-checked here, rank and lam by FitConfig,
+    and the command line reports these checks' messages.
     """
 
     rank: int
@@ -101,11 +101,10 @@ class GibbsConfig:
     center_data: bool = True
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        _check_kinds(self)
+        FitConfig(rank=self.rank, lam=self.lam)
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        _check_lam(self.lam)
         if self.burn_in < 0:
             raise ValueError("burn_in must be non-negative")
         if self.thin < 1:

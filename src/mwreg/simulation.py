@@ -24,7 +24,7 @@ from .fitting import _POTRF, FitConfig, fit, predict
 from .posterior import GibbsConfig, _interval_scores, _predictive_intervals, gibbs
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
-from .tensors import _KINDS, DenseTensor, _is_kind
+from .tensors import DenseTensor, _check_kinds, _is_kind
 
 __all__ = [
     "SimSpec",
@@ -67,11 +67,7 @@ class SimSpec:
     rho: float = 0.6
 
     def __post_init__(self):
-        for names, kind in ((("n", "rank", "seed"), int), (("snr", "rho"), float)):
-            for name in names:
-                value = getattr(self, name)
-                if not _is_kind(value, kind):
-                    raise TypeError(f"{name} must be {_KINDS[kind][1]}, got {value!r}")
+        _check_kinds(self)
         for name in ("in_dims", "out_dims"):
             dims = getattr(self, name)
             if not (isinstance(dims, (list, tuple)) and all(_is_kind(d, int) for d in dims)):
@@ -101,7 +97,8 @@ class SimSpec:
 class GridCell:
     """One (scenario, estimation procedure) pairing for run_grid.
 
-    A setting out of range raises ValueError here, before any cell runs.
+    A setting of the wrong type raises TypeError here and one out of range
+    ValueError, each naming the setting, before any cell runs.
     """
 
     spec: SimSpec
@@ -112,6 +109,7 @@ class GridCell:
     gibbs_samples: int = 1000
 
     def __post_init__(self):
+        _check_kinds(self)
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
         if self.test_n < 1:
@@ -378,87 +376,64 @@ def expand_grid(grid: dict) -> list:
     seed.  Optional: test_n and gibbs_samples (GridCell's defaults),
     correlation and rho (SimSpec's defaults).  Every procedure applied to
     scenario i shares the scenario's derived seed, so all procedures see
-    the same datasets.  Values keep their JSON types: a count or a seed
-    must be an integer, and a float setting takes an integer or a float.
-    A list key that holds no list raises TypeError, and a value of the
-    wrong type raises ValueError; both name the key.  A value out of range
-    raises the ValueError of the config that owns the rule; for the keys
-    whose field has another name (true_ranks, fit_ranks, lambdas) it is
-    prefixed with the key and the value.
+    the same datasets.  A factor key that holds no list raises TypeError.
+    Before any cell is built, the config field that a key sets checks each
+    of its values; a refusal keeps the config's error type and message,
+    prefixed with the key and the value.  SimSpec's rule that ties
+    correlation to the dims applies as the cells are built.
     """
-    required = ["n", "snr", "true_ranks", "in_dims", "out_dims", "fit_ranks", "lambdas", "replicates", "seed"]
-    missing = [k for k in required if k not in grid]
+    missing = [k for k in _GRID_FIELDS if k not in grid and k not in _GRID_OPTIONS]
     if missing:
         raise ValueError(f"grid is missing keys: {missing}")
-    unknown = set(grid) - set(required) - set(_GRID_OPTIONS)
+    unknown = set(grid) - set(_GRID_FIELDS)
     if unknown:
         raise ValueError(f"grid has unknown keys: {sorted(unknown)}")
-    lists = {key: _grid_list(grid, key, kind) for key, kind in (
-        ("n", int), ("snr", float), ("true_ranks", int), ("in_dims", int),
-        ("out_dims", int), ("fit_ranks", int), ("lambdas", float))}
-    for key, check in _GRID_RANGES.items():
-        for value in lists[key]:
+    for key in _GRID_FACTORS:
+        if not isinstance(grid[key], (list, tuple)):
+            raise TypeError(f"grid key {key!r} must be a list, got {grid[key]!r}")
+    for key in grid:
+        config, name = _GRID_FIELDS[key]
+        for value in grid[key] if key in _GRID_FACTORS else [grid[key]]:
             try:
-                check(value)
-            except ValueError as exc:
-                raise ValueError(f"grid key {key!r} holds {value!r}: {exc}") from None
-    root = _grid_value("seed", grid["seed"], int)
-    replicates = _grid_value("replicates", grid["replicates"], int)
+                replace(_GRID_BASES[config], **{name: value})
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"grid key {key!r} holds {value!r}: {exc}") from None
     # an option is passed only when given, so GridCell and SimSpec keep their defaults
-    cell_options = {key: grid[key] if kind is None else _grid_value(key, grid[key], kind)
-                    for key, kind in _GRID_OPTIONS.items() if key in grid}
-    spec_options = {key: cell_options.pop(key) for key in ("correlation", "rho") if key in cell_options}
+    spec_options = {key: grid[key] for key in ("correlation", "rho") if key in grid}
+    cell_options = {key: grid[key] for key in ("test_n", "gibbs_samples") if key in grid}
     cells = []
     scenario = 0
-    for n in lists["n"]:
-        for snr in lists["snr"]:
-            for rank in lists["true_ranks"]:
-                seed = int(np.random.SeedSequence((root, scenario)).generate_state(1)[0])
-                spec = SimSpec(
-                    n=n,
-                    in_dims=tuple(lists["in_dims"]),
-                    out_dims=tuple(lists["out_dims"]),
-                    rank=rank,
-                    snr=snr,
-                    seed=seed,
-                    **spec_options,
-                )
-                for fit_rank in lists["fit_ranks"]:
-                    for lam in lists["lambdas"]:
+    for n in grid["n"]:
+        for snr in grid["snr"]:
+            for rank in grid["true_ranks"]:
+                seed = int(np.random.SeedSequence((grid["seed"], scenario)).generate_state(1)[0])
+                spec = SimSpec(n=n, in_dims=grid["in_dims"], out_dims=grid["out_dims"], rank=rank,
+                               snr=snr, seed=seed, **spec_options)
+                for fit_rank in grid["fit_ranks"]:
+                    for lam in grid["lambdas"]:
                         cells.append(GridCell(spec=spec, fit_rank=fit_rank, lam=lam,
-                                              replicates=replicates, **cell_options))
+                                              replicates=grid["replicates"], **cell_options))
                 scenario += 1
     return cells
 
 
-# the list keys whose config field has another name, each with the config,
-# built on one value, that checks the value's range
-_GRID_RANGES = {
-    "true_ranks": lambda rank: SimSpec(n=1, in_dims=(1,), rank=rank),
-    "fit_ranks": lambda rank: FitConfig(rank=rank),
-    "lambdas": lambda lam: FitConfig(rank=1, lam=lam),
+# each grid key and the config field whose rules its values follow (seed is
+# the root of the scenario seeds); the keys of _GRID_OPTIONS may be left
+# out, and the factor keys hold lists of values
+_GRID_FIELDS = {
+    "n": (SimSpec, "n"), "snr": (SimSpec, "snr"), "true_ranks": (SimSpec, "rank"),
+    "in_dims": (SimSpec, "in_dims"), "out_dims": (SimSpec, "out_dims"),
+    "fit_ranks": (GridCell, "fit_rank"), "lambdas": (GridCell, "lam"),
+    "replicates": (GridCell, "replicates"), "seed": (SimSpec, "seed"),
+    "test_n": (GridCell, "test_n"), "gibbs_samples": (GridCell, "gibbs_samples"),
+    "correlation": (SimSpec, "correlation"), "rho": (SimSpec, "rho"),
 }
-# the optional grid keys and the kinds of their values; SimSpec checks correlation
-_GRID_OPTIONS = {"test_n": int, "gibbs_samples": int, "correlation": None, "rho": float}
-
-
-def _grid_value(key: str, value, kind):
-    """kind(value) once value passes SimSpec's rule for kind, or a ValueError that names the grid key.
-
-    A bool or a string is refused, and so is a float for an integer key;
-    a float key takes an integer too.
-    """
-    if not _is_kind(value, kind):
-        raise ValueError(f"grid key {key!r} must be {_KINDS[kind][1]}, got {value!r}")
-    return kind(value)
-
-
-def _grid_list(grid: dict, key: str, kind) -> list:
-    """grid[key], which must be a list, with kind applied to each entry."""
-    values = grid[key]
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"grid key {key!r} must be a list, got {values!r}")
-    return [_grid_value(key, v, kind) for v in values]
+_GRID_OPTIONS = ("test_n", "gibbs_samples", "correlation", "rho")
+_GRID_FACTORS = ("n", "snr", "true_ranks", "fit_ranks", "lambdas")
+# one valid config of each kind, on which a grid value is checked alone; its
+# two 2-mode dims let either correlation pass
+_GRID_BASES = {SimSpec: SimSpec(n=1, in_dims=(1, 1), out_dims=(1, 1), rank=1)}
+_GRID_BASES[GridCell] = GridCell(_GRID_BASES[SimSpec], fit_rank=1, lam=0.0, replicates=1)
 
 
 _CSV_COLUMNS = [

@@ -11,6 +11,7 @@ messages use 1-based modes.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from functools import reduce
 from math import prod
@@ -28,19 +29,41 @@ __all__ = [
 ]
 
 
-# the type rule of a numeric setting or file value of kind int or float:
-# the numbers ABC its values belong to, and that rule's name in messages
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+# the type rule of a setting or file value of kind int, float or bool: the
+# types its values belong to, and that rule's name in messages
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: ((bool, np.bool_), "True or False")}
+# the kinds by the annotation that names them, as postponed annotations hold it
+_FIELD_KINDS = {kind.__name__: kind for kind in _KINDS}
 
 
 def _type_is_kind(cls: type, kind) -> bool:
-    """Whether values of type cls pass kind's rule: a float takes an integer too, and a bool is no number."""
-    return issubclass(cls, _KINDS[kind][0]) and not issubclass(cls, bool)
+    """Whether values of type cls pass kind's rule: a float takes an integer too, and only a bool kind a bool."""
+    return issubclass(cls, _KINDS[kind][0]) and (kind is bool or not issubclass(cls, bool))
 
 
 def _is_kind(value, kind) -> bool:
     """Whether value passes kind's rule."""
     return _type_is_kind(type(value), kind)
+
+
+def _check_kinds(config) -> None:
+    """Hold each dataclass field annotated "int", "float" or "bool" to that kind's rule.
+
+    A value of another kind raises TypeError naming the field; one that
+    passes is stored as the kind, so an integer penalty becomes a float,
+    and an integer too large for a float raises ValueError.
+    """
+    for f in dataclasses.fields(config):
+        if (kind := _FIELD_KINDS.get(f.type)) is None:
+            continue
+        value = getattr(config, f.name)
+        if not _is_kind(value, kind):
+            raise TypeError(f"{f.name} must be {_KINDS[kind][1]}, got {value!r}")
+        try:
+            object.__setattr__(config, f.name, kind(value))
+        except OverflowError:  # an integer beyond a float's range
+            raise ValueError(f"{f.name} is too large for a float") from None
 
 
 class DenseTensor:

@@ -7,6 +7,7 @@ dataset pins the full fit path end to end.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -154,6 +155,35 @@ class TestFit:
         assert main(["fit", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
                      "--lambda", "0.5", "--seed", "7", "--out", m2]) == 0
         assert _sha(m1) == _sha(m2)
+
+
+    def test_a_bad_env_seed_is_read_only_where_a_seed_is_left_out(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        monkeypatch.setenv("MWR_SEED", "abc")
+        code, model = _fit_tiny(tmp_path)
+        assert code == 0
+        assert main(["predict", "--model", model, "--x", TINY_X,
+                     "--out", os.path.join(tmp_path, "p.mwt")]) == 0
+        grid = os.path.join(tmp_path, "grid.json")
+        with open(grid, "w") as fh:
+            json.dump({"n": [8], "snr": [1.0], "true_ranks": [1], "in_dims": [3], "out_dims": [2],
+                       "fit_ranks": [1], "lambdas": [0.5], "replicates": 1, "seed": 1,
+                       "test_n": 5, "gibbs_samples": 0}, fh)
+        assert main(["experiment", "--grid", grid, "--out", os.path.join(tmp_path, "r.csv")]) == 0
+        capsys.readouterr()
+        before = sorted(os.listdir(tmp_path))
+        for argv in (["fit", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
+                      "--out", os.path.join(tmp_path, "m.json")],
+                     ["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
+                      "--out", os.path.join(tmp_path, "d.json")],
+                     ["cv", "--x", TINY_X, "--y", TINY_Y, "--ranks", "1", "--lambdas", "1"],
+                     ["simulate", "--n", "5", "--in-dims", "3", "--rank", "1",
+                      "--out-prefix", os.path.join(tmp_path, "s")]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "usage error: MWR_SEED must be an integer, got 'abc'\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestPredict:
@@ -505,6 +535,19 @@ def test_only_cli_owned_settings_have_flag_defaults():
                 f"mwreg {command} {action.option_strings[0]} has default {action.default!r}")
 
 
+def test_a_wrongly_typed_config_setting_is_a_usage_error():
+    with pytest.raises(cli.UsageError, match=r"^center_data must be True or False, got 'no'$"):
+        cli._config(FitConfig, rank=1, center_data="no")
+
+
+def test_spec_refuses_a_flag_for_every_generator_field_but_the_seed():
+    # --spec replaces the flag of each SimSpec field; the file holds the seed
+    _, registry = _build_parsers()
+    flags = {a.dest for a in registry["simulate"]._actions}
+    fields = {f.name for f in dataclasses.fields(SimSpec)}
+    assert set(cli._SPEC_FLAGS) == fields - {"seed"} and set(cli._SPEC_FLAGS) <= flags
+
+
 class _Built(Exception):
     """Raised by a stand-in library call with the config it was given."""
 
@@ -610,6 +653,15 @@ class TestSimulate:
         assert captured.err == f"usage error: --spec cannot be combined with {named}\n"
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_an_integer_beyond_float_range_in_a_spec_file_is_data_error(self, tmp_path, capsys):
+        spec = os.path.join(tmp_path, "spec.json")
+        with open(spec, "w") as fh:
+            fh.write('{"n": 10, "in_dims": [3], "rank": 1, "snr": 1' + "0" * 400 + "}")
+        code = main(["simulate", "--spec", spec, "--out-prefix", os.path.join(tmp_path, "s")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {spec}: snr is too large for a float\n"
+        assert os.listdir(tmp_path) == ["spec.json"]
+
     def test_spec_uses_the_files_seed(self, tmp_path, capsys):
         spec = os.path.join(tmp_path, "spec.json")
         with open(spec, "w") as fh:
@@ -666,51 +718,13 @@ class TestExperiment:
                      "--parallel", "2"]) == 0
         assert _sha(o1) == _sha(o2)
 
-    @pytest.mark.parametrize("key, value", [("n", 30), ("in_dims", 3)])
-    def test_wrongly_typed_grid_key_is_data_error(self, tmp_path, capsys, key, value):
-        grid = {
-            "n": [15], "snr": [1.0], "true_ranks": [1], "in_dims": [3, 2], "out_dims": [2],
-            "fit_ranks": [1], "lambdas": [0.5], "replicates": 1, "seed": 79, key: value,
-        }
-        grid_path = os.path.join(tmp_path, "grid.json")
-        with open(grid_path, "w") as fh:
-            json.dump(grid, fh)
-        out = os.path.join(tmp_path, "r.csv")
-        assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {grid_path}: grid key '{key}' must be a list, got {value}\n")
-        assert not os.path.exists(out)
+    @staticmethod
+    def _refused_grid(tmp_path, capsys, monkeypatch, key, value):
+        """stderr of `mwreg experiment` on a one-cell grid with key set to value.
 
-    @pytest.mark.parametrize("key, value, noun", [
-        ("n", [30.7], "an integer"), ("true_ranks", [True], "an integer"),
-        ("n", ["30"], "an integer"), ("snr", ["25"], "a number"),
-    ])
-    def test_grid_value_of_the_wrong_json_type_is_data_error(self, tmp_path, capsys, key, value,
-                                                             noun):
-        grid = {
-            "n": [15], "snr": [1.0], "true_ranks": [1], "in_dims": [3, 2], "out_dims": [2],
-            "fit_ranks": [1], "lambdas": [0.5], "replicates": 1, "seed": 79, key: value,
-        }
-        grid_path = os.path.join(tmp_path, "grid.json")
-        with open(grid_path, "w") as fh:
-            json.dump(grid, fh)
-        out = os.path.join(tmp_path, "r.csv")
-        assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {grid_path}: grid key '{key}' must be {noun}, got {value[0]!r}\n")
-        assert not os.path.exists(out)
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("fit_ranks", [1, 0], "rank must be at least 1"),
-        ("lambdas", [-1.0], "lam must be finite and non-negative"),
-        ("replicates", 0, "replicates must be positive"),
-        ("test_n", 0, "test_n must be positive"),
-        ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
-        ("gibbs_samples", 1, "gibbs_samples must be 0 or at least 2: an interval needs two draws"),
-        ("true_ranks", [-1], "rank must be non-negative"),
-    ])
-    def test_out_of_range_procedure_value_is_data_error(self, tmp_path, capsys, monkeypatch,
-                                                        key, value, message):
+        The run must exit 2 with nothing on stdout, before any cell runs and
+        without writing the CSV.
+        """
         def no_cell_runs(*args, **kwargs):
             raise AssertionError("a cell ran")
 
@@ -726,11 +740,44 @@ class TestExperiment:
         assert main(["experiment", "--grid", grid_path, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        # a list key whose config field has another name is named in the message
-        named = (f"grid key {key!r} holds {value[-1]!r}: "
-                 if key in ("fit_ranks", "lambdas", "true_ranks") else "")
-        assert captured.err == f"error: {grid_path}: {named}{message}\n"
         assert not os.path.exists(out)
+        prefix = f"error: {grid_path}: "
+        assert captured.err.startswith(prefix)
+        return captured.err[len(prefix):]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 30, "grid key 'n' must be a list, got 30"),
+        ("in_dims", 3, "grid key 'in_dims' holds 3: in_dims must be a list of integers, got 3"),
+    ])
+    def test_wrongly_typed_grid_key_is_data_error(self, tmp_path, capsys, monkeypatch, key, value,
+                                                  message):
+        assert self._refused_grid(tmp_path, capsys, monkeypatch, key, value) == message + "\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", [30.7], "n must be an integer, got 30.7"),
+        ("true_ranks", [True], "rank must be an integer, got True"),
+        ("n", ["30"], "n must be an integer, got '30'"),
+        ("snr", ["25"], "snr must be a number, got '25'"),
+    ])
+    def test_grid_value_of_the_wrong_json_type_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                             key, value, message):
+        err = self._refused_grid(tmp_path, capsys, monkeypatch, key, value)
+        assert err == f"grid key {key!r} holds {value[0]!r}: {message}\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("fit_ranks", [1, 0], "rank must be at least 1"),
+        ("lambdas", [-1.0], "lam must be finite and non-negative"),
+        ("replicates", 0, "replicates must be positive"),
+        ("test_n", 0, "test_n must be positive"),
+        ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
+        ("gibbs_samples", 1, "gibbs_samples must be 0 or at least 2: an interval needs two draws"),
+        ("true_ranks", [-1], "rank must be non-negative"),
+    ])
+    def test_out_of_range_procedure_value_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                        key, value, message):
+        held = value[-1] if isinstance(value, list) else value
+        err = self._refused_grid(tmp_path, capsys, monkeypatch, key, value)
+        assert err == f"grid key {key!r} holds {held!r}: {message}\n"
 
     def test_bad_grid_key(self, tmp_path, capsys):
         grid_path = os.path.join(tmp_path, "grid.json")

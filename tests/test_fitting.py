@@ -644,6 +644,13 @@ class TestFit:
         with pytest.raises(ValueError):
             FitConfig(rank=1, n_starts=0)
 
+    @pytest.mark.parametrize("field, value", [("lam", True), ("center_data", "no"),
+                                              ("max_iters", True), ("rel_tol", True)])
+    def test_a_wrongly_typed_setting_is_refused(self, field, value):
+        # a bool is no number, and centering takes only True or False
+        with pytest.raises(TypeError, match=f"^{field} must be .*, got {value!r}$"):
+            FitConfig(rank=1, **{field: value})
+
 
 class TestSubstepObjective:
     """substep_trace comes from the normal equations of each update; the

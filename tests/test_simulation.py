@@ -282,6 +282,14 @@ class TestRunCell:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_cell(**settings)
 
+    def test_a_fractional_replicate_count_is_refused_before_any_data(self, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("a dataset was simulated")
+
+        monkeypatch.setattr("mwreg.simulation.simulate", no_data)
+        with pytest.raises(TypeError, match=r"^replicates must be an integer, got 1\.5$"):
+            run_cell(_small_spec(), 1, 0.5, replicates=1.5)
+
     def test_defaults_come_from_the_classes(self):
         params = inspect.signature(run_cell).parameters
         assert params["test_n"].default == GridCell.test_n
@@ -379,26 +387,45 @@ class TestExpandGrid:
         with pytest.raises(ValueError, match="unknown"):
             expand_grid(dict(self.FULL, extra=1))
 
-    @pytest.mark.parametrize("key, value, error", [
-        ("n", 30, TypeError), ("in_dims", 3, TypeError), ("lambdas", "0.5", TypeError),
-        ("fit_ranks", [1, "two"], ValueError), ("replicates", [10], ValueError),
-        ("rho", "high", ValueError),
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 30, "grid key 'n' must be a list, got 30"),
+        ("in_dims", 3, "grid key 'in_dims' holds 3: in_dims must be a list of integers, got 3"),
+        ("lambdas", "0.5", "grid key 'lambdas' must be a list, got '0.5'"),
+        ("fit_ranks", [1, "two"], "grid key 'fit_ranks' holds 'two': fit_rank must be an integer, got 'two'"),
+        ("replicates", [10], "grid key 'replicates' holds [10]: replicates must be an integer, got [10]"),
+        ("rho", "high", "grid key 'rho' holds 'high': rho must be a number, got 'high'"),
     ])
-    def test_a_wrongly_typed_key_is_named(self, key, value, error):
-        with pytest.raises(error, match=f"^grid key '{key}' must be"):
+    def test_a_wrongly_typed_key_is_named(self, key, value, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             expand_grid(dict(self.FULL, **{key: value}))
 
-    @pytest.mark.parametrize("key, value, noun", [
-        ("n", [30.7], "an integer"), ("n", [30.0], "an integer"), ("n", ["30"], "an integer"),
-        ("true_ranks", [True], "an integer"), ("fit_ranks", [1, True], "an integer"),
-        ("in_dims", [15, 20.0], "an integer"), ("seed", "30", "an integer"),
-        ("replicates", 2.0, "an integer"), ("test_n", 30.7, "an integer"),
-        ("gibbs_samples", True, "an integer"), ("snr", ["25"], "a number"),
-        ("snr", [True], "a number"), ("lambdas", [0.5, "1"], "a number"),
-        ("rho", "0.6", "a number"), ("rho", False, "a number"),
+    @staticmethod
+    def _held(key, value):
+        """The refused value: a factor key's last level, or another key's whole value."""
+        factors = ("n", "snr", "true_ranks", "fit_ranks", "lambdas")
+        return value[-1] if key in factors else value
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", [30.7], "n must be an integer, got 30.7"),
+        ("n", [30.0], "n must be an integer, got 30.0"),
+        ("n", ["30"], "n must be an integer, got '30'"),
+        ("true_ranks", [True], "rank must be an integer, got True"),
+        ("fit_ranks", [1, True], "fit_rank must be an integer, got True"),
+        ("in_dims", [15, 20.0], "in_dims must be a list of integers, got [15, 20.0]"),
+        ("seed", "30", "seed must be an integer, got '30'"),
+        ("replicates", 2.0, "replicates must be an integer, got 2.0"),
+        ("test_n", 30.7, "test_n must be an integer, got 30.7"),
+        ("gibbs_samples", True, "gibbs_samples must be an integer, got True"),
+        ("snr", ["25"], "snr must be a number, got '25'"),
+        ("snr", [True], "snr must be a number, got True"),
+        ("lambdas", [0.5, "1"], "lam must be a number, got '1'"),
+        ("rho", "0.6", "rho must be a number, got '0.6'"),
+        ("rho", False, "rho must be a number, got False"),
     ])
-    def test_a_value_of_the_wrong_json_type_is_named(self, key, value, noun):
-        with pytest.raises(ValueError, match=f"^grid key '{key}' must be {noun}, got "):
+    def test_a_value_of_the_wrong_json_type_is_named(self, key, value, message):
+        # the config that owns the field refuses the value, and the grid names the key
+        named = f"grid key {key!r} holds {self._held(key, value)!r}: {message}"
+        with pytest.raises(TypeError, match=f"^{re.escape(named)}$"):
             expand_grid(dict(self.FULL, **{key: value}))
 
     @pytest.mark.parametrize("key, value, message", [
@@ -412,10 +439,8 @@ class TestExpandGrid:
         ("true_ranks", [0, -1], "rank must be non-negative"),
     ])
     def test_an_out_of_range_procedure_value_is_refused(self, key, value, message):
-        # a list key whose config field has another name is named in the message
-        named = (f"grid key {key!r} holds {value[-1]!r}: "
-                 if key in ("fit_ranks", "lambdas", "true_ranks") else "")
-        with pytest.raises(ValueError, match=f"^{re.escape(named)}{message}$"):
+        named = f"grid key {key!r} holds {self._held(key, value)!r}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
             expand_grid(dict(self.FULL, **{key: value}))
 
     def test_a_float_key_takes_an_integer(self):

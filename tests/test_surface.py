@@ -1,6 +1,7 @@
-"""The package's source has no dead imports or dead config fields, its
-public API is the union of its library modules' own, and importing it
-loads neither `scipy.linalg` nor the process pool.
+"""The package's source has no dead imports or dead config fields, every
+int, float or bool config field holds to its kind, its public API is the
+union of its library modules' own, and importing it loads neither
+`scipy.linalg` nor the process pool.
 
 Neither pyflakes nor ruff is a dependency of the project, so the
 unused-import check parses `src/mwreg/*.py` with `ast`.  A name the
@@ -15,10 +16,12 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mwreg
@@ -131,6 +134,54 @@ def test_every_config_field_is_set_by_some_caller(config):
     passed = _config_keywords(sorted(_SRC.glob("*.py")) + [_BENCH / "run.py"])[config]
     unset = [f.name for f in dataclasses.fields(_CONFIGS[config]) if f.name not in passed]
     assert not unset, f"no caller in src/mwreg or perfbench/run.py sets {config} field(s) {unset}"
+
+
+# one valid build of every config that holds settings, on which the kind
+# test changes one field at a time
+_VALID = {
+    mwreg.FitConfig: mwreg.FitConfig(rank=1),
+    mwreg.GibbsConfig: mwreg.GibbsConfig(rank=1),
+    mwreg.SimSpec: mwreg.SimSpec(n=1, in_dims=(1,), rank=1),
+}
+_VALID[mwreg.GridCell] = mwreg.GridCell(_VALID[mwreg.SimSpec], fit_rank=1, lam=0.0, replicates=1)
+_KINDED = [pytest.param(config, f.name, f.type, id=f"{config.__name__}.{f.name}")
+           for config in _VALID for f in dataclasses.fields(config)
+           if f.type in ("int", "float", "bool")]
+
+
+@pytest.mark.parametrize("config", _VALID, ids=lambda config: config.__name__)
+def test_config_annotations_are_postponed(config):
+    # the kind check reads an annotation as its source text, such as "int"
+    assert all(isinstance(f.type, str) for f in dataclasses.fields(config))
+
+
+@pytest.mark.parametrize("config, name, kind", _KINDED)
+def test_every_int_float_and_bool_config_field_holds_to_its_kind(config, name, kind):
+    base = _VALID[config]
+    refused = ["1", None] + {"int": [True, 2.5], "float": [True, np.False_], "bool": [1, 0.0]}[kind]
+    for value in refused:
+        with pytest.raises(TypeError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            dataclasses.replace(base, **{name: value})
+    if kind == "bool":
+        assert getattr(dataclasses.replace(base, **{name: np.False_}), name) is False
+    elif kind == "int":
+        stored = getattr(dataclasses.replace(base, **{name: np.int64(3)}), name)
+        assert type(stored) is int and stored == 3
+    else:
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+            dataclasses.replace(base, **{name: 10 ** 400})
+        # an integer is stored as a float; a field whose range is an open unit
+        # interval holds no integer, so there the range rule refuses it
+        for value in (0, 1, 2):
+            try:
+                stored = getattr(dataclasses.replace(base, **{name: value}), name)
+            except ValueError:
+                continue
+            assert type(stored) is float and stored == value
+            break
+        else:
+            with pytest.raises(ValueError, match=f"^{name} must be in \\(0, 1\\)$"):
+                dataclasses.replace(base, **{name: 1})
 
 
 def test_import_skips_scipy_linalg_and_the_process_pool():
