@@ -25,12 +25,17 @@ without importing `scipy.linalg`, which took about half the time of
 A sweep of ALS and an iteration of the sampler run one mode loop over one
 sweep state.  It owns the current factors and, in plain attributes that
 setting a factor resets to None, the products derived from them: Gram
-matrices, Khatri-Rao products and their products with the data, each
-built once per factor update.  At low ranks the fixed cost of each numpy
-call sets a system's time, so a system is assembled in few calls; every
-product has the operands, memory layout and multiplication order of a
-per-call build, because BLAS results depend on operand layout, so the
-sweeps keep their bits.
+matrices; the outcome Khatri-Rao product and its products with Y; Z_l,
+the predictor data contracted with every predictor factor but mode l's,
+for the last predictor mode l; and T = X1 KR(predictor factors), summed
+from that Z_l and mode l's factor.  So a sweep reads X once per predictor
+mode and never forms the Khatri-Rao product of all predictor factors.
+At low ranks the fixed cost of each numpy call sets a system's time, so a
+system is assembled in few calls.  Each product has one builder, which a
+sweep and a one-off call share.  BLAS results depend on operand layout,
+so that sharing is what gives a sweep the bits of products built anew for
+each call; T agrees with the direct product X1 KR(predictor factors) to
+round-off only.
 The public single-step functions build a fresh state per call.
 The prediction code evaluates many coefficient sets through stacked
 matrix products that repeat each set's own products bit for bit, on row
@@ -167,6 +172,13 @@ class FitConfig:
             raise ValueError("anneal_steps must be non-negative")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    """The one rule on a seed: numpy's `SeedSequence` takes no negative entropy."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def _check_lam(lam: float) -> None:
@@ -245,18 +257,18 @@ class _Workspace:
         self.n = xarr.shape[0]
         self.in_dims = xarr.shape[1:]
         self.out_dims = yarr.shape[1:]
-        self.p = prod(self.in_dims)
         self.q = prod(self.out_dims) if self.out_dims else 1
-        self.x1 = xarr.reshape(self.n, self.p, order="F")
         self.y1 = yarr.reshape(self.n, self.q, order="F")
         self._x_by_mode = {}
         self._y_by_mode = {}
 
     def x_by_mode(self, l: int) -> np.ndarray:
-        # (N * P_l, prod of other predictor dims), observation index fastest
+        # (prod of other predictor dims, N * P_l), C-ordered, observation
+        # index fastest along a row: the operand of `_SweepState`'s Z_l
         if l not in self._x_by_mode:
             moved = np.moveaxis(self.xarr, 1 + l, 1)
-            self._x_by_mode[l] = moved.reshape(self.n * self.in_dims[l], -1, order="F")
+            unfolded = moved.reshape(self.n * self.in_dims[l], -1, order="F").T
+            self._x_by_mode[l] = np.ascontiguousarray(unfolded)
         return self._x_by_mode[l]
 
     def y_by_mode(self, m: int) -> np.ndarray:
@@ -279,14 +291,19 @@ class _SweepState:
 
     One state is bound to one workspace and owns the factor lists; modes
     index the concatenated list, predictor modes first.  Each product is
-    built on first use, with the operands and layout of a per-call build,
-    and kept until `set_factor` resets it to None: grams[k] = f^T f when
-    factor k changes; kr_out, V = KR(outcome factors) or the ones row, with
-    V^T V and Y1 V in kr_out_gram and y_kr_out, when an outcome factor
-    does; x_kr_pred, T = X1 KR(predictor factors), and x_kr_pred_gram =
-    T^T T when a predictor factor does.  Each mode's other factors and
-    penalty Gram modes, and a read-only ones row, are fixed at construction,
-    and so is refusal: the reason no update can solve at this rank, or None.
+    built on first use by the one method that builds it, and kept until
+    `set_factor` resets it to None: grams[k] = f^T f when factor k changes;
+    kr_out, V = KR(outcome factors) or the ones row, with V^T V and
+    (Y1 V)^T in kr_out_gram and y_kr_out, when an outcome factor does;
+    z_last, the `_predictor_z` of the last predictor mode, when another
+    predictor factor does; and x_kr_pred, T^T = (X1 KR(predictor
+    factors))^T taken from z_last and the last predictor factor, with
+    x_kr_pred_gram = T^T T, when any predictor factor does.  So a sweep
+    reads X once per predictor mode, and a kept product has the bits of
+    one that the same method builds anew.  Each mode's other factors and
+    penalty Gram modes, and a read-only ones row, are fixed at
+    construction, and so is refusal: the reason no update can solve at
+    this rank, or None.
     """
 
     def __init__(self, ws: _Workspace, pred, out):
@@ -303,13 +320,16 @@ class _SweepState:
         self._penalty_modes = [list(range(n_pred)) + [n_pred + k for k in others]
                                for others in self._others[n_pred:]]
         self.grams = [None] * len(self._others)
-        self.kr_out = self.kr_out_gram = self.y_kr_out = self.x_kr_pred = self.x_kr_pred_gram = None
+        self.kr_out = self.kr_out_gram = self.y_kr_out = None
+        self.z_last = self.x_kr_pred = self.x_kr_pred_gram = None
 
     def set_factor(self, mode: int, f: np.ndarray) -> None:
         """Replace one factor and drop the products that depend on it."""
         if mode < self.n_pred:
             self.pred[mode] = f
             self.x_kr_pred = self.x_kr_pred_gram = None
+            if mode < self.n_pred - 1:
+                self.z_last = None
         else:
             self.out[mode - self.n_pred] = f
             self.kr_out = self.kr_out_gram = self.y_kr_out = None
@@ -332,12 +352,33 @@ class _SweepState:
     def _outcome_products(self):
         if self.kr_out is None:
             v = self.kr_out = _kr(self.out, self.ones)
-            self.kr_out_gram, self.y_kr_out = v.T @ v, self.ws.y1 @ v
+            self.kr_out_gram, self.y_kr_out = v.T @ v, v.T @ self.ws.y1.T
         return self.kr_out, self.kr_out_gram, self.y_kr_out
 
+    def _predictor_z(self, l: int) -> np.ndarray:
+        """Z_l = KR(other predictor factors)^T X_(l), a C-ordered (R, P_l, N) array.
+
+        Z_l[r, p, n] is observation n's predictor at index p of mode l,
+        contracted with component r's rank-1 term over the other predictor
+        modes.  Its (R * P_l, N) view is the transposed design of mode l's
+        system, blocked by component, which the Gram and the right-hand
+        side read as it is.  The last mode's Z is kept in z_last.
+        """
+        if l == self.n_pred - 1 and self.z_last is not None:
+            return self.z_last
+        ws = self.ws
+        kr = _kr([self.pred[k] for k in self._others[l]], self.ones)
+        z = (kr.T @ ws.x_by_mode(l)).reshape(self.rank, ws.in_dims[l], ws.n)
+        if l == self.n_pred - 1:
+            self.z_last = z
+        return z
+
     def _x_kr(self) -> np.ndarray:
+        # T^T, (R, N): T[n, r] = sum_p Z[r, p, n] U[p, r] over the last
+        # predictor mode; U^T is made C-ordered so its layout never picks the kernel
         if self.x_kr_pred is None:
-            self.x_kr_pred = self.ws.x1 @ _kr(self.pred, self.ones)
+            u = np.ascontiguousarray(self.pred[-1].T)
+            self.x_kr_pred = np.matmul(u[:, None, :], self._predictor_z(self.n_pred - 1))[:, 0]
         return self.x_kr_pred
 
     def predictor_system(self, l: int, lam: float):
@@ -346,17 +387,17 @@ class _SweepState:
         S = C^T C + lam * (G (x) I) and rhs = C^T vec(Y) where C is the
         design matrix whose block r holds X contracted with the mode-omitted
         rank-1 term of component r, so that C vec(U_l) = vec(<X, B>); the
-        flat index is p + P_l * r, i.e. blocked by component.  C^T C = (W^T W) *
-        (V^T V (x) 1), so both Kronecker products are applied in place on
-        the (R, P_l, R, P_l) view of W^T W instead of being built.
+        flat index is p + P_l * r, i.e. blocked by component.  C^T C =
+        (W^T W) * (V^T V (x) 1) with W^T the (R * P_l, N) view of Z_l, so
+        both Kronecker products are applied in place on the (R, P_l, R, P_l)
+        view of W^T W instead of being built; rhs stacks Z_l[r] (Y1 V)[:, r].
         """
         ws, rank, others = self.ws, self.rank, self._others[l]
         pl = ws.in_dims[l]
-        w3 = (ws.x_by_mode(l) @ _kr([self.pred[k] for k in others], self.ones)).reshape(
-            ws.n, pl, rank, order="F")
-        wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
+        z = self._predictor_z(l)
+        wt = z.reshape(rank * pl, ws.n)
         _, vgram, v_y = self._outcome_products()
-        s = wf.T @ wf
+        s = wt @ wt.T
         s4 = s.reshape(rank, pl, rank, pl)
         s4 *= vgram[:, None, :, None]
         if lam:
@@ -366,7 +407,7 @@ class _SweepState:
             row, col = s.strides  # s4's entries (r, p, r', p) as an (R, R, P_l) view of s
             diag = np.ndarray((rank, rank, pl), buffer=s, strides=(pl * row, pl * col, row + col))
             diag += (lam * g)[:, :, None]
-        rhs = np.einsum("npr,nr->rp", w3, v_y).reshape(-1)
+        rhs = np.matmul(z, v_y[:, :, None]).reshape(-1)
         return s, rhs
 
     def outcome_system(self, m: int, lam: float):
@@ -377,16 +418,16 @@ class _SweepState:
         over every mode but outcome mode m.
         """
         ws, rank, others = self.ws, self.rank, self._others[self.n_pred + m]
-        t = self._x_kr()
+        tt = self._x_kr()
         if self.x_kr_pred_gram is None:
-            self.x_kr_pred_gram = t.T @ t
+            self.x_kr_pred_gram = tt @ tt.T
         wq = _kr([self.out[k] for k in others], self.ones)
         a = self.x_kr_pred_gram * (wq.T @ wq)
         if lam:
             a += lam * self._gram_product(self._penalty_modes[m])
         # t * ones is t; more factors fill the Fortran-ordered buffer that an
         # order="F" reshape of the (N, rows, R) product would
-        d = t
+        d = t = tt.T
         if others:
             d = np.empty((ws.n * wq.shape[0], rank), order="F")
             np.multiply(t[:, None, :], wq[None, :, :], out=d.reshape(ws.n, -1, rank, order="F"))
@@ -428,7 +469,7 @@ class _SweepState:
 
     def rss(self) -> float:
         """||Y - <X, B>||_F^2 of the current factors."""
-        resid = self.ws.y1 - self._x_kr() @ self._outcome_products()[0].T
+        resid = self.ws.y1 - self._x_kr().T @ self._outcome_products()[0].T
         resid *= resid
         return float(resid.sum())
 

@@ -87,7 +87,7 @@ class GibbsConfig:
     credible_level; it is checked here for callers that form intervals at
     that level.  Retained draws are the chain's states as they are;
     `normalize` identifies one where a factor summary needs it.  Every
-    setting is type- and range-checked here, rank and lam by FitConfig,
+    setting is type- and range-checked here, rank, lam and seed by FitConfig,
     and the command line reports these checks' messages.
     """
 
@@ -102,7 +102,7 @@ class GibbsConfig:
 
     def __post_init__(self):
         _check_kinds(self)
-        FitConfig(rank=self.rank, lam=self.lam)
+        FitConfig(rank=self.rank, lam=self.lam, seed=self.seed)
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.burn_in < 0:

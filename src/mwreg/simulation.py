@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coefficients import CpCoefficients
-from .fitting import _POTRF, FitConfig, fit, predict
+from .fitting import _POTRF, FitConfig, _check_seed, fit, predict
 from .posterior import GibbsConfig, _interval_scores, _predictive_intervals, gibbs
 # module globals that perfbench's traced runs rebind to timing wrappers
 from .posterior import credible_intervals, posterior_predictive  # noqa: F401
@@ -81,6 +81,7 @@ class SimSpec:
             raise ValueError("dims must be positive")
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
+        _check_seed(self.seed)
         if not (np.isfinite(self.snr) and self.snr > 0.0):
             raise ValueError("snr must be positive")
         if self.correlation not in _CORRELATIONS:

@@ -185,6 +185,23 @@ class TestFit:
             assert captured.err == "usage error: MWR_SEED must be an integer, got 'abc'\n"
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_a_negative_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        simulate = ["simulate", "--n", "5", "--in-dims", "3", "--rank", "1",
+                    "--out-prefix", os.path.join(tmp_path, "s")]
+        assert main(simulate + ["--seed", "-2"]) == 1
+        monkeypatch.setenv("MWR_SEED", "-1")
+        for argv in (simulate,
+                     ["fit", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
+                      "--out", os.path.join(tmp_path, "m.json")],
+                     ["gibbs", "--x", TINY_X, "--y", TINY_Y, "--rank", "1",
+                      "--out", os.path.join(tmp_path, "d.json")],
+                     ["cv", "--x", TINY_X, "--y", TINY_Y, "--ranks", "1", "--lambdas", "1"]):
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: seed must be non-negative\n" * 5
+        assert not os.listdir(tmp_path)
+
 
 class TestPredict:
     def test_round_trip_reproduces_training_response(self, tmp_path, capsys):
@@ -488,16 +505,19 @@ _BAD_SETTINGS = [
     ("fit", "--tol", ("0", "-1e-8", "nan", "inf"), "rel_tol must be positive"),
     ("fit", "--anneal-steps", ("-1",), "anneal_steps must be non-negative"),
     ("fit", "--restarts", ("0", "-1"), "n_starts must be at least 1"),
+    ("fit", "--seed", ("-1",), "seed must be non-negative"),
     ("gibbs", "--rank", ("0", "-1"), "rank must be at least 1"),
     ("gibbs", "--lambda", ("-0.5", "nan", "inf"), "lam must be finite and non-negative"),
     ("gibbs", "--samples", ("0", "-1"), "n_samples must be at least 1"),
     ("gibbs", "--burn-in", ("-1",), "burn_in must be non-negative"),
     ("gibbs", "--thin", ("0", "-1"), "thin must be at least 1"),
     ("gibbs", "--level", ("0", "-0.5", "1", "nan", "inf"), "credible_level must be in (0, 1)"),
+    ("gibbs", "--seed", ("-1",), "seed must be non-negative"),
     # a bad candidate after a good one: every candidate is checked before any output
     ("cv", "--ranks", ("0", "-1", "1,0"), "rank must be at least 1"),
     ("cv", "--lambdas", ("-0.5", "nan", "inf", "0.5,nan"), "lam must be finite and non-negative"),
     ("cv", "--folds", ("0", "-1"), "--folds must be at least 2"),
+    ("cv", "--seed", ("-1",), "seed must be non-negative"),
 ]
 _VALID_ARGS = {
     "fit": ["--rank", "1", "--lambda", "0.5"],
@@ -772,6 +792,7 @@ class TestExperiment:
         ("gibbs_samples", -1, "gibbs_samples must be non-negative"),
         ("gibbs_samples", 1, "gibbs_samples must be 0 or at least 2: an interval needs two draws"),
         ("true_ranks", [-1], "rank must be non-negative"),
+        ("seed", -1, "seed must be non-negative"),
     ])
     def test_out_of_range_procedure_value_is_data_error(self, tmp_path, capsys, monkeypatch,
                                                         key, value, message):

@@ -8,6 +8,7 @@ closed-form collapses (ridge regression, OLS) pin the special cases.
 
 import importlib.machinery
 from dataclasses import replace
+from math import prod
 
 import numpy as np
 import pytest
@@ -292,23 +293,36 @@ class TestUpdatesAgainstExplicitSystems:
         assert np.abs(v).max() < 1e-12
 
 
+def _per_call_z(ws, pred, l):
+    """Z_l = KR(other predictor factors)^T X_(l), (R, P_l, N), built for this call."""
+    rank = pred[0].shape[1]
+    others = list(pred[:l]) + list(pred[l + 1:])
+    kr = khatri_rao(others) if others else np.ones((1, rank))
+    return (kr.T @ ws.x_by_mode(l)).reshape(rank, ws.in_dims[l], ws.n)
+
+
+def _per_call_t(ws, pred):
+    """T = X1 KR(pred), (N, R), summed over the last predictor mode of its Z_l."""
+    u = pred[-1].T.copy()
+    return np.matmul(u[:, None, :], _per_call_z(ws, pred, len(pred) - 1))[:, 0].T
+
+
 def _kron_predictor_system(ws, pred, out, l, lam):
     """Predictor-mode normal equations assembled with dense Kronecker products."""
     rank = pred[0].shape[1]
     pl = ws.in_dims[l]
     others = list(pred[:l]) + list(pred[l + 1:])
-    kr = khatri_rao(others) if others else np.ones((1, rank))
-    w3 = (ws.x_by_mode(l) @ kr).reshape(ws.n, pl, rank, order="F")
-    wf = np.ascontiguousarray(w3.transpose(0, 2, 1)).reshape(ws.n, rank * pl)
+    z = _per_call_z(ws, pred, l)
+    wt = z.reshape(rank * pl, ws.n)
     vq = khatri_rao(out) if out else np.ones((1, rank))
     vgram = vq.T @ vq
-    s = (wf.T @ wf) * np.kron(vgram, np.ones((pl, pl)))
+    s = (wt @ wt.T) * np.kron(vgram, np.ones((pl, pl)))
     if lam:
         g = vgram.copy()
         for f in others:
             g = g * (f.T @ f)
         s = s + lam * np.kron(g, np.eye(pl))
-    rhs = np.einsum("npr,nr->rp", w3, ws.y1 @ vq).reshape(-1)
+    rhs = np.matmul(z, (vq.T @ ws.y1.T)[:, :, None]).reshape(-1)
     return s, rhs
 
 
@@ -397,6 +411,32 @@ class TestSystemsBitForBit:
                 _spd_solve(s, np.ones(s.shape[0]), lam)
 
 
+class TestPredictorProductFromLastMode:
+    """A sweep takes T = X1 KR(pred) from the last predictor mode's Z_l,
+    never from the Khatri-Rao product of every predictor factor."""
+
+    # one to three predictor modes, zero to two outcome modes, and the study's shape
+    @pytest.mark.parametrize("in_dims,out_dims", [
+        (in_dims, out_dims) for in_dims in ((4,), (3, 4), (2, 3, 2))
+        for out_dims in ((), (3,), (2, 3))] + [((15, 20), (5, 10))])
+    def test_t_agrees_with_the_direct_product(self, in_dims, out_dims):
+        rng = np.random.default_rng(47)
+        n = 30
+        for rank in (1, 3):
+            x, y, b = _random_instance(rng, n, in_dims, out_dims, rank)
+            state = _SweepState(_Workspace(x.array, y.array), b.predictor_factors,
+                                b.outcome_factors)
+            t = state._x_kr().T
+            x1 = x.array.reshape(n, -1, order="F")
+            kr = khatri_rao(b.predictor_factors)
+            # each entry is a sum of prod(in_dims) products of len(in_dims) + 1
+            # numbers on both sides; each side is within gamma_k (|X1| |KR|) of
+            # the exact value, k = prod(in_dims) + len(in_dims), and gamma_k < k eps
+            k = prod(in_dims) + len(in_dims)
+            bound = 2 * k * np.finfo(float).eps * (np.abs(x1) @ np.abs(kr))
+            assert np.all(np.abs(t - x1 @ kr) <= bound)
+
+
 def _per_call_kr(factors, rank):
     return khatri_rao(factors) if factors else np.ones((1, rank))
 
@@ -411,7 +451,7 @@ def _per_call_gram_product(factors, rank):
 def _per_call_outcome_system(ws, pred, out, m, lam):
     """Outcome-mode normal equations with every product built for this call."""
     rank = pred[0].shape[1]
-    t = ws.x1 @ khatri_rao(pred)
+    t = _per_call_t(ws, pred)
     others = list(out[:m]) + list(out[m + 1:])
     wq = _per_call_kr(others, rank)
     a = (t.T @ t) * (wq.T @ wq)
@@ -435,7 +475,7 @@ def _per_call_update(ws, pred, out, mode, lam, problem_lam):
 
 def _per_call_objective(ws, pred, out, lam):
     rank = pred[0].shape[1]
-    resid = ws.y1 - (ws.x1 @ khatri_rao(pred)) @ _per_call_kr(out, rank).T
+    resid = ws.y1 - _per_call_t(ws, pred) @ _per_call_kr(out, rank).T
     rss = float(np.sum(resid * resid))
     if lam:
         return rss + lam * float(np.sum(_per_call_gram_product(list(pred) + list(out), rank)))
@@ -488,7 +528,7 @@ _STUDY_CASES = [(1, 0.5), (5, 0.5), (1, 0.0)]
 
 
 class TestSharedSweepProducts:
-    """ALS sweeps share each Khatri-Rao, Gram and X KR product between the
+    """ALS sweeps share each Khatri-Rao, Gram, Z_l and T product between the
     factor updates; they must carry the bits of products built per call."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
@@ -643,6 +683,8 @@ class TestFit:
             FitConfig(rank=1, anneal_steps=-1)
         with pytest.raises(ValueError):
             FitConfig(rank=1, n_starts=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            FitConfig(rank=1, seed=-1)
 
     @pytest.mark.parametrize("field, value", [("lam", True), ("center_data", "no"),
                                               ("max_iters", True), ("rel_tol", True)])

@@ -45,29 +45,29 @@ GOLDEN_CELL = (0.6764107015740317, 0.92, 2.9639084561290536)
 # rank-4 fit of _data() stopped by max_iters=14 before converging: the
 # explicit sweep-end objectives and the factors, pinned bit for bit
 GOLDEN_SWEEP_OBJECTIVES = [
-    189.88538254706364, 144.14576741760146, 109.56902503043813, 84.24670527775876,
-    67.4465615617819, 57.514173914910856, 52.27937961098317, 49.80418197932714,
-    48.710306851021414, 48.20590738051358, 47.87806449830111, 47.58836326796199,
-    47.32506403239669, 47.08252200106515,
+    189.8853825470636, 144.14576741760146, 109.56902503043807, 84.2467052777587,
+    67.4465615617818, 57.51417391491065, 52.27937961098292, 49.80418197932687,
+    48.710306851021144, 48.20590738051329, 47.87806449830081, 47.58836326796168,
+    47.32506403239637, 47.082522001064845,
 ]
 GOLDEN_SUBSTEPS = [
-    48.14718699213501, 47.996649172963345, 47.901749138499234, 47.87806449830111,
-    47.81927846193036, 47.68206372749715, 47.615234481112324, 47.58836326796199,
-    47.52759188556894, 47.4000693536975, 47.35106886828814, 47.32506403239669,
-    47.2623723394007, 47.143684459969855, 47.106377714124754, 47.08252200106515,
+    48.147186992134664, 47.996649172962975, 47.9017491384989, 47.87806449830089,
+    47.81927846193008, 47.68206372749691, 47.61523448111191, 47.588363267961626,
+    47.527591885568626, 47.40006935369712, 47.351068868287825, 47.32506403239634,
+    47.262372339400486, 47.143684459969535, 47.10637771412442, 47.082522001064774,
 ]
 GOLDEN_FACTORS = [
-    [[0.6158086516820139, 0.9650164624440732, 0.18768547322844129, -2.3691405544519397],
-     [0.5599266446410557, -1.4110753755884053, -0.5662366870204002, 0.8162000554220108],
-     [0.7880729343708655, -0.5774218222225846, -0.2002438856975644, 1.7265117766166922],
-     [-1.7369547863450447, 0.09807271521348933, 0.3512098870836126, 1.882865488261211]],
-    [[-0.5403052501112859, -1.5814946034165296, 0.9851569906321314, -0.6859668672431681],
-     [-0.7329719114401494, -0.1576147298713573, 0.6802688196288649, -0.5089273038361483],
-     [0.27478262681500787, 1.6701844566423323, -0.4932128666254755, 0.9409863802239951]],
-    [[-0.8119834762428095, -0.2615768762689459, -1.543582004954009, 0.13456884605013292],
-     [0.13086511490207475, -0.29672386164285836, -0.4289395298110799, -0.37053313058927634]],
-    [[-0.9999204235310215, -1.6014191704387768, -0.8976928551769894, -1.080333225885266],
-     [1.328442946587319, -0.359642801880933, -0.8681179120268384, -0.3143813683854242]],
+    [[0.6158086516819845, 0.9650164624440938, 0.18768547322845833, -2.3691405544519855],
+     [0.559926644641129, -1.4110753755884933, -0.5662366870204502, 0.8162000554222274],
+     [0.7880729343708881, -0.5774218222226213, -0.20024388569760454, 1.7265117766167613],
+     [-1.7369547863450658, 0.09807271521354355, 0.3512098870836278, 1.8828654882610898]],
+    [[-0.5403052501112948, -1.5814946034165265, 0.985156990632113, -0.6859668672431686],
+     [-0.7329719114401492, -0.15761472987138223, 0.6802688196288402, -0.5089273038361577],
+     [0.27478262681502086, 1.670184456642352, -0.4932128666255163, 0.9409863802239841]],
+    [[-0.811983476242806, -0.26157687626893683, -1.543582004953993, 0.134568846050149],
+     [0.13086511490207078, -0.29672386164285747, -0.4289395298110396, -0.37053313058927456]],
+    [[-0.9999204235310202, -1.6014191704387615, -0.8976928551769544, -1.080333225885266],
+     [1.3284429465873502, -0.3596428018809855, -0.8681179120269258, -0.31438136838543534]],
 ]
 
 

@@ -299,7 +299,7 @@ def _per_call_chain(ws, b0, cfg):
 
 
 class TestSharedSweepProducts:
-    """Gibbs iterations share each Khatri-Rao, Gram and X KR product between
+    """Gibbs iterations share each Khatri-Rao, Gram, Z_l and T product between
     the conditional draws; they must carry the bits of per-call products."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
@@ -476,6 +476,8 @@ class TestGibbs:
             GibbsConfig(rank=1, burn_in=-1)
         with pytest.raises(ValueError):
             GibbsConfig(rank=1, credible_level=1.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            GibbsConfig(rank=1, seed=-1)
 
 
 # the public single-step functions, each at mode 0, taking (x, y, b, lam)

@@ -8,9 +8,12 @@ procedures, and the factorial counts of the shipped design.
 
 import csv
 import inspect
+import json
 import os
 import re
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,8 @@ class TestSimSpec:
             SimSpec(**{**ok, "correlation": "corr_e"})  # needs 2 outcome modes
         with pytest.raises(ValueError):
             SimSpec(**{**ok, "rho": 1.0})
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SimSpec(**{**ok, "seed": -2})
         SimSpec(**{**ok, "correlation": "corr_x"})
 
     @pytest.mark.parametrize("field, value", [
@@ -295,6 +300,35 @@ class TestRunCell:
         assert params["test_n"].default == GridCell.test_n
         assert params["gibbs_samples"].default == GridCell.gibbs_samples
         assert params["level"].default == GibbsConfig.credible_level
+
+
+@cache
+def _full_factorial_cells():
+    grid = Path(__file__).resolve().parent.parent / "grids" / "full_factorial.json"
+    return expand_grid(json.loads(grid.read_text()))
+
+
+# replicate 0's fit in cells of grids/full_factorial.json: (cell index,
+# sweeps, converged), recorded when T = X1 KR(pred) was built from the
+# Khatri-Rao product of every predictor factor.  Taking T from the last
+# predictor mode's Z_l moves the fits' bits at round-off, but must not move
+# a sweep count or a convergence verdict.  Both n, fit ranks 1 to 5, and
+# four fits stopped by max_iters (a census of all 600 cells kept all 600)
+_STUDY_SWEEPS = [
+    (225, 87, True), (106, 284, True), (287, 420, True), (18, 156, True), (199, 500, False),
+    (15, 500, False), (527, 16, True), (408, 17, True), (589, 14, True), (315, 430, True),
+    (496, 500, False), (339, 500, False),
+]
+
+
+@pytest.mark.parametrize("index,sweeps,converged", _STUDY_SWEEPS)
+def test_study_fits_keep_their_sweep_counts(index, sweeps, converged):
+    cell = _full_factorial_cells()[index]
+    spec = cell.spec
+    x, y, _ = simulate(replace(spec, seed=_substream_int(spec.seed, 0, _DATA)))
+    res = fit(x, y, FitConfig(rank=cell.fit_rank, lam=cell.lam,
+                              seed=_substream_int(spec.seed, 0, _FIT)))
+    assert (res.iterations, res.converged) == (sweeps, converged)
 
 
 class TestRunGrid:
