@@ -16,6 +16,7 @@ from mwreg import (
     GibbsConfig,
     SimSpec,
     credible_intervals,
+    dic,
     fit,
     gibbs,
     posterior_predictive,
@@ -42,6 +43,11 @@ GOLDEN_HI = [
 ]
 # run_cell on the grids/smoke.json shape: rpe, coverage, relative length
 GOLDEN_CELL = (0.6764107015740317, 0.92, 2.9639084561290536)
+# the same cell over 2 replicates: the three means, then their standard errors
+GOLDEN_CELL_2_MEANS = (0.6137211135402388, 0.90375, 2.645732128152453)
+GOLDEN_CELL_2_SES = (0.06268958803379299, 0.016250000000000042, 0.3181763279766008)
+# dic of the GOLDEN_SIGMA2 chain
+GOLDEN_DIC = 248.8572018873072
 # rank-4 fit of _data() stopped by max_iters=14 before converging: the
 # explicit sweep-end objectives and the factors, pinned bit for bit
 GOLDEN_SWEEP_OBJECTIVES = [
@@ -107,8 +113,24 @@ def test_gibbs_sigma2_and_interval_endpoints():
     assert hi.array.ravel(order="F").tolist() == pytest.approx(GOLDEN_HI, rel=1e-12)
 
 
+def test_dic_of_the_golden_chain():
+    x, y = _data()
+    mode = fit(x, y, FitConfig(rank=2, lam=0.5, seed=5))
+    draws = gibbs(x, y, GibbsConfig(rank=2, n_samples=20, lam=0.5, seed=6), mode_fit=mode)
+    assert dic(x, y, draws) == pytest.approx(GOLDEN_DIC, rel=1e-12)
+
+
 def test_run_cell_on_smoke_shape():
     spec = SimSpec(n=30, in_dims=(4, 3), out_dims=(2, 2), rank=2, snr=1.0, seed=7)
     cell = run_cell(spec, 2, 0.5, 1, test_n=100, gibbs_samples=50)
     got = (cell.rpe, cell.coverage_rate, cell.mean_interval_length)
     assert got == pytest.approx(GOLDEN_CELL, rel=1e-12)
+
+
+def test_run_cell_means_and_standard_errors_over_two_replicates():
+    spec = SimSpec(n=30, in_dims=(4, 3), out_dims=(2, 2), rank=2, snr=1.0, seed=7)
+    cell = run_cell(spec, 2, 0.5, 2, test_n=100, gibbs_samples=50)
+    means = (cell.rpe, cell.coverage_rate, cell.mean_interval_length)
+    ses = (cell.rpe_se, cell.coverage_se, cell.length_se)
+    assert means == pytest.approx(GOLDEN_CELL_2_MEANS, rel=1e-12)
+    assert ses == pytest.approx(GOLDEN_CELL_2_SES, rel=1e-12)
