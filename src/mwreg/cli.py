@@ -32,7 +32,7 @@ from .fileio import (
     write_model,
     write_tensor,
 )
-from .fitting import FitConfig, SingularSystemError, _rank_limit_message, fit, predict
+from .fitting import FitConfig, SingularSystemError, _fit_workspace, _rank_limit_message, fit, predict
 from .posterior import (DegeneratePosteriorError, GibbsConfig, _dic_checks, _interval_checks,
                         _interval_scores, _predictive_intervals, dic, gibbs)
 # module globals that perfbench's traced runs rebind to timing wrappers
@@ -327,8 +327,9 @@ def cmd_cv(args) -> None:
         raise UsageError("--ranks and --lambdas must be non-empty")
     cfgs = [_config(FitConfig, rank=rank, lam=lam, seed=args.seed, center_data=not args.no_center)
             for rank in ranks for lam in lams]
-    # a rank above a mode's cell limit is refused before any row is printed; fit refuses an order-1 x
-    for rank in ranks if x.order > 1 else ():
+    # fit's refusals of the data, and of a rank above a mode's cell limit, come before any row
+    _fit_workspace(x, y, center_data=False)
+    for rank in ranks:
         if refusal := _rank_limit_message(rank, x.dims[1:], y.dims[1:]):
             raise SingularSystemError(refusal)
     n = x.dims[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import DenseTensor, cp_compose, khatri_rao
+from .tensors import DenseTensor, _as_factor_matrices, _frozen, cp_compose, khatri_rao
 
 __all__ = [
     "CpCoefficients",
@@ -38,15 +38,13 @@ class CpCoefficients:
     __slots__ = ("_pred", "_out")
 
     def __init__(self, predictor_factors, outcome_factors=()) -> None:
-        pred = tuple(_checked_factor(f) for f in predictor_factors)
-        out = tuple(_checked_factor(f) for f in outcome_factors)
+        pred = tuple(predictor_factors)
         if not pred:
             raise ValueError("at least one predictor factor is required")
-        ranks = {f.shape[1] for f in pred + out}
-        if len(ranks) != 1:
-            raise ValueError(f"factor matrices must share a rank, got {sorted(ranks)}")
-        self._pred = pred
-        self._out = out
+        mats = [_frozen(m) for m in _as_factor_matrices(pred + tuple(outcome_factors))]
+        if not all(np.isfinite(m).all() for m in mats):
+            raise ValueError("factor matrices must be finite")
+        self._pred, self._out = tuple(mats[:len(pred)]), tuple(mats[len(pred):])
 
     @property
     def predictor_factors(self) -> tuple:
@@ -98,16 +96,6 @@ class CpCoefficients:
         ins = "x".join(map(str, self.in_dims))
         outs = "x".join(map(str, self.out_dims)) or "-"
         return f"CpCoefficients(in={ins}, out={outs}, rank={self.rank})"
-
-
-def _checked_factor(f) -> np.ndarray:
-    arr = np.array(f, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("factor matrices must be 2-D with positive shape")
-    if not np.isfinite(arr).all():
-        raise ValueError("factor matrices must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ version.  CSV files are accepted for order-2 tensors (rows are mode 1).
 Model and draw files are JSON, written by the C encoder of `json.dumps`;
 Python's float repr is shortest-round-trip, so these round-trip
 bit-exactly as well.  A model file's fit and a draws file's "mode" block
-hold the same fit record.  A file that parses but lacks a key or holds a
+hold the same fit record, whose x_offsets and y_offsets are both lists (a
+centered fit) or both null.  A file that parses but lacks a key or holds a
 value of the wrong type or shape (a true or false where a number belongs,
 too) is rejected with a ValueError naming the file.
 """
@@ -246,7 +247,9 @@ def _fit_dict(result: FitResult) -> dict:
 def _fit_from(d: dict) -> FitResult:
     b = CpCoefficients(*_coeff_factors(d["coefficients"]))
     x_off = y_off = None
-    if d.get("x_offsets") is not None:
+    if (d["x_offsets"] is None) != (d["y_offsets"] is None):
+        raise ValueError("x_offsets and y_offsets must both be lists or both be null")
+    if d["x_offsets"] is not None:
         x_off = _numbers(d["x_offsets"]).reshape(b.in_dims, order="F")
         y_off = _numbers(d["y_offsets"]).reshape(b.out_dims, order="F")
         if not (np.isfinite(x_off).all() and np.isfinite(y_off).all()):

@@ -342,11 +342,10 @@ class _SweepState:
             g = self.grams[mode] = f.T @ f
         return g
 
-    def _gram_product(self, modes) -> np.ndarray:
-        # G_k * ... in mode order, with the bits of a product started from ones (1.0 * G == G)
-        g = self._gram(modes[0])
-        for k in modes[1:]:
-            g = g * self._gram(k)
+    def _gram_product(self, modes, g=None) -> np.ndarray:
+        # g * G_k * ... in mode order; g=None starts at the first G, as ones would (1.0 * G == G)
+        for k in modes:
+            g = self._gram(k) if g is None else g * self._gram(k)
         return g
 
     def _outcome_products(self):
@@ -401,9 +400,7 @@ class _SweepState:
         s4 = s.reshape(rank, pl, rank, pl)
         s4 *= vgram[:, None, :, None]
         if lam:
-            g = vgram
-            for k in others:
-                g = g * self._gram(k)
+            g = self._gram_product(others, vgram)
             row, col = s.strides  # s4's entries (r, p, r', p) as an (R, R, P_l) view of s
             diag = np.ndarray((rank, rank, pl), buffer=s, strides=(pl * row, pl * col, row + col))
             diag += (lam * g)[:, :, None]
@@ -626,6 +623,13 @@ def _als(ws: _Workspace, cfg: FitConfig, start: int) -> FitResult:
                      x_offsets=None, y_offsets=None)
 
 
+def _fit_workspace(x: DenseTensor, y: DenseTensor, center_data: bool) -> _Workspace:
+    """`fit`'s checks of x and y, and its workspace of them, centered when center_data is set."""
+    if x.order < 2:
+        raise ValueError("x must have an observation mode plus at least one predictor mode")
+    return _Workspace(x.array, y.array, *(_means(x.array, y.array) if center_data else ()))
+
+
 def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
     """Fit the rank-R ridge-penalized coefficient array by mode-wise sweeps.
 
@@ -637,9 +641,7 @@ def fit(x: DenseTensor, y: DenseTensor, cfg: FitConfig) -> FitResult:
     of the coefficient array outside some mode, min over l of
     prod_{k != l} d_k, where no penalty makes that mode's subproblem definite.
     """
-    if x.order < 2:
-        raise ValueError("x must have an observation mode plus at least one predictor mode")
-    ws = _Workspace(x.array, y.array, *(_means(x.array, y.array) if cfg.center_data else ()))
+    ws = _fit_workspace(x, y, cfg.center_data)
     best = None
     for start in range(cfg.n_starts):
         result = _als(ws, cfg, start)

@@ -49,7 +49,7 @@ from .fitting import (
     _lapack_routines,
     fit,
 )
-from .tensors import DenseTensor, _check_kinds
+from .tensors import DenseTensor, _check_kinds, _frozen
 
 __all__ = [
     "GibbsConfig",
@@ -160,12 +160,6 @@ class PosteriorDraws:
                      for fs in zip(*self.predictor_factors, *self.outcome_factors))
 
 
-def _frozen(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class FactorConditional:
     """Gaussian full conditional of one factor matrix.
@@ -263,7 +257,8 @@ def gibbs(
     here unless a mode_fit of cfg's rank and centering is supplied) and
     per iteration draws sigma^2, then each predictor factor, then each
     outcome factor from their full conditionals.  Fixed seeds give
-    identical draw sequences.
+    identical draw sequences.  PosteriorDraws checks the draws; a factor
+    that overflows mid-chain fails the next step with a numerical error.
     """
     if mode_fit is None:
         mode_fit = fit(x, y, FitConfig(rank=cfg.rank, lam=cfg.lam, seed=cfg.seed,
@@ -293,11 +288,8 @@ def gibbs(
                     lambda mode, mean, low: _draw(mean, low, sd, mode >= state.n_pred, rng))
         k = it - cfg.burn_in
         if k > 0 and k % cfg.thin == 0:
-            factors = state.pred + state.out
-            if not all(np.isfinite(f).all() for f in factors):
-                raise ValueError("factor matrices must be finite")
             t = k // cfg.thin - 1
-            for stack, f in zip(stacks, factors):
+            for stack, f in zip(stacks, state.pred + state.out):
                 stack[t] = f
             sigma2s[t] = sigma2
     return PosteriorDraws(stacks[:state.n_pred], stacks[state.n_pred:], sigma2s, mode_fit)
@@ -471,19 +463,13 @@ def _predictive_intervals(x_new: DenseTensor, draws: PosteriorDraws, rng, level:
     """credible_intervals(posterior_predictive(x_new, draws, rng), level), bit for bit.
 
     Each block of predictive values is sorted where it was built, so no
-    (draws, N, *out_dims) array exists.  The errors are those of the
-    composition, in its order.
+    (draws, N, *out_dims) array exists.  The draw count and the level are
+    checked before any prediction, so they are reported ahead of its faults.
     """
     n, out_dims = x_new.dims[0], draws.mode.coefficients.out_dims
+    _interval_checks(len(draws), level)
+    ends = np.empty((n, prod(out_dims), 2))
     with closing(_predictive_blocks(x_new, draws, rng)) as blocks:
-        try:
-            _interval_checks(len(draws), level)
-        except ValueError:
-            # the composition builds, and checks, every block before these checks
-            for _ in blocks:
-                pass
-            raise
-        ends = np.empty((n, prod(out_dims), 2))
         for r0, r1, block in blocks:
             ends[r0:r1] = _sorted_ends(block.reshape(-1, block.shape[-1]),
                                        level).reshape(r1 - r0, -1, 2)

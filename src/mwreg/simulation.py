@@ -122,32 +122,42 @@ class GridCell:
         FitConfig(rank=self.fit_rank, lam=self.lam)
 
 
+def _mean_se(values) -> tuple:
+    """(mean, standard error of the mean) of values: NaN for no values, and the SE for one."""
+    a = np.array(values, dtype=float)
+    se = float(a.std(ddof=1) / np.sqrt(a.size)) if a.size > 1 else float("nan")
+    return float(a.mean()) if a.size else float("nan"), se
+
+
 @dataclass
 class ExperimentCell:
-    """Aggregated metrics of one cell.
+    """What one cell measured, one entry per replicate, and its summaries.
 
-    Per-replicate values are kept alongside the means; standard errors are
-    of the mean across replicates.  Interval metrics are NaN when the cell
-    ran with gibbs_samples = 0.  iterations_values and converged_values
-    hold each replicate fit's sweep count and whether it converged before
-    max_iters.
+    The *_values tuples hold each replicate's relative prediction error,
+    interval coverage and relative interval length (both empty when the
+    cell ran with gibbs_samples = 0), and its fit's sweep count and
+    whether that fit converged before max_iters.  The means rpe,
+    coverage_rate and mean_interval_length and their standard errors
+    rpe_se, coverage_se and length_se are read-only, computed from the
+    tuples on each read by `_mean_se`.
     """
 
     spec: SimSpec
     fit_rank: int
     lam: float
     replicates: int
-    rpe: float
-    rpe_se: float
-    coverage_rate: float
-    coverage_se: float
-    mean_interval_length: float
-    length_se: float
     rpe_values: tuple
     coverage_values: tuple
     length_values: tuple
     iterations_values: tuple
     converged_values: tuple
+
+    rpe = property(lambda cell: _mean_se(cell.rpe_values)[0])
+    rpe_se = property(lambda cell: _mean_se(cell.rpe_values)[1])
+    coverage_rate = property(lambda cell: _mean_se(cell.coverage_values)[0])
+    coverage_se = property(lambda cell: _mean_se(cell.coverage_values)[1])
+    mean_interval_length = property(lambda cell: _mean_se(cell.length_values)[0])
+    length_se = property(lambda cell: _mean_se(cell.length_values)[1])
 
 
 def _grid_chol(dims, rho: float) -> np.ndarray:
@@ -262,12 +272,6 @@ def _substream_rng(seed: int, rep: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, rep, tag)))
 
 
-def _mean_se(values: np.ndarray):
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else float("nan")
-    return mean, se
-
-
 def run_cell(
     spec: SimSpec,
     fit_rank: int,
@@ -311,30 +315,8 @@ def run_cell(
             cover, length = _interval_scores(y_new, lo, hi)
             covers.append(cover)
             lengths.append(length)
-    rpes = np.array(rpes)
-    rpe_mean, rpe_se = _mean_se(rpes)
-    if covers:
-        cov_mean, cov_se = _mean_se(np.array(covers))
-        len_mean, len_se = _mean_se(np.array(lengths))
-    else:
-        cov_mean = cov_se = len_mean = len_se = float("nan")
-    return ExperimentCell(
-        spec=spec,
-        fit_rank=fit_rank,
-        lam=lam,
-        replicates=replicates,
-        rpe=rpe_mean,
-        rpe_se=rpe_se,
-        coverage_rate=cov_mean,
-        coverage_se=cov_se,
-        mean_interval_length=len_mean,
-        length_se=len_se,
-        rpe_values=tuple(rpes.tolist()),
-        coverage_values=tuple(covers),
-        length_values=tuple(lengths),
-        iterations_values=tuple(sweeps),
-        converged_values=tuple(converged),
-    )
+    return ExperimentCell(spec, fit_rank, lam, replicates, tuple(rpes), tuple(covers),
+                          tuple(lengths), tuple(sweeps), tuple(converged))
 
 
 def _run_one(cell: GridCell):

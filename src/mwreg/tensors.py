@@ -66,6 +66,13 @@ def _check_kinds(config) -> None:
             raise ValueError(f"{f.name} is too large for a float") from None
 
 
+def _frozen(a) -> np.ndarray:
+    """A float copy of a, in a's memory layout, made read-only."""
+    arr = np.array(a, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 class DenseTensor:
     """Immutable dense real tensor of order >= 1.
 
@@ -77,14 +84,13 @@ class DenseTensor:
     __slots__ = ("_array",)
 
     def __init__(self, array) -> None:
-        arr = np.array(array, dtype=float)
+        arr = _frozen(array)
         if arr.ndim < 1:
             raise ValueError("tensor order must be at least 1")
         if arr.size == 0:
             raise ValueError("tensor dimensions must all be positive")
         if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
-        arr.setflags(write=False)
         self._array = arr
 
     @classmethod

@@ -469,6 +469,28 @@ class TestCv:
             "predictor mode 0, so that mode's subproblem is singular at every penalty; "
             "lower the rank\n")
 
+    @pytest.mark.parametrize("x_dims, y_dims, message", [
+        ((20, 3), (25, 2), "x has 20 observations but y has 25"),
+        ((20,), (20, 2), "x must have an observation mode plus at least one predictor mode"),
+    ], ids=["observation-counts", "order-1-x"])
+    def test_data_that_fit_refuses_are_refused_before_the_header(self, tmp_path, capsys,
+                                                                 x_dims, y_dims, message):
+        # these used to print the header, then fail: an IndexError traceback for
+        # the observation counts, exit 2 for the order-1 x
+        rng = np.random.default_rng(6)
+        x = os.path.join(tmp_path, "x.mwt")
+        y = os.path.join(tmp_path, "y.mwt")
+        write_tensor(x, DenseTensor(rng.standard_normal(x_dims)))
+        write_tensor(y, DenseTensor(rng.standard_normal(y_dims)))
+        out = os.path.join(tmp_path, "m.json")
+        assert main(["fit", "--x", x, "--y", y, "--rank", "1", "--out", out]) == 2
+        fit_err = capsys.readouterr().err
+        assert fit_err == f"error: {message}\n"
+        code = main(["cv", "--x", x, "--y", y, "--ranks", "1", "--lambdas", "0.5",
+                     "--folds", "2"])
+        assert code == 2
+        assert capsys.readouterr() == ("", fit_err)
+
     def test_too_many_folds(self, capsys):
         code = main(["cv", "--x", TINY_X, "--y", TINY_Y, "--ranks", "1",
                      "--lambdas", "0.5", "--folds", "9"])

@@ -692,6 +692,31 @@ class TestModelFormat:
         with pytest.raises(ValueError, match="malformed model file: missing key 'version'$"):
             read_model(path)
 
+    def test_offsets_come_as_a_pair(self, tmp_path, capsys):
+        # one offset list without the other, or neither key, used to load as
+        # uncentered, or fail with "expected a list of numbers"
+        rng = np.random.default_rng(12)
+        x, _, res = _fit_pair(rng)
+        path, x_path = os.path.join(tmp_path, "m.json"), os.path.join(tmp_path, "x.mwt")
+        out = os.path.join(tmp_path, "p.mwt")
+        write_model(path, res, lam=0.5, seed=3)
+        write_tensor(x_path, x)
+        pair = "x_offsets and y_offsets must both be lists or both be null"
+        cases = [(_edited(path, lambda p, key=key: p.update({key: None})), pair)
+                 for key in ("x_offsets", "y_offsets")]
+        cases.append((_edited(path, lambda p: [p.pop("x_offsets"), p.pop("y_offsets")]),
+                      "missing key 'x_offsets'"))
+        for text, fault in cases:
+            message = f"{path}: malformed model file: {fault}"
+            _rewrite(path, text)
+            with pytest.raises(ValueError) as info:
+                read_model(path)
+            assert str(info.value) == message
+            capsys.readouterr()
+            assert main(["predict", "--model", path, "--x", x_path, "--out", out]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not os.path.exists(out)
+
     def test_factor_rows_below_one_refused(self, tmp_path):
         # rows -1 used to reach reshape, which inferred the row count
         rng = np.random.default_rng(11)
@@ -753,6 +778,13 @@ class TestDrawsFormat:
         inf_offset = _edited(path, lambda p: p["mode"]["y_offsets"].__setitem__(0, float("-inf")))
         for text in ('{"format":"mwreg-draws"}', "[]", "{", no_mode, inf_offset):
             self._rejects(path, text, "")
+
+    def test_mode_offsets_come_as_a_pair(self, tmp_path):
+        path = self._draws_file(tmp_path)
+        ones = [_edited(path, lambda p, key=key: p["mode"].update({key: None}))
+                for key in ("x_offsets", "y_offsets")]
+        for one in ones:
+            self._rejects(path, one, "x_offsets and y_offsets must both be lists or both be null$")
 
     def test_other_versions_refused(self, tmp_path):
         path = self._draws_file(tmp_path)

@@ -434,6 +434,27 @@ class TestGibbs:
             gibbs(x, y, GibbsConfig(rank=3, n_samples=200, lam=0.0, seed=0), mode_fit=mode)
         assert any(entry.name == "gibbs" for entry in info.traceback)
 
+    @pytest.mark.parametrize("it, error, match", [
+        (3, DegeneratePosteriorError, "^residual sum of squares is not finite"),  # dropped by thin
+        (4, DegeneratePosteriorError, "^residual sum of squares is not finite"),  # kept
+        (20, ValueError, "^factor matrices must be finite$"),  # the last draw
+    ])
+    def test_a_non_finite_draw(self, monkeypatch, it, error, match):
+        # iteration it's outcome draw overflows: mid-chain the next variance step
+        # fails on it as a numerical error, and PosteriorDraws refuses the last draw
+        x, y, _ = _random_instance(np.random.default_rng(24), 12, (3, 2), (2,), 1)
+        draw, calls = posterior._draw, []
+
+        def overflowing(*args):
+            calls.append(draw(*args))
+            # three factor draws per iteration, the outcome draw last
+            return np.full_like(calls[-1], np.inf) if len(calls) == 3 * it else calls[-1]
+
+        monkeypatch.setattr(posterior, "_draw", overflowing)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(error, match=match):
+            gibbs(x, y, GibbsConfig(rank=1, n_samples=10, thin=2, lam=0.5, seed=0))
+        assert len(calls) == 3 * it
+
     def test_flat_prior_chain_stays_near_mode(self):
         rng = np.random.default_rng(20)
         x, y, _ = _random_instance(rng, 60, (3, 2), (2,), 1, noise=0.05)
@@ -764,11 +785,6 @@ class TestPredictiveIntervals:
             (x_new, draws, 1.0, "level must be in [0, 1)"),
             (x_new, draws, -0.1, "level must be in [0, 1)"),
             (first_inf, draws, 0.9, "predictive draws must be finite"),
-            # two faults: the composition reports the non-finite draws first
-            (first_inf, draws, 1.0, "predictive draws must be finite"),
-            (first_inf, one, 0.9, "predictive draws must be finite"),
-            # a non-finite test row in the third block of rows, with a bad level
-            (late_inf, draws, -0.1, "predictive draws must be finite"),
         ]
         for xn, d, level, message in cases:
             with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
@@ -777,6 +793,38 @@ class TestPredictiveIntervals:
                 _predictive_intervals(xn, d, 0, level)
             assert str(got.value) == str(want.value)
             assert message in str(got.value)
+        # two faults: the composition reports the non-finite draws first, the
+        # fused routine its check of the draw count and level, made before any prediction
+        two_faults = [
+            (first_inf, draws, 1.0, "level must be in [0, 1)"),
+            (first_inf, one, 0.9, "need at least two draws for an interval"),
+            # a non-finite test row in the third block of rows, with a bad level
+            (late_inf, draws, -0.1, "level must be in [0, 1)"),
+        ]
+        for xn, d, level, message in two_faults:
+            with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+                _composition(xn, d, 0, level)
+            assert str(want.value) == "predictive draws must be finite"
+            with pytest.raises(ValueError) as got:
+                _predictive_intervals(xn, d, 0, level)
+            assert str(got.value) == message
+
+    def test_checks_come_before_any_prediction(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        _, _, draws = _tiny_draws(rng, t=3)
+        one = stacked_draws(draws.coefficients[:1], np.ones(1), draws.mode)
+        x_new = DenseTensor(rng.standard_normal((40, 3)))
+
+        def unreachable(*args):
+            raise AssertionError("a prediction was built")
+
+        monkeypatch.setattr(posterior, "_Predictions", unreachable)
+        for d, level, message in ((one, 0.9, "need at least two draws for an interval"),
+                                  (draws, 1.0, "level must be in [0, 1)"),
+                                  (draws, -0.1, "level must be in [0, 1)")):
+            with pytest.raises(ValueError) as info:
+                _predictive_intervals(x_new, d, 0, level)
+            assert str(info.value) == message
 
 
 def _noise_thread(monkeypatch, on):

@@ -1,7 +1,7 @@
 """The package's source has no dead imports or dead config fields, every
 int, float or bool config field holds to its kind, its public API is the
-union of its library modules' own, and importing it loads neither
-`scipy.linalg` nor the process pool.
+union of its library modules' own, importing it loads neither
+`scipy.linalg` nor the process pool, and the README's library example runs.
 
 Neither pyflakes nor ruff is a dependency of the project, so the
 unused-import check parses `src/mwreg/*.py` with `ast`.  A name the
@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import mwreg
+from mwreg import GibbsConfig
 from test_bench_contract import _BENCH, _rebind_table
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "mwreg"
@@ -197,3 +198,14 @@ def test_import_skips_scipy_linalg_and_the_process_pool():
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_readme_library_example_runs():
+    readme = _SRC.parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    example = next(b for b in blocks if "from mwreg import" in b and "gibbs(" in b)
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["y_hat"].dims == (10, 5, 10)
+    assert namespace["res"].coefficients.rank == 3
+    assert len(namespace["draws"]) == GibbsConfig.n_samples
