@@ -429,6 +429,8 @@ def cmd_experiment(args) -> None:
     if args.parallel < 1:
         raise UsageError("--parallel must be at least 1")
     cells = _from_json_file(grid_path, "grid", expand_grid)
+    # a path that cannot be written is refused before any cell runs
+    open(out, "w").close()
     results = run_grid(cells, max_workers=args.parallel)
     write_results_csv(results, out)
     failures = sum(1 for _, _, err in results if err is not None)

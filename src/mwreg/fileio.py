@@ -21,9 +21,11 @@ Model and draw files are JSON, written by the C encoder of `json.dumps`;
 Python's float repr is shortest-round-trip, so these round-trip
 bit-exactly as well.  A model file's fit and a draws file's "mode" block
 hold the same fit record, whose x_offsets and y_offsets are both lists (a
-centered fit) or both null.  A file that parses but lacks a key or holds a
-value of the wrong type or shape (a true or false where a number belongs,
-too) is rejected with a ValueError naming the file.
+centered fit) or both null.  A draws file (version 2) holds one
+coefficients record whose values give len(sigma2) factors per mode, one
+draw after another.  A file that parses but lacks a key or holds a value
+of the wrong type or shape (a true or false where a number belongs, too)
+is rejected with a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ _WRITE_VALUES = 1 << 16
 _READ_CHUNK = 1 << 20
 _END_LINE = re.compile(rb"end ([0-9a-f]{8})\n")
 _END_SIZE = len(b"end 00000000\n")
-# the one model and draws file version, written and read
-_JSON_VERSION = 1
+# the one version of each JSON file kind, written and read
+_JSON_VERSION = {"model": 1, "draws": 2}
 
 
 def write_tensor(path: str, t: DenseTensor) -> None:
@@ -184,10 +186,9 @@ def _read_csv(path: str) -> DenseTensor:
 
 
 def _factor_list(factors) -> list:
-    return [
-        {"rows": int(f.shape[0]), "values": f.ravel(order="F").tolist()}
-        for f in factors
-    ]
+    """Each factor (rows, R), or stack of them (draws, rows, R), as its rows and
+    its values: each factor first-index-fastest, one draw after another."""
+    return [{"rows": f.shape[-2], "values": f.swapaxes(-1, -2).ravel().tolist()} for f in factors]
 
 
 def _number(value, kind=float):
@@ -205,29 +206,30 @@ def _numbers(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _factors_from(items, rank: int) -> list:
+def _factors_from(items, rank: int, draws: tuple) -> list:
+    """The factors of _factor_list's items, each with the leading axes draws: () or (n,)."""
     factors = []
     for d in items:
         rows = _number(d["rows"], int)
         # reshape would infer a row count of -1
         if rows < 1:
             raise ValueError(f"factor rows must be at least 1, found {rows}")
-        factors.append(_numbers(d["values"]).reshape(rows, rank, order="F"))
+        factors.append(_numbers(d["values"]).reshape(*draws, rank, rows).swapaxes(-1, -2))
     return factors
 
 
 def _coeff_dict(pred, out) -> dict:
     return {
-        "rank": pred[0].shape[1],
+        "rank": pred[0].shape[-1],
         "predictor_factors": _factor_list(pred),
         "outcome_factors": _factor_list(out),
     }
 
 
-def _coeff_factors(d: dict) -> tuple:
-    """(predictor factors, outcome factors) of a coefficients record."""
+def _coeff_factors(d: dict, draws: tuple = ()) -> tuple:
+    """(predictor factors, outcome factors) of a coefficients record; see _factors_from."""
     rank = _number(d["rank"], int)
-    return _factors_from(d["predictor_factors"], rank), _factors_from(d["outcome_factors"], rank)
+    return tuple(_factors_from(d[key], rank, draws) for key in ("predictor_factors", "outcome_factors"))
 
 
 def _fit_dict(result: FitResult) -> dict:
@@ -269,16 +271,12 @@ def _fit_from(d: dict) -> FitResult:
 
 
 def _draws_from(d: dict) -> PosteriorDraws:
-    samples = [_coeff_factors(c) for c in d["samples"]]
-    # per mode, the samples' factors stacked; a sample with another mode
-    # count or factor shape cannot be stacked
-    pred, out = ([np.stack(fs) for fs in zip(*(s[k] for s in samples), strict=True)]
-                 for k in (0, 1))
-    return PosteriorDraws(pred, out, _numbers(d["sigma2"]), _fit_from(d["mode"]))
+    sigma2s = _numbers(d["sigma2"])
+    return PosteriorDraws(*_coeff_factors(d["coefficients"], sigma2s.shape), sigma2s, _fit_from(d["mode"]))
 
 
 def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None:
-    payload = {"format": f"mwreg-{kind}", "version": _JSON_VERSION, "lam": float(lam),
+    payload = {"format": f"mwreg-{kind}", "version": _JSON_VERSION[kind], "lam": float(lam),
                "seed": int(seed), **body}
     # dumps runs the C encoder; dump to a file takes the pure-Python path
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -291,7 +289,7 @@ def _read_json(path: str, kind: str, parse) -> tuple:
 
     A structural fault (bad JSON, a missing key, a value of the wrong type
     or shape) is reported as a ValueError naming the file, and so is a
-    file of another kind or of a version other than _JSON_VERSION.
+    file of another kind or of a version other than _JSON_VERSION[kind].
     """
     with open(path) as fh:
         text = fh.read()
@@ -301,9 +299,9 @@ def _read_json(path: str, kind: str, parse) -> tuple:
             raise TypeError(f"top level is a JSON {type(payload).__name__}, not an object")
         if payload.get("format") != f"mwreg-{kind}":
             fault = f"not a {kind} file"
-        elif (version := _number(payload["version"], int)) != _JSON_VERSION:
+        elif (version := _number(payload["version"], int)) != _JSON_VERSION[kind]:
             fault = (f"{kind} file version {version} is not supported; "
-                     f"this reader reads {_JSON_VERSION}")
+                     f"this reader reads {_JSON_VERSION[kind]}")
         else:
             return parse(payload), _number(payload["lam"]), _number(payload["seed"], int)
     except KeyError as exc:
@@ -324,11 +322,10 @@ def read_model(path: str) -> tuple:
 
 
 def write_draws(path: str, draws: PosteriorDraws, lam: float, seed: int) -> None:
-    """Serialize a chain: every retained factor set, sigma2s, and the mode."""
+    """Serialize a chain: each mode's stack of retained factors, sigma2s, and the mode."""
     _write_json(path, "draws", lam, seed, {
         "sigma2": draws.sigma2s.tolist(),
-        "samples": [_coeff_dict([s[t] for s in draws.predictor_factors],
-                                [s[t] for s in draws.outcome_factors]) for t in range(len(draws))],
+        "coefficients": _coeff_dict(draws.predictor_factors, draws.outcome_factors),
         "mode": _fit_dict(draws.mode),
     })
 

@@ -338,15 +338,16 @@ def run_grid(cells, max_workers: int = 1):
     """Evaluate many cells; returns [(cell, result or None, error or None)].
 
     Results keep the input order.  With max_workers > 1 the cells run in
-    a process pool; they are independent, so any schedule gives the same
-    table.
+    a pool of at most one process per cell; they are independent, so any
+    schedule gives the same table.
     """
     cells = list(cells)
     if max_workers > 1 and len(cells) > 1:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # a forking pool starts all its workers on the first submit
+        with ProcessPoolExecutor(max_workers=min(max_workers, len(cells))) as pool:
             return list(pool.map(_run_one, cells))
     return [_run_one(c) for c in cells]
 

@@ -760,6 +760,16 @@ class TestExperiment:
                      "--parallel", "2"]) == 0
         assert _sha(o1) == _sha(o2)
 
+    def test_unwritable_out_is_refused_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
+        def no_cell_runs(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_grid", no_cell_runs)
+        grid = os.path.join(os.path.dirname(__file__), os.pardir, "grids", "smoke.json")
+        out = os.path.join(tmp_path, "missing", "r.csv")
+        assert main(["experiment", "--grid", grid, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
     @staticmethod
     def _refused_grid(tmp_path, capsys, monkeypatch, key, value):
         """stderr of `mwreg experiment` on a one-cell grid with key set to value.

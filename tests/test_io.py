@@ -231,18 +231,22 @@ class TestWriterBytes:
         ]
         assert _interval_rows(lo, hi) == want
 
-    @pytest.mark.parametrize("out_dims", [(), (3,), (2, 3), (2, 1, 2)])
-    def test_intervals_file_equals_per_cell_formatting(self, tmp_path, out_dims):
+    @pytest.mark.parametrize("in_dims, out_dims, rank", [((3, 2), (), 1), ((3, 2), (3,), 1),
+                                                         ((3, 2), (2, 3), 1), ((3, 2), (2, 1, 2), 1),
+                                                         ((4,), (3,), 2)])
+    def test_intervals_file_equals_per_cell_formatting(self, tmp_path, in_dims, out_dims, rank):
         # the intervals are recomputed from the written draws, which read back
-        # bit-exactly, with the predictive stream the command uses
-        x, y, _ = simulate(SimSpec(n=24, in_dims=(3, 2), out_dims=out_dims, rank=1, seed=5))
-        x_new, _, _ = simulate(SimSpec(n=6, in_dims=(3, 2), out_dims=out_dims, rank=1, seed=6))
+        # bit-exactly, with the predictive stream the command uses; with one
+        # predictor mode, the bits of a prediction may depend on the read-back
+        # stacks' memory layout
+        x, y, _ = simulate(SimSpec(n=24, in_dims=in_dims, out_dims=out_dims, rank=rank, seed=5))
+        x_new, _, _ = simulate(SimSpec(n=6, in_dims=in_dims, out_dims=out_dims, rank=rank, seed=6))
         paths = {name: os.path.join(tmp_path, f"{name}.mwt") for name in ("x", "y", "x_new")}
         for name, t in (("x", x), ("y", y), ("x_new", x_new)):
             write_tensor(paths[name], t)
         draws_path = os.path.join(tmp_path, "draws.json")
         ivals = os.path.join(tmp_path, "intervals.csv")
-        assert main(["gibbs", "--x", paths["x"], "--y", paths["y"], "--rank", "1",
+        assert main(["gibbs", "--x", paths["x"], "--y", paths["y"], "--rank", str(rank),
                      "--lambda", "0.5", "--samples", "40", "--seed", "4", "--level", "0.9",
                      "--x-new", paths["x_new"], "--intervals-out", ivals,
                      "--out", draws_path]) == 0
@@ -354,14 +358,16 @@ class TestRoundTripProperties:
         for a, b in zip(pred + out, back.predictor_factors + back.outcome_factors, strict=True):
             assert _same_bits(a, b)
         _assert_same_fit(mode, back.mode)
-        # the version 1 text: one coefficients record per draw
-        samples = [{"rank": m.rank, **{
-            key: [{"rows": f.shape[0], "values": f.ravel(order="F").tolist()} for f in fs]
-            for key, fs in (("predictor_factors", b.predictor_factors),
-                            ("outcome_factors", b.outcome_factors))}}
-            for b in draws.coefficients]
-        want = {"format": "mwreg-draws", "version": 1, "lam": 0.5, "seed": 7,
-                "sigma2": sigma2s.tolist(), "samples": samples, "mode": json.loads(text)["mode"]}
+        # the version 2 text: one coefficients record whose values hold each
+        # draw's factor first-index-fastest, one draw after another
+        coefficients = {"rank": m.rank, **{
+            key: [{"rows": s.shape[1],
+                   "values": [v for t in range(n) for v in s[t].ravel(order="F").tolist()]}
+                  for s in stacks]
+            for key, stacks in (("predictor_factors", pred), ("outcome_factors", out))}}
+        want = {"format": "mwreg-draws", "version": 2, "lam": 0.5, "seed": 7,
+                "sigma2": sigma2s.tolist(), "coefficients": coefficients,
+                "mode": json.loads(text)["mode"]}
         assert text == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -620,6 +626,24 @@ class TestModelFormat:
         write_model(p2, res, lam=0.5, seed=3)
         assert _sha(p1) == _sha(p2)
 
+    def test_file_text_is_pinned(self, tmp_path):
+        # a small centered fit whose values include -0.0, a subnormal and 1e300
+        res = FitResult(
+            coefficients=CpCoefficients([np.array([[1.0, -0.0], [0.1, 5e-324], [-2.5, 1e300]])],
+                                        [np.array([[3.0, 0.25], [-1.0, 7.0]])]),
+            objective_trace=[12.5], substep_trace=[], converged=True, iterations=9,
+            x_offsets=np.array([0.5, -1.0, 2.0]), y_offsets=np.array([1.0, -0.125]))
+        path = os.path.join(tmp_path, "m.json")
+        write_model(path, res, 0.5, 3)
+        with open(path) as fh:
+            assert fh.read() == (
+                '{"coefficients":{"outcome_factors":[{"rows":2,"values":[3.0,-1.0,0.25,7.0]}],'
+                '"predictor_factors":[{"rows":3,"values":[1.0,0.1,-2.5,-0.0,5e-324,1e+300]}],'
+                '"rank":2},"converged":true,"format":"mwreg-model","iterations":9,"lam":0.5,'
+                '"objective":12.5,"seed":3,"version":1,"x_offsets":[0.5,-1.0,2.0],'
+                '"y_offsets":[1.0,-0.125]}\n')
+        _assert_same_fit(res, read_model(path)[0])
+
     def test_wrong_format_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "w.json")
         with open(path, "w") as fh:
@@ -789,28 +813,38 @@ class TestDrawsFormat:
     def test_other_versions_refused(self, tmp_path):
         path = self._draws_file(tmp_path)
         read_draws(path)
-        for version in (0, 2):
+        # a real version-1 file: test_version_1_is_refused_and_the_readme_recipe_converts_it
+        for version in (0, 3):
             _rewrite(path, _edited(path, lambda p: p.update(version=version)))
             with pytest.raises(ValueError) as info:
                 read_draws(path)
             assert str(info.value) == (
-                f"{path}: draws file version {version} is not supported; this reader reads 1")
+                f"{path}: draws file version {version} is not supported; this reader reads 2")
 
     def test_factor_rows_below_one_refused(self, tmp_path):
         path = self._draws_file(tmp_path)
         for rows in (-1, 0):
             def edit(payload):
-                payload["samples"][2]["predictor_factors"][0]["rows"] = rows
+                payload["coefficients"]["predictor_factors"][0]["rows"] = rows
 
             self._rejects(path, _edited(path, edit),
                           f"factor rows must be at least 1, found {rows}$")
 
-    def test_sigma2_length_must_match_samples(self, tmp_path):
+    def test_sigma2_and_value_counts_must_match(self, tmp_path):
+        # 4 draws of a (3,) -> (2,) chain at rank 1: 12 and 8 values
         path = self._draws_file(tmp_path)
-        fewer = _edited(path, lambda p: p["sigma2"].pop())
-        more = _edited(path, lambda p: p["sigma2"].extend([1.0, 2.0]))
-        self._rejects(path, fewer, "3 sigma2 values for 4 draws")
-        self._rejects(path, more, "6 sigma2 values for 4 draws")
+
+        def drop_value(payload):
+            payload["coefficients"]["outcome_factors"][0]["values"].pop()
+
+        cases = [
+            (lambda p: p["sigma2"].pop(), "cannot reshape array of size 12 into shape (3,1,3)"),
+            (lambda p: p["sigma2"].extend([1.0, 2.0]),
+             "cannot reshape array of size 12 into shape (6,1,3)"),
+            (drop_value, "cannot reshape array of size 7 into shape (4,1,2)"),
+        ]
+        for text, match in [(_edited(path, edit), match) for edit, match in cases]:
+            self._rejects(path, text, re.escape(match) + "$")
 
     def test_sigma2_entries_must_be_finite_and_positive(self, tmp_path):
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
@@ -821,40 +855,76 @@ class TestDrawsFormat:
 
             self._rejects(path, _edited(path, set_bad), "sigma2 values")
 
-    def test_samples_must_match_the_mode(self, tmp_path):
+    def test_stacks_must_match_the_mode(self, tmp_path):
         path = self._draws_file(tmp_path)
 
-        def shorter_outcome(payload, samples=(2,)):
-            for t in samples:
-                payload["samples"][t]["outcome_factors"][0] = {"rows": 1, "values": [0.5]}
+        def items(payload):
+            return payload["coefficients"]["predictor_factors"] + payload["coefficients"]["outcome_factors"]
+
+        def shorter_outcome(payload):
+            payload["coefficients"]["outcome_factors"][0] = {"rows": 1, "values": [0.5] * 4}
 
         def wider_rank(payload):
-            sample = payload["samples"][1]
-            sample["rank"] = 2
-            for item in sample["predictor_factors"] + sample["outcome_factors"]:
+            payload["coefficients"]["rank"] = 2
+            for item in items(payload):
                 item["values"] = item["values"] * 2
 
-        def extra_mode(payload, samples=(3,)):
-            for t in samples:
-                payload["samples"][t]["outcome_factors"].append({"rows": 1, "values": [0.5]})
+        def extra_mode(payload):
+            payload["coefficients"]["outcome_factors"].append({"rows": 1, "values": [0.5] * 4})
 
-        every = (0, 1, 2, 3)
-        stack = "all input arrays must have the same shape"
+        def no_draws(payload):
+            payload["sigma2"] = []
+            for item in items(payload):
+                item["values"] = []
+
         cases = [
-            # one sample unlike the others cannot be stacked
-            (shorter_outcome, stack),
-            (wider_rank, stack),
-            (extra_mode, re.escape("zip() argument 4 is longer")),
-            # samples alike, but unlike the mode
-            (lambda p: shorter_outcome(p, every), re.escape(
+            (shorter_outcome, re.escape(
                 "factor stacks of shapes [(4, 3, 1), (4, 1, 1)] are not 4 draws of the mode's "
                 "(3,) -> (2,) at rank 1")),
-            (lambda p: extra_mode(p, every),
-             re.escape("factor stacks of shapes [(4, 3, 1), (4, 2, 1), (4, 1, 1)]")),
-            (lambda p: p.update(samples=[], sigma2=[]), "draws are empty$"),
+            (wider_rank, re.escape("factor stacks of shapes [(4, 3, 2), (4, 2, 2)]")),
+            (extra_mode, re.escape("factor stacks of shapes [(4, 3, 1), (4, 2, 1), (4, 1, 1)]")),
+            (no_draws, "draws are empty$"),
         ]
         for text, match in [(_edited(path, edit), match) for edit, match in cases]:
             self._rejects(path, text, match)
+
+    def test_version_1_is_refused_and_the_readme_recipe_converts_it(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+        recipe = next(b for b in blocks if "def draws1_to_draws2" in b)
+        namespace = {}
+        exec(recipe, namespace)
+        rng = np.random.default_rng(14)
+        src, dst = os.path.join(tmp_path, "old.json"), os.path.join(tmp_path, "new.json")
+        for n, center in ((1, True), (3, False), (5, True)):
+            mode = _fit_pair(rng, center)[2]
+            b = mode.coefficients
+            pred, out = ([_edge_array(rng, n * d * b.rank).reshape(n, d, b.rank) for d in dims]
+                         for dims in (b.in_dims, b.out_dims))
+            draws = PosteriorDraws(pred, out, rng.uniform(0.5, 2.0, n), mode)
+            write_draws(dst, draws, 0.5, 7)
+            with open(dst) as fh:
+                doc = json.load(fh)
+            # the version-1 writer's text: one coefficients record per draw under "samples"
+            del doc["coefficients"]
+            doc.update(version=1, samples=[{"rank": b.rank, **{
+                key: [{"rows": f.shape[0], "values": f.ravel(order="F").tolist()} for f in fs]
+                for key, fs in (("predictor_factors", c.predictor_factors),
+                                ("outcome_factors", c.outcome_factors))}}
+                for c in draws.coefficients])
+            _rewrite(src, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            with pytest.raises(ValueError) as info:
+                read_draws(src)
+            assert str(info.value) == (
+                f"{src}: draws file version 1 is not supported; this reader reads 2")
+            namespace["draws1_to_draws2"](src, dst)
+            back, lam, seed = read_draws(dst)
+            assert (lam, seed) == (0.5, 7)
+            assert _same_bits(back.sigma2s, draws.sigma2s)
+            for a, c in zip(pred + out, back.predictor_factors + back.outcome_factors, strict=True):
+                assert _same_bits(a, c)
+            _assert_same_fit(mode, back.mode)
 
 
 class TestNumberRule:

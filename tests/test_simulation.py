@@ -6,6 +6,7 @@ check, and the study driver by determinism, dataset sharing across
 procedures, and the factorial counts of the shipped design.
 """
 
+import concurrent.futures
 import csv
 import inspect
 import json
@@ -370,6 +371,30 @@ class TestRunGrid:
         cells = [GridCell(_small_spec(), 2, 1.0, replicates=2, test_n=50,
                           gibbs_samples=15)]
         assert run_grid(cells) == run_grid(cells)
+
+    @pytest.mark.parametrize("max_workers, cells, started", [(5000, 3, 3), (2, 3, 2)])
+    def test_pool_starts_at_most_one_worker_per_cell(self, monkeypatch, max_workers, cells, started):
+        # a pool that records its size and maps serially: no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        grid = [GridCell(_small_spec(seed=s), 1, 0.5, replicates=1, test_n=10, gibbs_samples=0)
+                for s in range(30, 30 + cells)]
+        assert run_grid(grid, max_workers=max_workers) == run_grid(grid)
+        assert sizes == [started]
 
 
 class TestExpandGrid:
