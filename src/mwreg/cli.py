@@ -352,11 +352,11 @@ def cmd_cv(args) -> None:
         for hold in folds:
             mask = np.ones(n, dtype=bool)
             mask[hold] = False
-            x_tr = DenseTensor(x.array[mask])
-            y_tr = DenseTensor(y.array[mask])
+            x_tr = DenseTensor._adopt(x.array[mask])
+            y_tr = DenseTensor._adopt(y.array[mask])
             res = fit(x_tr, y_tr, cfg)
-            y_hat = predict(DenseTensor(x.array[~mask]), res)
-            scores.append(rpe(DenseTensor(y.array[~mask]), y_hat))
+            y_hat = predict(DenseTensor._adopt(x.array[~mask]), res)
+            scores.append(rpe(DenseTensor._adopt(y.array[~mask]), y_hat))
         mean = float(np.mean(scores))
         print(f"{cfg.rank},{cfg.lam:g},{mean:.6g}")
         if best is None or mean < best[2]:
@@ -412,13 +412,13 @@ def cmd_simulate(args) -> None:
     spec = _sim_spec_from_args(args)
     x, y, true_b = simulate(spec)
     if true_b is None:
-        b_arr = np.zeros(spec.in_dims + spec.out_dims)
+        b = DenseTensor._adopt(np.zeros(spec.in_dims + spec.out_dims))
     else:
-        b_arr = true_b.materialize().array
+        b = true_b.materialize()
     paths = [f"{prefix}_x.mwt", f"{prefix}_y.mwt", f"{prefix}_b.mwt"]
     write_tensor(paths[0], x)
     write_tensor(paths[1], y)
-    write_tensor(paths[2], DenseTensor(b_arr))
+    write_tensor(paths[2], b)
     for p in paths:
         print(f"wrote {p}")
 

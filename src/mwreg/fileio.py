@@ -6,12 +6,14 @@ follow as raw little-endian IEEE-754 doubles in first-index-fastest order,
 8 bytes each with no separators, and the file ends with the line
 "end <CRC-32 of those bytes as 8 lowercase hex digits>".  Every double is
 stored as its own bits, so it round-trips bit-exactly by construction.
-The writer goes a bounded slab at a time and makes no whole-array copy;
-the reader reads at most the bytes the header asks for plus an end line,
-a bounded chunk at a time, so a header's count alone allocates nothing.
-It refuses a payload of the wrong length, a missing or altered end line,
-a checksum mismatch and a non-finite value, each with a ValueError that
-names the file.
+The writer goes a bounded slab at a time and makes no whole-array copy.
+The reader checks a regular file's length against the header first and
+then reads its values once, straight into the tensor's array; a pipe or
+other stream it reads a bounded chunk at a time, up to the bytes the
+header asks for plus an end line.  Either way a header's count alone
+allocates nothing.  It refuses a payload of the wrong length, a missing
+or altered end line, a checksum mismatch and a non-finite value, each
+with a ValueError that names the file.
 
 A file whose magic line names another version ("mwt 1", the old decimal
 text, or "mwt 3") is refused with a ValueError naming the file and the
@@ -31,7 +33,9 @@ is rejected with a ValueError naming the file.
 from __future__ import annotations
 
 import json
+import os
 import re
+import stat
 import warnings
 import zlib
 from math import prod
@@ -123,27 +127,62 @@ def _read_v2(path: str, fh) -> DenseTensor:
         raise ValueError(f"{path}: dims must be positive")
     count = prod(dims)
     size = 8 * count
-    # one byte past a whole file tells a longer file from an exact one
-    data = _read_up_to(fh, size + _END_SIZE + 1)
-    if len(data) > size + _END_SIZE:
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        found, last, values = _file_payload(fh, size, info.st_size - fh.tell())
+    else:
+        found, last, values = _stream_payload(fh, size)
+    if found > size + _END_SIZE:
         raise ValueError(
             f"{path}: more than the {size} bytes of {count} values for dims {dims} "
             "before the end line")
-    end = _END_LINE.fullmatch(data, max(len(data) - _END_SIZE, 0))
+    end = _END_LINE.fullmatch(last[-_END_SIZE:])
     if end is None:
         raise ValueError(f"{path}: missing or altered end line")
-    if len(data) != size + _END_SIZE:
+    if found != size + _END_SIZE:
         raise ValueError(
             f"{path}: expected {size} bytes of {count} values for dims {dims}, "
-            f"found {len(data) - _END_SIZE}")
-    crc = zlib.crc32(memoryview(data)[:size])
+            f"found {found - _END_SIZE}")
+    crc = zlib.crc32(values)
     if crc != int(end[1], 16):
         raise ValueError(
             f"{path}: checksum {crc:08x} of the values does not match the end line's {end[1].decode()}")
-    values = np.frombuffer(data, dtype="<f8", count=count).astype(float, copy=False)
+    values = values.astype(float, copy=False)
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: values must be finite")
-    return DenseTensor.from_values(dims, values)
+    return DenseTensor._adopt(values.reshape(dims, order="F"))
+
+
+def _file_payload(fh, size: int, left: int) -> tuple:
+    """(bytes found after the header, their last bytes, the values) of a regular file.
+
+    left, the file's bytes after the header, is checked first, so a
+    header's count alone allocates nothing; a file of the right length is
+    read once into its values' array.  values is None when the length is wrong.
+    """
+    if left != size + _END_SIZE:
+        fh.seek(max(left - _END_SIZE, 0), os.SEEK_CUR)
+        return left, fh.read(_END_SIZE), None
+    values = np.empty(size // 8, dtype="<f8")
+    found = fh.readinto(values)
+    # a byte past the end line tells a file that grew since the length check
+    last = fh.read(_END_SIZE + 1)
+    return found + len(last), last, values
+
+
+def _stream_payload(fh, size: int) -> tuple:
+    """_file_payload's triple for a pipe or other stream, read _READ_CHUNK at a time.
+
+    It reads at most the header's bytes plus an end line and one byte past
+    it, which tells a longer stream from an exact one.
+    """
+    pieces, limit = [], size + _END_SIZE + 1
+    while limit > 0 and (piece := fh.read(min(_READ_CHUNK, limit))):
+        pieces.append(piece)
+        limit -= len(piece)
+    data = b"".join(pieces)
+    whole = len(data) == size + _END_SIZE
+    return len(data), data, np.frombuffer(data, dtype="<f8", count=size // 8) if whole else None
 
 
 def _header_line(fh) -> str:
@@ -152,15 +191,6 @@ def _header_line(fh) -> str:
     if not line.endswith(b"\n"):
         raise ValueError(f"header line {line[:40]!r} is cut short or too long")
     return line.decode("ascii")
-
-
-def _read_up_to(fh, limit: int) -> bytes:
-    """At most limit bytes left in fh, read _READ_CHUNK at a time; fewer at the file's end."""
-    pieces = []
-    while limit > 0 and (piece := fh.read(min(_READ_CHUNK, limit))):
-        pieces.append(piece)
-        limit -= len(piece)
-    return b"".join(pieces)
 
 
 def _header_int(text: str) -> int:
@@ -182,7 +212,7 @@ def _read_csv(path: str) -> DenseTensor:
         raise ValueError(f"{path}: not a tensor file or numeric CSV: no values")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: values must be finite")
-    return DenseTensor(arr)
+    return DenseTensor._adopt(arr)
 
 
 def _factor_list(factors) -> list:
@@ -206,15 +236,25 @@ def _numbers(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _factors_from(items, rank: int, draws: tuple) -> list:
-    """The factors of _factor_list's items, each with the leading axes draws: () or (n,)."""
+def _factors_from(items, rank: int, draws: tuple, kind: str) -> list:
+    """The factors of _factor_list's items, each with the leading axes draws: () or (n,).
+
+    kind, "predictor" or "outcome", names a factor whose value count is wrong.
+    """
     factors = []
-    for d in items:
+    for i, d in enumerate(items):
         rows = _number(d["rows"], int)
         # reshape would infer a row count of -1
         if rows < 1:
             raise ValueError(f"factor rows must be at least 1, found {rows}")
-        factors.append(_numbers(d["values"]).reshape(*draws, rank, rows).swapaxes(-1, -2))
+        values = _numbers(d["values"])
+        if values.size != prod(draws) * rows * rank:
+            if draws and rank > 0 and values.size % (rows * rank) == 0:
+                raise ValueError(f"{draws[0]} sigma2 values for {values.size // (rows * rank)} "
+                                 f"draws in {kind} factor {i}")
+            shape = [f"{n} draws" for n in draws] + [f"{rows} rows", f"{rank} components"]
+            raise ValueError(f"{kind} factor {i} holds {values.size} values, not {' x '.join(shape)}")
+        factors.append(values.reshape(*draws, rank, rows).swapaxes(-1, -2))
     return factors
 
 
@@ -229,7 +269,8 @@ def _coeff_dict(pred, out) -> dict:
 def _coeff_factors(d: dict, draws: tuple = ()) -> tuple:
     """(predictor factors, outcome factors) of a coefficients record; see _factors_from."""
     rank = _number(d["rank"], int)
-    return tuple(_factors_from(d[key], rank, draws) for key in ("predictor_factors", "outcome_factors"))
+    return tuple(_factors_from(d[f"{kind}_factors"], rank, draws, kind)
+                 for kind in ("predictor", "outcome"))
 
 
 def _fit_dict(result: FitResult) -> dict:

@@ -218,7 +218,7 @@ def center(x: DenseTensor, y: DenseTensor):
     have the trailing dims of x and y.  Requires at least two observations.
     """
     ws = _Workspace(x.array, y.array, *_means(x.array, y.array))
-    return DenseTensor(ws.xarr), DenseTensor(ws.yarr), (ws.x_offsets, ws.y_offsets)
+    return DenseTensor._adopt(ws.xarr), DenseTensor._adopt(ws.yarr), (ws.x_offsets, ws.y_offsets)
 
 
 def _means(xarr: np.ndarray, yarr: np.ndarray) -> tuple:
@@ -683,21 +683,28 @@ class _Predictions:
         pm holds the predictions of sets t0..t1 on rows s0..s1 with the y
         offsets, shape (t1 - t0, s1 - s0, cells), cells first-index-fastest.
         """
-        x1s = []
-        for s0, s1 in spans:
-            xa = self.x.array[s0:s1]
-            if self.x_offsets is not None:
-                xa = xa - self.x_offsets
-            x1s.append((s0, s1, xa.reshape(s1 - s0, -1, order="F")))
+        # a span's rows are built for the first batch and kept only while
+        # another batch follows, so a one-batch call holds one span at a time
+        x1s = {}
         for t0 in range(0, self.sets, _PREDICTION_BATCH):
             t1 = min(t0 + _PREDICTION_BATCH, self.sets)
             u = _batch_kr(self._pred, self.rank, t0, t1)
             vt = _batch_kr(self._out, self.rank, t0, t1).transpose(0, 2, 1)
-            for s0, s1, x1 in x1s:
+            for s0, s1 in spans:
+                x1 = x1s.pop(s0) if t0 else self._rows(s0, s1)
+                if t1 < self.sets:
+                    x1s[s0] = x1
                 pm = (x1 @ u) @ vt
                 if self._y_cells is not None:
                     pm += self._y_cells
                 yield t0, t1, s0, s1, pm
+
+    def _rows(self, s0: int, s1: int) -> np.ndarray:
+        """Rows s0..s1 of x_new, offsets removed, first-index-fastest: shape (s1 - s0, cells)."""
+        xa = self.x.array[s0:s1]
+        if self.x_offsets is not None:
+            xa = xa - self.x_offsets
+        return xa.reshape(s1 - s0, -1, order="F")
 
     def batches(self):
         """Yield (t0, t1, preds) per batch of sets, preds of shape (t1 - t0, N, *out_dims)."""
@@ -750,4 +757,4 @@ def predict(x_new: DenseTensor, result: FitResult) -> DenseTensor:
     preds = _Predictions(x_new, [np.stack([f]) for f in b.predictor_factors],
                          [np.stack([f]) for f in b.outcome_factors], result)
     _, _, one = next(preds.batches())
-    return DenseTensor(one[0])
+    return DenseTensor._adopt(one[0])

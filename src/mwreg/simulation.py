@@ -218,10 +218,12 @@ def simulate(spec: SimSpec):
     """
     rng = np.random.default_rng(spec.seed)
     xarr = _draw_slices(spec.n, spec.in_dims, rng, spec.correlation == "corr_x", spec.rho)
-    x = DenseTensor(xarr)
+    x = DenseTensor._adopt(xarr)
     if spec.rank == 0:
         earr = _draw_slices(spec.n, spec.out_dims, rng, spec.correlation == "corr_e", spec.rho)
-        return x, DenseTensor(earr), None
+        return x, DenseTensor._adopt(earr), None
+    # X's first-index-fastest unfolding, a second copy of X unless x is
+    # correlated; it is dropped before the noise is drawn
     x1 = xarr.reshape(spec.n, -1, order="F")
     for attempt in range(3):
         pred = [rng.standard_normal((d, spec.rank)) for d in spec.in_dims]
@@ -233,13 +235,14 @@ def simulate(spec: SimSpec):
             break
     else:
         raise RuntimeError("signal was identically zero in 3 attempts")
+    del x1
     earr = _draw_slices(spec.n, spec.out_dims, rng, spec.correlation == "corr_e", spec.rho)
     err_ss = float(np.sum(earr * earr))
     c = float(np.sqrt(spec.snr * err_ss / sig_ss))
     pred[0] = c * pred[0]
     true_b = CpCoefficients(pred, out)
     yarr = (c * signal1).reshape((spec.n,) + spec.out_dims, order="F") + earr
-    return x, DenseTensor(yarr), true_b
+    return x, DenseTensor._adopt(yarr), true_b
 
 
 def _test_set(spec: SimSpec, true_b, n: int, rng: np.random.Generator):
@@ -247,11 +250,10 @@ def _test_set(spec: SimSpec, true_b, n: int, rng: np.random.Generator):
     xarr = _draw_slices(n, spec.in_dims, rng, spec.correlation == "corr_x", spec.rho)
     earr = _draw_slices(n, spec.out_dims, rng, spec.correlation == "corr_e", spec.rho)
     if true_b is None:
-        return DenseTensor(xarr), DenseTensor(earr)
-    x1 = xarr.reshape(n, -1, order="F")
-    signal1 = x1 @ true_b.matricize()
+        return DenseTensor._adopt(xarr), DenseTensor._adopt(earr)
+    signal1 = xarr.reshape(n, -1, order="F") @ true_b.matricize()
     yarr = signal1.reshape((n,) + spec.out_dims, order="F") + earr
-    return DenseTensor(xarr), DenseTensor(yarr)
+    return DenseTensor._adopt(xarr), DenseTensor._adopt(yarr)
 
 
 def rpe(y_new: DenseTensor, y_hat: DenseTensor) -> float:

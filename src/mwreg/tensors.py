@@ -73,25 +73,46 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """arr, once it is known to be a tensor's array: order >= 1, no empty mode, finite."""
+    if arr.ndim < 1:
+        raise ValueError("tensor order must be at least 1")
+    if arr.size == 0:
+        raise ValueError("tensor dimensions must all be positive")
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor values must be finite")
+    return arr
+
+
 class DenseTensor:
     """Immutable dense real tensor of order >= 1.
 
     Construction rejects NaN and infinite entries.  ``array`` is a read-only
     numpy view indexed ``[i1, ..., iK]``; `vec` gives the flat
     first-index-fastest vector.
+
+    ``DenseTensor(array)`` copies the caller's array, so later writes to it
+    leave the tensor unchanged.  The library wraps the float arrays it has
+    just built with `_adopt`, which takes them over without a copy.
     """
 
     __slots__ = ("_array",)
 
     def __init__(self, array) -> None:
-        arr = _frozen(array)
-        if arr.ndim < 1:
-            raise ValueError("tensor order must be at least 1")
-        if arr.size == 0:
-            raise ValueError("tensor dimensions must all be positive")
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor values must be finite")
-        self._array = arr
+        self._array = _checked(_frozen(array))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
+        """A tensor that takes over arr, a float array no one else writes, without a copy.
+
+        arr is made read-only and keeps its memory layout, the layout
+        `_frozen`'s copy of a dense array has, so the bits of what is
+        computed from the tensor do not depend on which way it was built.
+        """
+        t = cls.__new__(cls)
+        t._array = _checked(arr)
+        arr.setflags(write=False)
+        return t
 
     @classmethod
     def from_values(cls, dims, values) -> "DenseTensor":

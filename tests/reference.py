@@ -21,9 +21,12 @@ definitions, a quantity the library computes by a faster route:
 - `stacked_draws` builds the `PosteriorDraws` of a list of coefficient
   sets, one stack per mode, as the chain would hold them;
 - `mwt2_bytes` gives a version-2 .mwt file from its dims and payload
-  bytes, spelled out from the format's definition.
+  bytes, spelled out from the format's definition;
+- `traced_peak` gives the most bytes a call holds allocated at once, as
+  tracemalloc counts them.
 """
 
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from math import prod
@@ -256,3 +259,13 @@ def mwt2_bytes(dims, payload: bytes) -> bytes:
     """
     header = f"mwt 2\n{len(dims)}\n{' '.join(str(d) for d in dims)}\n".encode()
     return header + payload + f"end {crc32(payload):08x}\n".encode()
+
+
+def traced_peak(call) -> tuple:
+    """(call(), the peak of tracemalloc's traced bytes while it ran); its result counts."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -48,6 +48,7 @@ from reference import (
     build_design_predictor,
     fit_augmented_oracle,
     gram_hadamard,
+    traced_peak,
 )
 
 
@@ -867,6 +868,16 @@ class TestPredict:
             expected = contract(xc, res.coefficients.materialize(), 2).array + res.y_offsets
             assert got.dims == (5,) + out_dims
             assert np.allclose(got.array, expected, atol=1e-10)
+
+    def test_holds_one_tile_of_rows_at_a_time(self):
+        # 5000 rows of a 15x20 predictor are 12 MB; the 5000 x 5 x 10 output is 2 MB
+        rng = np.random.default_rng(38)
+        x, y, _ = _random_instance(rng, 30, (15, 20), (5, 10), 3)
+        res = fit(x, y, FitConfig(rank=3, lam=0.5, seed=17, max_iters=5))
+        x_new = DenseTensor(rng.standard_normal((5000, 15, 20)))
+        got, peak = traced_peak(lambda: predict(x_new, res))
+        assert got.dims == (5000, 5, 10) and not got.array.flags.writeable
+        assert peak < 0.5 * x_new.array.nbytes
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(36)

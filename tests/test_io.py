@@ -39,7 +39,7 @@ from mwreg import (
 )
 from mwreg.cli import _PREDICTIVE_STREAM, _interval_rows, main
 import mwreg.fileio as fileio
-from reference import mwt2_bytes
+from reference import mwt2_bytes, traced_peak
 
 
 def _sha(path):
@@ -392,23 +392,30 @@ class TestChunkedReader:
         # a FIFO reports no size, so a reader that trusted one would lose the values
         monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
         t = DenseTensor(np.arange(24.0).reshape(2, 3, 4) / 7.0 - 1.5)
-        data = _mwt2(t)
-        fifo = os.path.join(tmp_path, "fifo.mwt")
-        os.mkfifo(fifo)
-
-        def feed():
-            with open(fifo, "wb") as out:
-                out.write(data)
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
-        try:
-            back = read_tensor(fifo)
-        finally:
-            writer.join(timeout=30)
-        assert not writer.is_alive()
+        back = _read_via("pipe", os.path.join(tmp_path, "fifo.mwt"), _mwt2(t))
         assert back.dims == t.dims
         assert _same_bits(back.array, t.array)
+
+
+def _read_via(via, path, data):
+    """read_tensor of data at path, written as a regular file or fed through a FIFO."""
+    if via == "file":
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return read_tensor(path)
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as out:
+            out.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read_tensor(path)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 def _v2(dims, values, end=None):
@@ -418,8 +425,9 @@ def _v2(dims, values, end=None):
 
 
 class TestVersion2Reader:
+    @pytest.mark.parametrize("via", ("file", "pipe"))
     @pytest.mark.parametrize("chunk", (3, 1 << 20))
-    def test_malformed_files_are_named_and_refused(self, tmp_path, monkeypatch, chunk):
+    def test_malformed_files_are_named_and_refused(self, tmp_path, monkeypatch, chunk, via):
         monkeypatch.setattr(fileio, "_READ_CHUNK", chunk)
         good = _v2((2, 2), [1, 2, 3, 4])
         crc = good[-9:-1].decode()
@@ -459,29 +467,38 @@ class TestVersion2Reader:
         }
         for name, (content, message) in cases.items():
             path = os.path.join(tmp_path, name)
-            with open(path, "wb") as fh:
-                fh.write(content)
             with pytest.raises(ValueError) as info:
-                read_tensor(path)
+                _read_via(via, path, content)
             assert str(info.value) == f"{path}: {message}", name
 
-    def test_huge_header_is_refused_without_a_large_allocation(self, tmp_path):
+    @pytest.mark.parametrize("via", ("file", "pipe"))
+    def test_huge_header_is_refused_without_a_large_allocation(self, tmp_path, via):
         # the header asks for 8e15 bytes; the reader allocates what the file holds
         path = os.path.join(tmp_path, "huge.mwt")
-        with open(path, "wb") as fh:
-            fh.write(_v2((3,), [1, 2, 3]).replace(b"\n1\n3\n", b"\n3\n100000 100000 100000\n"))
+        data = _v2((3,), [1, 2, 3]).replace(b"\n1\n3\n", b"\n3\n100000 100000 100000\n")
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
-                read_tensor(path)
+                _read_via(via, path, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(info.value) == (
             f"{path}: expected 8000000000000000 bytes of 1000000000000000 values for dims "
             "(100000, 100000, 100000), found 24")
-        # one read of at most _READ_CHUNK bytes, never 8e15
-        assert peak < 2 * fileio._READ_CHUNK
+        # a regular file's length is checked before any value is read; a
+        # stream takes one read of at most _READ_CHUNK bytes, never 8e15
+        assert peak < (1 << 16 if via == "file" else 2 * fileio._READ_CHUNK)
+
+    def test_regular_file_is_read_into_one_array(self, tmp_path):
+        # 12 MB of values: the tensor's own array and a finiteness mask, no second copy
+        x = DenseTensor(np.random.default_rng(31).standard_normal((5000, 15, 20)))
+        path = os.path.join(tmp_path, "x.mwt")
+        write_tensor(path, x)
+        back, peak = traced_peak(lambda: read_tensor(path))
+        assert _same_bits(back.array, x.array)
+        assert back.array.flags.f_contiguous and not back.array.flags.writeable
+        assert peak < 1.2 * x.array.nbytes
 
     def test_every_proper_prefix_is_refused(self, tmp_path, capsys):
         # a cut anywhere, inside the header, a value or the end line, exits 2
@@ -741,6 +758,18 @@ class TestModelFormat:
             assert capsys.readouterr() == ("", f"error: {message}\n")
             assert not os.path.exists(out)
 
+    def test_value_count_must_match_rows_and_rank(self, tmp_path):
+        # (3, 2) -> (2, 2) at rank 2: outcome factor 0 holds 2 rows x 2 components
+        rng = np.random.default_rng(11)
+        path = os.path.join(tmp_path, "m.json")
+        write_model(path, _fit_pair(rng)[2], lam=0.5, seed=3)
+        _rewrite(path, _edited(
+            path, lambda p: p["coefficients"]["outcome_factors"][0]["values"].append(0.5)))
+        with pytest.raises(ValueError) as info:
+            read_model(path)
+        assert str(info.value) == (
+            f"{path}: malformed model file: outcome factor 0 holds 5 values, not 2 rows x 2 components")
+
     def test_factor_rows_below_one_refused(self, tmp_path):
         # rows -1 used to reach reshape, which inferred the row count
         rng = np.random.default_rng(11)
@@ -838,10 +867,10 @@ class TestDrawsFormat:
             payload["coefficients"]["outcome_factors"][0]["values"].pop()
 
         cases = [
-            (lambda p: p["sigma2"].pop(), "cannot reshape array of size 12 into shape (3,1,3)"),
+            (lambda p: p["sigma2"].pop(), "3 sigma2 values for 4 draws in predictor factor 0"),
             (lambda p: p["sigma2"].extend([1.0, 2.0]),
-             "cannot reshape array of size 12 into shape (6,1,3)"),
-            (drop_value, "cannot reshape array of size 7 into shape (4,1,2)"),
+             "6 sigma2 values for 4 draws in predictor factor 0"),
+            (drop_value, "outcome factor 0 holds 7 values, not 4 draws x 2 rows x 1 components"),
         ]
         for text, match in [(_edited(path, edit), match) for edit, match in cases]:
             self._rejects(path, text, re.escape(match) + "$")

@@ -37,6 +37,7 @@ from mwreg import (
     write_results_csv,
 )
 from mwreg.simulation import _DATA, _FIT, _grid_chol, _field_slices, _substream_int, _test_set
+from reference import traced_peak
 
 
 class TestSimSpec:
@@ -116,6 +117,13 @@ class TestSimulate:
             assert np.array_equal(f1, f2)
         x3, _, _ = simulate(SimSpec(n=10, in_dims=(3, 2), out_dims=(2,), rank=2, seed=6))
         assert not np.array_equal(x1.array, x3.array)
+
+    def test_peak_memory_is_x_and_its_unfolding(self):
+        # x is taken over, not copied, and X's unfolding is gone before the noise
+        spec = SimSpec(n=5000, in_dims=(15, 20), out_dims=(5, 10), rank=3, seed=8)
+        (x, y, _), peak = traced_peak(lambda: simulate(spec))
+        assert not (x.array.flags.writeable or y.array.flags.writeable)
+        assert peak < 2.5 * x.array.nbytes
 
     def test_scalar_response_shape(self):
         x, y, b = simulate(SimSpec(n=12, in_dims=(4,), out_dims=(), rank=1, seed=7))

@@ -92,6 +92,36 @@ class TestDenseTensor:
         with pytest.raises((ValueError, RuntimeError)):
             t.array[0, 0] = 5.0
 
+    def test_caller_array_is_copied(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        t = DenseTensor(arr)
+        arr[0, 0] = 99.0
+        assert arr.flags.writeable
+        assert t.array[0, 0] == 0.0
+
+    def test_adopted_array_is_taken_over_read_only(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        t = DenseTensor._adopt(arr)
+        assert t.array is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+
+    def test_adopt_refuses_what_the_constructor_refuses(self):
+        for bad in (np.array([1.0, np.nan]), np.array(3.0), np.empty((0, 2))):
+            with pytest.raises(ValueError) as copied:
+                DenseTensor(bad.copy())
+            with pytest.raises(ValueError) as adopted:
+                DenseTensor._adopt(bad.copy())
+            assert str(adopted.value) == str(copied.value)
+
+    def test_adopted_layout_is_the_copy_layout(self):
+        # C order, F order and a dense permutation of axes, as simulate's
+        # correlated fields are: the copy keeps each one's strides
+        base = np.arange(24.0).reshape(2, 3, 4)
+        for arr in (base, np.asfortranarray(base), base.transpose(1, 0, 2)):
+            assert DenseTensor._adopt(arr.copy(order="K")).array.strides == DenseTensor(arr).array.strides
+
     def test_from_values_uses_first_index_fastest(self):
         t = DenseTensor.from_values((2, 2), [1.0, 2.0, 3.0, 4.0])
         assert t.array[0, 0] == 1.0
