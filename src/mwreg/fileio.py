@@ -19,19 +19,25 @@ A file whose magic line names another version ("mwt 1", the old decimal
 text, or "mwt 3") is refused with a ValueError naming the file and the
 version.  CSV files are accepted for order-2 tensors (rows are mode 1).
 
-Model and draw files are JSON, written by the C encoder of `json.dumps`;
-Python's float repr is shortest-round-trip, so these round-trip
-bit-exactly as well.  A model file's fit and a draws file's "mode" block
-hold the same fit record, whose x_offsets and y_offsets are both lists (a
-centered fit) or both null.  A draws file (version 2) holds one
-coefficients record whose values give len(sigma2) factors per mode, one
-draw after another.  A file that parses but lacks a key or holds a value
-of the wrong type or shape (a true or false where a number belongs, too)
-is rejected with a ValueError naming the file.
+Model files (version 2) and draws files (version 3) are JSON, written by
+the C encoder of `json.dumps`.  Scalars (rank, rows, lam, seed,
+objective, iterations, converged) are JSON values; every float array is
+one string, the standard base64 of its little-endian doubles, so it
+round-trips bit-exactly by construction, as .mwt values do.  One encoder
+and one decoder serve both kinds; the decoder refuses a value that is not
+a string, text that is not base64 and a byte count that is not whole
+doubles.  A model file's fit and a draws file's "mode" block hold the
+same fit record, whose x_offsets and y_offsets are both arrays (a centered
+fit) or both null.  A draws file holds one coefficients record whose
+values give len(sigma2) factors per mode, one draw after another.  A
+file that parses but lacks a key or holds a value of the wrong type or
+shape (a true or false where a number belongs, too) is rejected with a
+ValueError naming the file, and so is a file of another version.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
@@ -45,7 +51,7 @@ import numpy as np
 from .coefficients import CpCoefficients
 from .fitting import FitResult
 from .posterior import PosteriorDraws
-from .tensors import _KINDS, DenseTensor, _is_kind, _type_is_kind
+from .tensors import _KINDS, DenseTensor, _is_kind
 
 __all__ = [
     "read_tensor",
@@ -68,7 +74,7 @@ _READ_CHUNK = 1 << 20
 _END_LINE = re.compile(rb"end ([0-9a-f]{8})\n")
 _END_SIZE = len(b"end 00000000\n")
 # the one version of each JSON file kind, written and read
-_JSON_VERSION = {"model": 1, "draws": 2}
+_JSON_VERSION = {"model": 2, "draws": 3}
 
 
 def write_tensor(path: str, t: DenseTensor) -> None:
@@ -171,18 +177,25 @@ def _file_payload(fh, size: int, left: int) -> tuple:
 
 
 def _stream_payload(fh, size: int) -> tuple:
-    """_file_payload's triple for a pipe or other stream, read _READ_CHUNK at a time.
+    """_file_payload's triple for a pipe or other stream, read into one growing buffer.
 
-    It reads at most the header's bytes plus an end line and one byte past
-    it, which tells a longer stream from an exact one.
+    The buffer starts at _READ_CHUNK bytes and doubles in place as bytes
+    arrive, but never holds more than the header's bytes plus an end line
+    and one byte, which tells a longer stream from an exact one.  The
+    values are a view of it.
     """
-    pieces, limit = [], size + _END_SIZE + 1
-    while limit > 0 and (piece := fh.read(min(_READ_CHUNK, limit))):
-        pieces.append(piece)
-        limit -= len(piece)
-    data = b"".join(pieces)
-    whole = len(data) == size + _END_SIZE
-    return len(data), data, np.frombuffer(data, dtype="<f8", count=size // 8) if whole else None
+    limit = size + _END_SIZE + 1
+    buf, found = np.empty(0, dtype=np.uint8), 0
+    while found < limit:
+        if found == buf.size:
+            # realloc: the bytes read so far are not held twice
+            buf.resize(min(limit, max(2 * buf.size, _READ_CHUNK)), refcheck=False)
+        got = fh.readinto(buf[found:])
+        if not got:
+            break
+        found += got
+    values = buf[:size].view("<f8") if found == size + _END_SIZE else None
+    return found, buf[max(found - _END_SIZE, 0):found].tobytes(), values
 
 
 def _header_line(fh) -> str:
@@ -215,10 +228,35 @@ def _read_csv(path: str) -> DenseTensor:
     return DenseTensor._adopt(arr)
 
 
+def _encoded(values: np.ndarray) -> str:
+    """values, read in C order, as the base64 text of their little-endian doubles.
+
+    A C-contiguous float array is encoded without a copy.
+    """
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8")).decode("ascii")
+
+
+def _decoded(text) -> np.ndarray:
+    """The read-only float array of _encoded's text.
+
+    A value that is not a string is a TypeError; text that is not base64
+    or not whole doubles is a ValueError.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"expected base64 text, found {text!r:.40}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ValueError(f"not base64 text: {exc}") from None
+    if len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes are not a whole number of 8-byte doubles")
+    return np.frombuffer(raw, dtype="<f8").astype(float, copy=False)
+
+
 def _factor_list(factors) -> list:
     """Each factor (rows, R), or stack of them (draws, rows, R), as its rows and
     its values: each factor first-index-fastest, one draw after another."""
-    return [{"rows": f.shape[-2], "values": f.swapaxes(-1, -2).ravel().tolist()} for f in factors]
+    return [{"rows": f.shape[-2], "values": _encoded(f.swapaxes(-1, -2))} for f in factors]
 
 
 def _number(value, kind=float):
@@ -227,13 +265,6 @@ def _number(value, kind=float):
     if not _is_kind(value, kind):
         raise TypeError(f"expected {_KINDS[kind][1]}, found {value!r:.40}")
     return kind(value)
-
-
-def _numbers(values) -> np.ndarray:
-    """A JSON list of numbers as a float array; the number rule is checked once per value type."""
-    if not isinstance(values, list) or not all(_type_is_kind(t, float) for t in set(map(type, values))):
-        raise TypeError("expected a list of numbers")
-    return np.asarray(values, dtype=float)
 
 
 def _factors_from(items, rank: int, draws: tuple, kind: str) -> list:
@@ -247,7 +278,7 @@ def _factors_from(items, rank: int, draws: tuple, kind: str) -> list:
         # reshape would infer a row count of -1
         if rows < 1:
             raise ValueError(f"factor rows must be at least 1, found {rows}")
-        values = _numbers(d["values"])
+        values = _decoded(d["values"])
         if values.size != prod(draws) * rows * rank:
             if draws and rank > 0 and values.size % (rows * rank) == 0:
                 raise ValueError(f"{draws[0]} sigma2 values for {values.size // (rows * rank)} "
@@ -279,8 +310,8 @@ def _fit_dict(result: FitResult) -> dict:
     centered = result.x_offsets is not None
     return {
         "coefficients": _coeff_dict(b.predictor_factors, b.outcome_factors),
-        "x_offsets": result.x_offsets.ravel(order="F").tolist() if centered else None,
-        "y_offsets": result.y_offsets.ravel(order="F").tolist() if centered else None,
+        "x_offsets": _encoded(result.x_offsets.ravel(order="F")) if centered else None,
+        "y_offsets": _encoded(result.y_offsets.ravel(order="F")) if centered else None,
         "objective": float(result.objective_trace[-1]),
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
@@ -293,8 +324,8 @@ def _fit_from(d: dict) -> FitResult:
     if (d["x_offsets"] is None) != (d["y_offsets"] is None):
         raise ValueError("x_offsets and y_offsets must both be lists or both be null")
     if d["x_offsets"] is not None:
-        x_off = _numbers(d["x_offsets"]).reshape(b.in_dims, order="F")
-        y_off = _numbers(d["y_offsets"]).reshape(b.out_dims, order="F")
+        x_off = _decoded(d["x_offsets"]).reshape(b.in_dims, order="F")
+        y_off = _decoded(d["y_offsets"]).reshape(b.out_dims, order="F")
         if not (np.isfinite(x_off).all() and np.isfinite(y_off).all()):
             raise ValueError("offsets must be finite")
     converged = d["converged"]
@@ -312,7 +343,7 @@ def _fit_from(d: dict) -> FitResult:
 
 
 def _draws_from(d: dict) -> PosteriorDraws:
-    sigma2s = _numbers(d["sigma2"])
+    sigma2s = _decoded(d["sigma2"])
     return PosteriorDraws(*_coeff_factors(d["coefficients"], sigma2s.shape), sigma2s, _fit_from(d["mode"]))
 
 
@@ -322,7 +353,8 @@ def _write_json(path: str, kind: str, lam: float, seed: int, body: dict) -> None
     # dumps runs the C encoder; dump to a file takes the pure-Python path
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
 
 
 def _read_json(path: str, kind: str, parse) -> tuple:
@@ -365,7 +397,7 @@ def read_model(path: str) -> tuple:
 def write_draws(path: str, draws: PosteriorDraws, lam: float, seed: int) -> None:
     """Serialize a chain: each mode's stack of retained factors, sigma2s, and the mode."""
     _write_json(path, "draws", lam, seed, {
-        "sigma2": draws.sigma2s.tolist(),
+        "sigma2": _encoded(draws.sigma2s),
         "coefficients": _coeff_dict(draws.predictor_factors, draws.outcome_factors),
         "mode": _fit_dict(draws.mode),
     })

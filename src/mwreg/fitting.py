@@ -654,11 +654,13 @@ class _Predictions:
     """Noiseless predictions of many coefficient sets on the rows of x_new.
 
     pred and out hold one stack per mode, shape (sets, rows, R), as
-    `posterior.PosteriorDraws` keeps them.  The one owner of new data's
-    offsets: fitted's, when not None, are removed from x_new and added back
-    to every set's prediction.  A batch of sets' Khatri-Rao products is
-    formed from the stacks, and stacked matmuls give each set exactly the
-    bits of its own (X1 KR(pred)) KR(out)^T.  The products run only on the
+    `posterior.PosteriorDraws` keeps them; each is read as a C-ordered
+    (sets, R, rows) array, a view when the stack is laid out so, as a
+    chain's stacks are.  The one owner of new data's offsets: fitted's,
+    when not None, are removed from x_new and added back to every set's
+    prediction.  A batch of sets' Khatri-Rao products is formed from the
+    stacks, and stacked matmuls give each set exactly the bits of its own
+    (X1 KR(pred)) KR(out)^T.  The products run only on the
     row tiles in spans, _PREDICTION_ROWS rows from each multiple of it, so
     a row's bits never depend on the request: `predict`, the
     posterior-predictive blocks and `dic` agree bit for bit.
@@ -674,8 +676,9 @@ class _Predictions:
         self.spans = [(s0, min(s0 + _PREDICTION_ROWS, self.n))
                       for s0 in range(0, self.n, _PREDICTION_ROWS)]
         self.out_dims = tuple(s.shape[1] for s in out)
-        self._pred = _kr_layout(pred)
-        self._out = _kr_layout(out)
+        # contiguous for `_batch_kr`'s elementwise products
+        self._pred, self._out = ([np.ascontiguousarray(s.transpose(0, 2, 1)) for s in stacks]
+                                 for stacks in (pred, out))
 
     def tiles(self, spans):
         """Yield (t0, t1, s0, s1, pm) per batch of sets and tile of spans, a sublist of self.spans.
@@ -719,30 +722,15 @@ class _Predictions:
                 yield t0, t1, preds
 
 
-def _kr_layout(stacks) -> list:
-    """The mode stacks in the layout `_batch_kr` reads.
-
-    One stack is used as it is: its matmul's bits depend on each set's
-    memory layout, which the stack keeps.  With more, each is stored
-    transposed, (sets, R, rows), and contiguous for `_batch_kr`'s
-    elementwise products, whose bits do not depend on layout.
-    """
-    if len(stacks) == 1:
-        return list(stacks)
-    return [np.ascontiguousarray(s.transpose(0, 2, 1)) for s in stacks]
-
-
 def _batch_kr(stacks, rank: int, t0: int, t1: int) -> np.ndarray:
     """Khatri-Rao products of sets t0..t1, stacked along a new first axis.
 
-    BLAS results depend on operand layout, so the layouts are fixed: one
-    factor is used as stacked, and more give each set a Fortran-ordered
+    stacks are (sets, R, rows), C-ordered.  BLAS results depend on operand
+    layout, so the layout is fixed: each set's product is a Fortran-ordered
     matrix.  With no factors the ones row is shared.
     """
     if not stacks:
         return np.ones((1, 1, rank))
-    if len(stacks) == 1:
-        return stacks[0][t0:t1]
     # built as (sets, R, rows), later factors' indices slower, then transposed;
     # einsum forms the same products as broadcasting, in fewer inner loops
     kr = stacks[0][t0:t1]

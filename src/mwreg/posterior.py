@@ -121,8 +121,7 @@ class PosteriorDraws:
     stack with sigma2s[t], and predictions reuse the mode's centering
     offsets.  Construction is the one check of a chain: at least one draw,
     stacks of the mode's dims and rank, finite factors and one finite
-    positive sigma2 per draw.  Stacks are copied in each draw's memory
-    layout, on which the bits of a one-factor mode's predictions depend.
+    positive sigma2 per draw.
     """
 
     def __init__(self, predictor_factors, outcome_factors, sigma2s, mode: FitResult):
@@ -276,10 +275,10 @@ def gibbs(
     state = _SweepState(ws, [f.copy() for f in b0.predictor_factors],
                         [f.copy() for f in b0.outcome_factors])
     nq = ws.n * ws.q
-    # a predictor draw is Fortran-ordered and an outcome draw C-ordered;
-    # the stacks hold each in its own layout
-    stacks = ([np.empty((cfg.n_samples, cfg.rank, d)).transpose(0, 2, 1) for d in ws.in_dims]
-              + [np.empty((cfg.n_samples, d, cfg.rank)) for d in ws.out_dims])
+    # every stack is a C-ordered (draws, R, rows) array, a draws file's value
+    # order, seen as (draws, rows, R)
+    stacks = [np.empty((cfg.n_samples, cfg.rank, d)).transpose(0, 2, 1)
+              for d in ws.in_dims + ws.out_dims]
     sigma2s = np.empty(cfg.n_samples)
     for it in range(1, cfg.burn_in + cfg.n_samples * cfg.thin + 1):
         sigma2 = _draw_sigma2_rss(state.rss(), nq, rng)

@@ -37,14 +37,9 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number
 _FIELD_KINDS = {kind.__name__: kind for kind in _KINDS}
 
 
-def _type_is_kind(cls: type, kind) -> bool:
-    """Whether values of type cls pass kind's rule: a float takes an integer too, and only a bool kind a bool."""
-    return issubclass(cls, _KINDS[kind][0]) and (kind is bool or not issubclass(cls, bool))
-
-
 def _is_kind(value, kind) -> bool:
-    """Whether value passes kind's rule."""
-    return _type_is_kind(type(value), kind)
+    """Whether value passes kind's rule: a float takes an integer too, and only a bool kind a bool."""
+    return isinstance(value, _KINDS[kind][0]) and (kind is bool or not isinstance(value, bool))
 
 
 def _check_kinds(config) -> None:

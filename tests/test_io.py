@@ -1,5 +1,6 @@
 """File format tests: bit-exact round trips and malformed-input errors."""
 
+import base64
 import hashlib
 import json
 import os
@@ -26,6 +27,7 @@ from mwreg import (
     PosteriorDraws,
     SimSpec,
     credible_intervals,
+    dic,
     fit,
     gibbs,
     posterior_predictive,
@@ -37,6 +39,7 @@ from mwreg import (
     write_model,
     write_tensor,
 )
+from mwreg import posterior
 from mwreg.cli import _PREDICTIVE_STREAM, _interval_rows, main
 import mwreg.fileio as fileio
 from reference import mwt2_bytes, traced_peak
@@ -267,6 +270,8 @@ class TestWriterBytes:
 
 # finite doubles, -0.0 and subnormals included
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# finite doubles that often are signed zero, the smallest subnormal or 1e300
+_CODED = st.one_of(st.sampled_from([-0.0, 5e-324, 1e300]), _FINITE)
 
 
 def _same_bits(a, b):
@@ -281,11 +286,11 @@ def _fit_records(draw, centered=None):
     in_dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple))
     out_dims = draw(st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple))
     dims = in_dims + out_dims
-    factors = [draw(hnp.arrays(float, (d, rank), elements=_FINITE)) for d in dims]
+    factors = [draw(hnp.arrays(float, (d, rank), elements=_CODED)) for d in dims]
     if centered is None:
         centered = draw(st.booleans())
-    x_off = draw(hnp.arrays(float, in_dims, elements=_FINITE)) if centered else None
-    y_off = draw(hnp.arrays(float, out_dims, elements=_FINITE)) if centered else None
+    x_off = draw(hnp.arrays(float, in_dims, elements=_CODED)) if centered else None
+    y_off = draw(hnp.arrays(float, out_dims, elements=_CODED)) if centered else None
     return FitResult(
         coefficients=CpCoefficients(factors[:len(in_dims)], factors[len(in_dims):]),
         objective_trace=[draw(_FINITE)],
@@ -342,9 +347,10 @@ class TestRoundTripProperties:
         mode = data.draw(_fit_records())
         m = mode.coefficients
         n = data.draw(st.integers(1, 4))
-        pred, out = ([data.draw(hnp.arrays(float, (n, d, m.rank), elements=_FINITE)) for d in dims]
+        pred, out = ([data.draw(hnp.arrays(float, (n, d, m.rank), elements=_CODED)) for d in dims]
                      for dims in (m.in_dims, m.out_dims))
-        positive = st.floats(min_value=5e-324, allow_infinity=False, width=64)
+        positive = st.one_of(st.sampled_from([5e-324, 1e300]),
+                             st.floats(min_value=5e-324, allow_infinity=False, width=64))
         sigma2s = data.draw(hnp.arrays(float, (n,), elements=positive))
         draws = PosteriorDraws(pred, out, sigma2s, mode)
         with tempfile.TemporaryDirectory() as tmp:
@@ -358,15 +364,15 @@ class TestRoundTripProperties:
         for a, b in zip(pred + out, back.predictor_factors + back.outcome_factors, strict=True):
             assert _same_bits(a, b)
         _assert_same_fit(mode, back.mode)
-        # the version 2 text: one coefficients record whose values hold each
-        # draw's factor first-index-fastest, one draw after another
+        # the version 3 text: one coefficients record whose values hold each
+        # draw's factor first-index-fastest, one draw after another, as base64
         coefficients = {"rank": m.rank, **{
             key: [{"rows": s.shape[1],
-                   "values": [v for t in range(n) for v in s[t].ravel(order="F").tolist()]}
+                   "values": _b64([v for t in range(n) for v in s[t].ravel(order="F")])}
                   for s in stacks]
             for key, stacks in (("predictor_factors", pred), ("outcome_factors", out))}}
-        want = {"format": "mwreg-draws", "version": 2, "lam": 0.5, "seed": 7,
-                "sigma2": sigma2s.tolist(), "coefficients": coefficients,
+        want = {"format": "mwreg-draws", "version": 3, "lam": 0.5, "seed": 7,
+                "sigma2": _b64(sigma2s), "coefficients": coefficients,
                 "mode": json.loads(text)["mode"]}
         assert text == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -500,6 +506,16 @@ class TestVersion2Reader:
         assert back.array.flags.f_contiguous and not back.array.flags.writeable
         assert peak < 1.2 * x.array.nbytes
 
+    def test_pipe_is_read_into_one_buffer(self, tmp_path):
+        # 12 MB of values through a FIFO: a buffer that grows in place, the
+        # values a view of it, and a finiteness mask; no chunk list and its join
+        x = DenseTensor(np.random.default_rng(31).standard_normal((5000, 15, 20)))
+        data = _mwt2(x)
+        back, peak = traced_peak(lambda: _read_via("pipe", os.path.join(tmp_path, "x.mwt"), data))
+        assert _same_bits(back.array, x.array)
+        assert back.array.flags.f_contiguous and not back.array.flags.writeable
+        assert peak < 1.3 * x.array.nbytes
+
     def test_every_proper_prefix_is_refused(self, tmp_path, capsys):
         # a cut anywhere, inside the header, a value or the end line, exits 2
         x = DenseTensor(np.random.default_rng(8).standard_normal((4, 2)))
@@ -523,12 +539,7 @@ class TestVersion2Reader:
             assert not os.path.exists(out)
 
     def test_readme_recipe_reads_what_the_writer_wrote(self, tmp_path):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as fh:
-            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
-        recipe = next(b for b in blocks if "def read_mwt2" in b)
-        namespace = {}
-        exec(recipe, namespace)
+        namespace = _readme_recipes("read_mwt2")
         rng = np.random.default_rng(12)
         for dims in [(1,), (5,), (3, 4), (2, 3, 4)]:
             t = DenseTensor(np.asarray(_edge_array(rng, prod(dims)).reshape(dims), order="C"))
@@ -569,12 +580,7 @@ class TestOtherVersions:
             assert hashlib.sha256(payload).hexdigest().startswith(digest), name
 
     def test_readme_conversion_recipe_keeps_every_value(self, tmp_path):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as fh:
-            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
-        recipe = next(b for b in blocks if "def mwt1_to_mwt2" in b)
-        namespace = {}
-        exec(recipe, namespace)
+        namespace = _readme_recipes("mwt1_to_mwt2")
         rng = np.random.default_rng(13)
         src, dst = os.path.join(tmp_path, "old.mwt"), os.path.join(tmp_path, "new.mwt")
         for dims in [(1,), (5,), (3, 4), (2, 3, 4), (9, 3)]:
@@ -601,6 +607,43 @@ def _edited(path, edit):
         payload = json.load(fh)
     edit(payload)
     return json.dumps(payload)
+
+
+def _b64(values) -> str:
+    """values as the format stores a float array: base64 of their little-endian doubles."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unb64(text) -> list:
+    """The doubles of a float array's base64 text, as a list."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").tolist()
+
+
+def _edit_values(record, key, edit):
+    """Apply edit to the list of record[key]'s doubles and store them back as base64."""
+    values = _unb64(record[key])
+    edit(values)
+    record[key] = _b64(values)
+
+
+# the keys whose values are float arrays, base64 in the current versions
+_ARRAY_KEYS = ("values", "x_offsets", "y_offsets", "sigma2")
+
+
+def _as_lists(node):
+    """A model or draws document with every float array as a JSON list: the
+    text of model version 1 and draws version 2, whose version it does not set."""
+    if isinstance(node, list):
+        return [_as_lists(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    return {k: _unb64(v) if k in _ARRAY_KEYS and isinstance(v, str) else _as_lists(v)
+            for k, v in node.items()}
+
+
+def _old_text(doc) -> str:
+    """A document as the list writers wrote it."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _fit_pair(rng, center=True):
@@ -653,12 +696,24 @@ class TestModelFormat:
         path = os.path.join(tmp_path, "m.json")
         write_model(path, res, 0.5, 3)
         with open(path) as fh:
-            assert fh.read() == (
-                '{"coefficients":{"outcome_factors":[{"rows":2,"values":[3.0,-1.0,0.25,7.0]}],'
-                '"predictor_factors":[{"rows":3,"values":[1.0,0.1,-2.5,-0.0,5e-324,1e+300]}],'
-                '"rank":2},"converged":true,"format":"mwreg-model","iterations":9,"lam":0.5,'
-                '"objective":12.5,"seed":3,"version":1,"x_offsets":[0.5,-1.0,2.0],'
-                '"y_offsets":[1.0,-0.125]}\n')
+            text = fh.read()
+        assert text == (
+            '{"coefficients":{"outcome_factors":[{"rows":2,"values":'
+            '"AAAAAAAACEAAAAAAAADwvwAAAAAAANA/AAAAAAAAHEA="}],"predictor_factors":[{"rows":3,'
+            '"values":"AAAAAAAA8D+amZmZmZm5PwAAAAAAAATAAAAAAAAAAIABAAAAAAAAAJx1AIg85Dd+"}],'
+            '"rank":2},"converged":true,"format":"mwreg-model","iterations":9,"lam":0.5,'
+            '"objective":12.5,"seed":3,"version":2,"x_offsets":"AAAAAAAA4D8AAAAAAADwvwAAAAAAAABA",'
+            '"y_offsets":"AAAAAAAA8D8AAAAAAADAvw=="}\n')
+        # the same text spelled out from the format: each factor first index fastest
+        want = {"coefficients": {
+                    "outcome_factors": [{"rows": 2, "values": _b64([3.0, -1.0, 0.25, 7.0])}],
+                    "predictor_factors": [{"rows": 3, "values": _b64([1.0, 0.1, -2.5, -0.0,
+                                                                      5e-324, 1e300])}],
+                    "rank": 2},
+                "converged": True, "format": "mwreg-model", "iterations": 9, "lam": 0.5,
+                "objective": 12.5, "seed": 3, "version": 2, "x_offsets": _b64([0.5, -1.0, 2.0]),
+                "y_offsets": _b64([1.0, -0.125])}
+        assert text == json.dumps(want, sort_keys=True, separators=(",", ":")) + "\n"
         _assert_same_fit(res, read_model(path)[0])
 
     def test_wrong_format_rejected(self, tmp_path):
@@ -673,16 +728,19 @@ class TestModelFormat:
         path = os.path.join(tmp_path, "m.json")
         write_model(path, _fit_pair(rng)[2], lam=0.5, seed=3)
         short_factor = _edited(
-            path, lambda p: p["coefficients"]["predictor_factors"][0].update(values=[1.0])
+            path, lambda p: p["coefficients"]["predictor_factors"][0].update(values=_b64([1.0]))
         )
-        nan_offset = _edited(path, lambda p: p["x_offsets"].__setitem__(1, float("nan")))
-        inf_offset = _edited(path, lambda p: p["y_offsets"].__setitem__(0, float("inf")))
-        # JSON booleans, which Python counts as the ints 1 and 0, where numbers belong
+        nan_offset = _edited(
+            path, lambda p: _edit_values(p, "x_offsets", lambda v: v.__setitem__(1, float("nan"))))
+        inf_offset = _edited(
+            path, lambda p: _edit_values(p, "y_offsets", lambda v: v.__setitem__(0, float("inf"))))
+        # JSON booleans, which Python counts as the ints 1 and 0, where numbers
+        # or base64 text belong
         true_value = _edited(
-            path, lambda p: p["coefficients"]["predictor_factors"][0]["values"].__setitem__(0, True)
+            path, lambda p: p["coefficients"]["predictor_factors"][0].update(values=True)
         )
         true_rank = _edited(path, lambda p: p["coefficients"].update(rank=True))
-        false_offset = _edited(path, lambda p: p["x_offsets"].__setitem__(0, False))
+        false_offset = _edited(path, lambda p: p.update(x_offsets=False))
         # a boolean that is not one, and integers with a fraction or an exponent
         string_converged = _edited(path, lambda p: p.update(converged="false"))
         number_converged = _edited(path, lambda p: p.update(converged=0))
@@ -714,17 +772,18 @@ class TestModelFormat:
         write_tensor(x_path, x)
         out = os.path.join(tmp_path, "p.mwt")
         assert main(["predict", "--model", path, "--x", x_path, "--out", out]) == 0
-        texts = {v: _edited(path, lambda p, v=v: p.update(version=v)) for v in (0, 2, 7)}
+        # a real version-1 file: TestOldJsonVersions
+        texts = {v: _edited(path, lambda p, v=v: p.update(version=v)) for v in (0, 1, 3, 7)}
         for version, text in texts.items():
             _rewrite(path, text)
-            message = f"{path}: model file version {version} is not supported; this reader reads 1"
+            message = f"{path}: model file version {version} is not supported; this reader reads 2"
             with pytest.raises(ValueError) as info:
                 read_model(path)
             assert str(info.value) == message
             assert main(["predict", "--model", path, "--x", x_path, "--out", out]) == 2
             assert message in capsys.readouterr().err
         # a version that is not a JSON integer is a malformed field
-        for version in (1.0, True, "1"):
+        for version in (2.0, True, "2"):
             _rewrite(path, _edited(path, lambda p: p.update(version=version)))
             malformed = re.escape(path) + ": malformed model file: expected an integer"
             with pytest.raises(ValueError, match=malformed):
@@ -763,8 +822,8 @@ class TestModelFormat:
         rng = np.random.default_rng(11)
         path = os.path.join(tmp_path, "m.json")
         write_model(path, _fit_pair(rng)[2], lam=0.5, seed=3)
-        _rewrite(path, _edited(
-            path, lambda p: p["coefficients"]["outcome_factors"][0]["values"].append(0.5)))
+        _rewrite(path, _edited(path, lambda p: _edit_values(
+            p["coefficients"]["outcome_factors"][0], "values", lambda v: v.append(0.5))))
         with pytest.raises(ValueError) as info:
             read_model(path)
         assert str(info.value) == (
@@ -828,7 +887,8 @@ class TestDrawsFormat:
     def test_malformed_content_rejected(self, tmp_path):
         path = self._draws_file(tmp_path)
         no_mode = _edited(path, lambda p: p.pop("mode"))
-        inf_offset = _edited(path, lambda p: p["mode"]["y_offsets"].__setitem__(0, float("-inf")))
+        inf_offset = _edited(path, lambda p: _edit_values(
+            p["mode"], "y_offsets", lambda v: v.__setitem__(0, float("-inf"))))
         for text in ('{"format":"mwreg-draws"}', "[]", "{", no_mode, inf_offset):
             self._rejects(path, text, "")
 
@@ -842,13 +902,13 @@ class TestDrawsFormat:
     def test_other_versions_refused(self, tmp_path):
         path = self._draws_file(tmp_path)
         read_draws(path)
-        # a real version-1 file: test_version_1_is_refused_and_the_readme_recipe_converts_it
-        for version in (0, 3):
+        # real version-1 and version-2 files: TestOldJsonVersions
+        for version in (0, 1, 2, 4):
             _rewrite(path, _edited(path, lambda p: p.update(version=version)))
             with pytest.raises(ValueError) as info:
                 read_draws(path)
             assert str(info.value) == (
-                f"{path}: draws file version {version} is not supported; this reader reads 2")
+                f"{path}: draws file version {version} is not supported; this reader reads 3")
 
     def test_factor_rows_below_one_refused(self, tmp_path):
         path = self._draws_file(tmp_path)
@@ -864,11 +924,12 @@ class TestDrawsFormat:
         path = self._draws_file(tmp_path)
 
         def drop_value(payload):
-            payload["coefficients"]["outcome_factors"][0]["values"].pop()
+            _edit_values(payload["coefficients"]["outcome_factors"][0], "values", list.pop)
 
         cases = [
-            (lambda p: p["sigma2"].pop(), "3 sigma2 values for 4 draws in predictor factor 0"),
-            (lambda p: p["sigma2"].extend([1.0, 2.0]),
+            (lambda p: _edit_values(p, "sigma2", list.pop),
+             "3 sigma2 values for 4 draws in predictor factor 0"),
+            (lambda p: _edit_values(p, "sigma2", lambda v: v.extend([1.0, 2.0])),
              "6 sigma2 values for 4 draws in predictor factor 0"),
             (drop_value, "outcome factor 0 holds 7 values, not 4 draws x 2 rows x 1 components"),
         ]
@@ -880,7 +941,7 @@ class TestDrawsFormat:
             path = self._draws_file(tmp_path)
 
             def set_bad(payload):
-                payload["sigma2"][1] = bad
+                _edit_values(payload, "sigma2", lambda v: v.__setitem__(1, bad))
 
             self._rejects(path, _edited(path, set_bad), "sigma2 values")
 
@@ -891,20 +952,20 @@ class TestDrawsFormat:
             return payload["coefficients"]["predictor_factors"] + payload["coefficients"]["outcome_factors"]
 
         def shorter_outcome(payload):
-            payload["coefficients"]["outcome_factors"][0] = {"rows": 1, "values": [0.5] * 4}
+            payload["coefficients"]["outcome_factors"][0] = {"rows": 1, "values": _b64([0.5] * 4)}
 
         def wider_rank(payload):
             payload["coefficients"]["rank"] = 2
             for item in items(payload):
-                item["values"] = item["values"] * 2
+                item["values"] = _b64(_unb64(item["values"]) * 2)
 
         def extra_mode(payload):
-            payload["coefficients"]["outcome_factors"].append({"rows": 1, "values": [0.5] * 4})
+            payload["coefficients"]["outcome_factors"].append({"rows": 1, "values": _b64([0.5] * 4)})
 
         def no_draws(payload):
-            payload["sigma2"] = []
+            payload["sigma2"] = _b64([])
             for item in items(payload):
-                item["values"] = []
+                item["values"] = _b64([])
 
         cases = [
             (shorter_outcome, re.escape(
@@ -917,60 +978,237 @@ class TestDrawsFormat:
         for text, match in [(_edited(path, edit), match) for edit, match in cases]:
             self._rejects(path, text, match)
 
-    def test_version_1_is_refused_and_the_readme_recipe_converts_it(self, tmp_path):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as fh:
-            blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
-        recipe = next(b for b in blocks if "def draws1_to_draws2" in b)
-        namespace = {}
-        exec(recipe, namespace)
+    def test_file_text_is_pinned(self, tmp_path):
+        # two draws of a (2,) -> (1,) chain at rank 1 whose values include -0.0,
+        # a subnormal and 1e300, from an uncentered mode
+        mode = FitResult(coefficients=CpCoefficients([np.array([[0.5], [-2.0]])], [np.array([[4.0]])]),
+                         objective_trace=[1.5], substep_trace=[], converged=False, iterations=500,
+                         x_offsets=None, y_offsets=None)
+        pred, out = np.array([[[-0.0], [5e-324]], [[1e300], [0.75]]]), np.array([[[2.0]], [[-3.0]]])
+        draws = PosteriorDraws([pred], [out], np.array([0.5, 2.0]), mode)
+        path = os.path.join(tmp_path, "d.json")
+        write_draws(path, draws, 0.25, 11)
+        with open(path) as fh:
+            text = fh.read()
+        assert text == (
+            '{"coefficients":{"outcome_factors":[{"rows":1,"values":"AAAAAAAAAEAAAAAAAAAIwA=="}],'
+            '"predictor_factors":[{"rows":2,"values":"AAAAAAAAAIABAAAAAAAAAJx1AIg85Dd+AAAAAAAA6D8="}],'
+            '"rank":1},"format":"mwreg-draws","lam":0.25,"mode":{"coefficients":{"outcome_factors":'
+            '[{"rows":1,"values":"AAAAAAAAEEA="}],"predictor_factors":[{"rows":2,"values":'
+            '"AAAAAAAA4D8AAAAAAAAAwA=="}],"rank":1},"converged":false,"iterations":500,'
+            '"objective":1.5,"x_offsets":null,"y_offsets":null},"seed":11,'
+            '"sigma2":"AAAAAAAA4D8AAAAAAAAAQA==","version":3}\n')
+        # each draw's factor first index fastest, one draw after another
+        record = json.loads(text)
+        assert _unb64(record["coefficients"]["predictor_factors"][0]["values"]) == [-0.0, 5e-324,
+                                                                                  1e300, 0.75]
+        assert _unb64(record["coefficients"]["outcome_factors"][0]["values"]) == [2.0, -3.0]
+        assert _unb64(record["sigma2"]) == [0.5, 2.0]
+        back, _, _ = read_draws(path)
+        for a, b in zip((pred, out), back.predictor_factors + back.outcome_factors, strict=True):
+            assert _same_bits(a, b)
+
+    @pytest.mark.parametrize("in_dims, out_dims", [((15, 20), (10,)), ((6,), (3, 4, 2)), ((6,), (10,)),
+                                                   ((4, 3), (2, 2)), ((3, 2, 2), ())])
+    def test_read_back_stacks_keep_bits_and_strides(self, tmp_path, in_dims, out_dims):
+        # every stack of a chain is a C-ordered (draws, R, rows) array, the file's
+        # value order, so the reader gives BLAS the operands the chain gave it
+        rng = np.random.default_rng(15)
+        x = DenseTensor(rng.standard_normal((24,) + in_dims))
+        y = DenseTensor(rng.standard_normal((24,) + out_dims))
+        x_new = DenseTensor(rng.standard_normal((21,) + in_dims))
+        draws = gibbs(x, y, GibbsConfig(rank=2, n_samples=6, lam=0.5, seed=4))
+        path = os.path.join(tmp_path, "d.json")
+        write_draws(path, draws, 0.5, 4)
+        back, _, _ = read_draws(path)
+        stacks = draws.predictor_factors + draws.outcome_factors
+        for a, b in zip(stacks, back.predictor_factors + back.outcome_factors, strict=True):
+            assert _same_bits(a, b)
+            assert a.strides == b.strides
+            assert a.swapaxes(1, 2).flags.c_contiguous
+        assert _same_bits(posterior_predictive(x_new, back, 3), posterior_predictive(x_new, draws, 3))
+        lo, hi = posterior._predictive_intervals(x_new, draws, 3, 0.9)
+        lo_back, hi_back = posterior._predictive_intervals(x_new, back, 3, 0.9)
+        assert _same_bits(lo.array, lo_back.array) and _same_bits(hi.array, hi_back.array)
+        assert _same_bits(dic(x, y, back), dic(x, y, draws))
+
+
+def _refused(read, path, fault):
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
+def _readme_recipes(*names) -> dict:
+    """The namespace of the README's python blocks that define names."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    namespace = {}
+    for name in names:
+        exec(next(b for b in blocks if f"def {name}(" in b), namespace)
+    return namespace
+
+
+class TestOldJsonVersions:
+    """Model files of version 1 and draws files of versions 1 and 2, which hold
+    every float array as a JSON list of decimal numbers."""
+
+    def test_old_versions_are_refused_and_the_readme_recipes_convert_them(self, tmp_path):
+        recipes = _readme_recipes("draws1_to_draws2", "lists_to_base64")
         rng = np.random.default_rng(14)
-        src, dst = os.path.join(tmp_path, "old.json"), os.path.join(tmp_path, "new.json")
+
+        def at(name):
+            return os.path.join(tmp_path, name)
+
         for n, center in ((1, True), (3, False), (5, True)):
             mode = _fit_pair(rng, center)[2]
+            write_model(at("m.json"), mode, 0.5, 3)
+            with open(at("m.json")) as fh:
+                doc = _as_lists(json.load(fh))
+            _rewrite(at("m1.json"), _old_text({**doc, "version": 1}))
+            _refused(read_model, at("m1.json"),
+                     "model file version 1 is not supported; this reader reads 2")
+            recipes["lists_to_base64"](at("m1.json"), at("m2.json"))
+            back, lam, seed = read_model(at("m2.json"))
+            assert (lam, seed) == (0.5, 3)
+            _assert_same_fit(mode, back)
+
             b = mode.coefficients
             pred, out = ([_edge_array(rng, n * d * b.rank).reshape(n, d, b.rank) for d in dims]
                          for dims in (b.in_dims, b.out_dims))
             draws = PosteriorDraws(pred, out, rng.uniform(0.5, 2.0, n), mode)
-            write_draws(dst, draws, 0.5, 7)
-            with open(dst) as fh:
-                doc = json.load(fh)
+            write_draws(at("d.json"), draws, 0.5, 7)
+            with open(at("d.json")) as fh:
+                v2 = {**_as_lists(json.load(fh)), "version": 2}
             # the version-1 writer's text: one coefficients record per draw under "samples"
-            del doc["coefficients"]
-            doc.update(version=1, samples=[{"rank": b.rank, **{
+            v1 = {key: v for key, v in v2.items() if key != "coefficients"}
+            v1.update(version=1, samples=[{"rank": b.rank, **{
                 key: [{"rows": f.shape[0], "values": f.ravel(order="F").tolist()} for f in fs]
                 for key, fs in (("predictor_factors", c.predictor_factors),
                                 ("outcome_factors", c.outcome_factors))}}
                 for c in draws.coefficients])
-            _rewrite(src, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            for version, doc in ((1, v1), (2, v2)):
+                _rewrite(at(f"d{version}.json"), _old_text(doc))
+                _refused(read_draws, at(f"d{version}.json"),
+                         f"draws file version {version} is not supported; this reader reads 3")
+            # a version-1 file goes through the version-2 recipe first
+            recipes["draws1_to_draws2"](at("d1.json"), at("d1to2.json"))
+            for src in ("d2.json", "d1to2.json"):
+                recipes["lists_to_base64"](at(src), at("d3.json"))
+                back, lam, seed = read_draws(at("d3.json"))
+                assert (lam, seed) == (0.5, 7)
+                assert _same_bits(back.sigma2s, draws.sigma2s)
+                for a, c in zip(pred + out, back.predictor_factors + back.outcome_factors,
+                                strict=True):
+                    assert _same_bits(a, c)
+                _assert_same_fit(mode, back.mode)
+
+
+# little-endian bit patterns that are not finite doubles: a quiet and a
+# signalling NaN, and both infinities
+_NOT_FINITE = ("000000000000f87f", "010000000000f07f", "000000000000f07f", "000000000000f0ff")
+
+
+def _with_first_double(text, pattern):
+    """base64 text with its first double's bytes replaced by the hex pattern."""
+    return base64.b64encode(bytes.fromhex(pattern) + base64.b64decode(text)[8:]).decode("ascii")
+
+
+class TestCodec:
+    """The one float-array codec of model and draws files."""
+
+    # (kind, where the array is, its key, the check that refuses a value that is not finite)
+    ARRAYS = [
+        ("model", ("coefficients", "predictor_factors", 0), "values", "factor matrices must be finite"),
+        ("model", ("coefficients", "outcome_factors", 1), "values", "factor matrices must be finite"),
+        ("model", (), "x_offsets", "offsets must be finite"),
+        ("model", (), "y_offsets", "offsets must be finite"),
+        ("draws", (), "sigma2", "sigma2 values must be finite and positive"),
+        ("draws", ("coefficients", "predictor_factors", 0), "values", "factor matrices must be finite"),
+        ("draws", ("coefficients", "outcome_factors", 0), "values", "factor matrices must be finite"),
+        ("draws", ("mode", "coefficients", "predictor_factors", 0), "values",
+         "factor matrices must be finite"),
+        ("draws", ("mode",), "x_offsets", "offsets must be finite"),
+    ]
+
+    @pytest.mark.parametrize("kind, where, key, not_finite", ARRAYS)
+    def test_faults_are_refused_naming_the_file(self, tmp_path, capsys, kind, where, key, not_finite):
+        rng = np.random.default_rng(16)
+        x, y, res = _fit_pair(rng)
+        path, x_path = os.path.join(tmp_path, f"{kind}.json"), os.path.join(tmp_path, "x.mwt")
+        write_tensor(x_path, x)
+        if kind == "model":
+            write_model(path, res, 0.5, 3)
+        else:
+            write_draws(path, gibbs(x, y, GibbsConfig(rank=2, n_samples=4, lam=0.5, seed=3)), 0.5, 3)
+
+        def spoiled(value):
+            def edit(payload):
+                record = payload
+                for step in where:
+                    record = record[step]
+                record[key] = value(record[key])
+            return _edited(path, edit)
+
+        # (spoiled text, a pattern of the fault)
+        cases = [
+            # a JSON list, as older versions hold, where base64 text belongs
+            (spoiled(_unb64), r"expected base64 text, found \[.*"),
+            (spoiled(lambda text: text[:5] + "*" + text[6:]),
+             re.escape("not base64 text: Only base64 data is allowed")),
+            (spoiled(lambda text: text[:5] + "\u00e9" + text[6:]),
+             re.escape("not base64 text: string argument should contain only ASCII characters")),
+            (spoiled(lambda text: _b64([0.5, 2.0])[:-1]), re.escape("not base64 text: Incorrect padding")),
+            (spoiled(lambda text: base64.b64encode(bytes(7)).decode()),
+             re.escape("7 bytes are not a whole number of 8-byte doubles")),
+            # the last byte dropped
+            (spoiled(lambda text: base64.b64encode(base64.b64decode(text)[:-1]).decode()),
+             r"\d*[1-7] bytes are not a whole number of 8-byte doubles"),
+        ] + [(spoiled(lambda text, p=p: _with_first_double(text, p)), re.escape(not_finite))
+             for p in _NOT_FINITE]
+        read = read_model if kind == "model" else read_draws
+        with open(path) as fh:
+            valid = fh.read()
+        for text, fault in cases:
+            _rewrite(path, text)
             with pytest.raises(ValueError) as info:
-                read_draws(src)
-            assert str(info.value) == (
-                f"{src}: draws file version 1 is not supported; this reader reads 2")
-            namespace["draws1_to_draws2"](src, dst)
-            back, lam, seed = read_draws(dst)
-            assert (lam, seed) == (0.5, 7)
-            assert _same_bits(back.sigma2s, draws.sigma2s)
-            for a, c in zip(pred + out, back.predictor_factors + back.outcome_factors, strict=True):
-                assert _same_bits(a, c)
-            _assert_same_fit(mode, back.mode)
+                read(path)
+            assert re.fullmatch(re.escape(f"{path}: malformed {kind} file: ") + fault, str(info.value))
+            if kind == "model":
+                out = os.path.join(tmp_path, "p.mwt")
+                capsys.readouterr()
+                assert main(["predict", "--model", path, "--x", x_path, "--out", out]) == 2
+                assert capsys.readouterr() == ("", f"error: {info.value}\n")
+                assert not os.path.exists(out)
+        _rewrite(path, valid)
+        read(path)
+
+    def test_encoder_reads_a_chain_stack_without_a_copy(self, tmp_path):
+        rng = np.random.default_rng(17)
+        x = DenseTensor(rng.standard_normal((20, 4, 3)))
+        y = DenseTensor(rng.standard_normal((20, 2, 2)))
+        draws = gibbs(x, y, GibbsConfig(rank=2, n_samples=5, lam=0.5, seed=1))
+        with mock.patch.object(fileio.base64, "b64encode", wraps=base64.b64encode) as encode:
+            write_draws(os.path.join(tmp_path, "d.json"), draws, 0.5, 1)
+        buffers = [args[0] for args, _ in encode.call_args_list]
+        for stack in draws.predictor_factors + draws.outcome_factors:
+            assert any(np.shares_memory(b, stack) for b in buffers)
 
 
 class TestNumberRule:
     @pytest.mark.parametrize("text", ["3", "-2.5e3", "1e400", "true", "false", '"3"', "null",
                                       "[1]", "{}"])
-    def test_one_value_and_a_list_share_the_rule(self, text):
-        # every JSON value kind, alone through _number and as list items through _numbers
+    def test_number_and_array_type_rules(self, text):
+        # every JSON value kind through _number, and through _decoded, which takes only text
         value = json.loads(text)
-
-        def accepts(parse, arg):
-            try:
-                parse(arg)
-            except TypeError:
-                return False
-            return True
-
         number = not isinstance(value, (bool, str, list, dict, type(None)))
-        assert accepts(fileio._number, value) is number
-        assert accepts(fileio._numbers, [value]) is number
-        assert accepts(fileio._numbers, [1, 2.5, value] * 1000) is number
+        try:
+            fileio._number(value)
+        except TypeError:
+            assert not number
+        else:
+            assert number
+        if not isinstance(value, str):
+            with pytest.raises(TypeError, match="^expected base64 text, found "):
+                fileio._decoded(value)

@@ -8,6 +8,7 @@ unpenalized fit whose system is rank deficient, and the exit code of a
 command given a corrupted input file.
 """
 
+import base64
 import functools
 import json
 import os
@@ -332,9 +333,14 @@ class TestExitCodeProperties:
         assert code == 2, fault
 
 
-_VALUE_FAULTS = ("dropped value", "extra value", "non-numeric token", "non-finite token")
-# "5_0" is 50.0 to Python's float grammar, which allows digit grouping
-_BAD_TOKENS = ("abc", "1.2.3", "--1", "0x10", "1e", "1,5", "5_0")
+# faults of a float array's base64 text: the decoded doubles with one
+# dropped, added or made non-finite, or the text itself spoiled
+_VALUE_FAULTS = ("dropped value", "extra value", "non-finite value", "partial value",
+                 "non-alphabet character", "character dropped", "list for text")
+# characters outside the base64 alphabet: URL-safe base64's, separators, non-ASCII
+_BAD_CHARACTERS = ("-", "_", ".", " ", "\n", ",", "\u00e9")
+# the keys whose values are float arrays
+_ARRAY_KEYS = ("values", "x_offsets", "y_offsets", "sigma2")
 # keys a reader may find absent: the format version, and x_offsets, whose
 # absence marks an uncentered fit
 _OPTIONAL_KEYS = ("version", "x_offsets")
@@ -417,7 +423,8 @@ def _entries(node):
 
 
 def _corrupt_json(draw, text: str) -> tuple:
-    """(fault, text) of a JSON file cut short, missing a key or with one value spoiled."""
+    """(fault, text) of a JSON file cut short, missing a key, with one value
+    spoiled, or with one float array's base64 text or its doubles spoiled."""
     fault = draw(st.sampled_from(_VALUE_FAULTS + ("truncated", "key removed", "number made true",
                                                   "integer made fractional", "boolean made a string")))
     if fault == "truncated":
@@ -446,16 +453,31 @@ def _corrupt_json(draw, text: str) -> tuple:
         containers = [c for c, k, _ in _entries(doc) if k == "converged"]
         draw(st.sampled_from(containers))["converged"] = draw(st.sampled_from(["false", "true"]))
         return fault, json.dumps(doc)
-    arrays = [v for _, _, v in _entries(doc)
-              if isinstance(v, list) and v and all(isinstance(e, float) for e in v)]
-    values = draw(st.sampled_from(arrays))
-    i = draw(st.integers(0, len(values) - 1))
+    container, key = draw(st.sampled_from([(c, k) for c, k, v in _entries(doc)
+                                           if k in _ARRAY_KEYS and isinstance(v, str)]))
+    text = container[key]
+    if fault == "non-alphabet character":
+        i = draw(st.integers(0, len(text)))
+        container[key] = text[:i] + draw(st.sampled_from(_BAD_CHARACTERS)) + text[i:]
+        return fault, json.dumps(doc)
+    if fault == "character dropped":
+        i = draw(st.integers(0, len(text) - 1))
+        container[key] = text[:i] + text[i + 1:]
+        return fault, json.dumps(doc)
+    data = base64.b64decode(text)
+    n = len(data) // 8
+    if fault == "list for text":
+        container[key] = np.frombuffer(data, "<f8").tolist()
+        return fault, json.dumps(doc)
+    i = 8 * draw(st.integers(0, n - 1))
     if fault == "dropped value":
-        del values[i]
+        data = data[:i] + data[i + 8:]
     elif fault == "extra value":
-        values.insert(i, 0.5)
-    elif fault == "non-numeric token":
-        values[i] = draw(st.sampled_from(_BAD_TOKENS))
+        data = data[:i] + np.array([0.5], "<f8").tobytes() + data[i:]
+    elif fault == "partial value":
+        data = data[:i] + data[i + draw(st.integers(1, 7)):]
     else:
-        values[i] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        value = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        data = data[:i] + np.array([value], "<f8").tobytes() + data[i + 8:]
+    container[key] = base64.b64encode(data).decode("ascii")
     return fault, json.dumps(doc)
